@@ -1,78 +1,46 @@
 """Regenerate ``refs.json``: the output digest of every item any seed can
-draw, with its baseline time.
+draw, and of the sweep's warm-up item.
 
-    python3 perfbench/make_refs.py [--jobs 2]
+    python3 perfbench/make_refs.py
 
 Run it only at a commit whose outputs are known to be right: a later run
 of the benchmark counts every difference from these digests as a failure.
-The baseline times set the ``sweep`` cost strata, so run it on an idle
-machine.  The full pool takes about 20 minutes with two jobs.
+Items run one at a time in worker processes, as in the benchmark; it takes
+about 3 minutes.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import run
 import workloads as wl
+
+BUDGET_S = 600
 
 
 def refs_of(items: list[dict]) -> dict:
     goldens = run.load_goldens()
     out = {}
     for it in items:
+        key = wl.config_key(*it["cfg"])
         if it["status"] == "timeout" or run.golden_mismatch(it, goldens):
-            raise SystemExit(f"{it['key']}: {it['status']}, or differs from its golden")
-        ref = {k: it[k] for k in ("rc", "error", "digest") if k in it}
-        ref["baseline_s"] = round(it["s"], 3)
-        out[it["key"]] = ref
+            raise SystemExit(f"{key}: {it['status']}, or differs from its golden")
+        out[key] = {k: it[k] for k in ("rc", "error", "digest") if k in it}
     return out
 
 
-def ladder_refs() -> dict:
-    items = []
-    for cfg in wl.LADDER:
-        it = run.run_cli_process(wl.compute_argv(*cfg), budget_s=600)
-        it["key"], it["cfg"] = wl.config_key(*cfg), cfg
-        items.append(it)
-    return refs_of(items)
-
-
-def sweep_refs(jobs: int) -> dict:
-    g, k, n = wl.SWEEP_GKN
-    chunks = [wl.SWEEP_POOL[i::jobs] for i in range(jobs)]
-    procs = [
-        run.start_worker(
-            {
-                "items": [wl.compute_argv(g, k, n, t) for t in chunk],
-                "warmup": wl.compute_argv(g, k, n, wl.SWEEP_WARMUP),
-                "budget_s": 600,
-            }
-        )
-        for chunk in chunks
-    ]
-    with ThreadPoolExecutor(jobs) as ex:
-        results = list(ex.map(lambda cp: run.finish_worker(cp[1], len(cp[0]), 7200),
-                              zip(chunks, procs)))
-    items = []
-    for chunk, res in zip(chunks, results):
-        for t, it in zip(chunk, res["items"]):
-            it["cfg"] = (g, k, n, t)
-            it["key"] = wl.config_key(*it["cfg"])
-            items.append(it)
-    return refs_of(items)
-
-
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
-    refs = {
-        "ladder": ladder_refs(),
-        "sweep": sweep_refs(args.jobs),
-    }
+    items = {"ladder": [], "sweep": []}
+    for cfg in wl.LADDER:
+        res = run.run_worker({"items": [wl.compute_argv(*cfg)], "budget_s": BUDGET_S}, BUDGET_S + 10)
+        items["ladder"].append({**res["items"][0], "cfg": cfg})
+    tuples = [t for band in wl.SWEEP_BANDS for t in band]
+    res = run.run_worker(run.sweep_job(tuples, False, BUDGET_S), BUDGET_S * (len(tuples) + 1))
+    items["sweep"] = [run.warmup_item(res)] + [
+        {**it, "cfg": (*wl.SWEEP_GKN, t)} for t, it in zip(tuples, res["items"])
+    ]
+    refs = {name: refs_of(its) for name, its in items.items()}
     run.REFS_PATH.write_text(json.dumps(refs, indent=1, sort_keys=True) + "\n")
 
 

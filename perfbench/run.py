@@ -5,10 +5,12 @@
 Run from the root of a checkout; the program is imported from its ``src``.
 Workloads (see README.md in this directory):
 
-  ladder  the 14 acceptance configurations, each a fresh
-          ``python -m wreathmac.cli compute --json`` process
-  sweep   one process calling ``cli.main(["compute", ...])`` for seeded
-          class tuples at (g, k, n) = (0, 2, 4)
+  ladder  the 14 acceptance configurations, each ``compute --json`` in a
+          fresh worker process, as ``python -m wreathmac.cli`` runs it
+  sweep   one worker process running ``compute --json`` for seeded class
+          tuples at (g, k, n) = (0, 2, 4), after a warm-up item
+
+Both run their items through ``worker.py``, which calls ``cli.main``.
 
 A run repeats passes over the workload's inputs until ``--seconds`` have
 passed (at least one pass) and reports medians.  Every item's output is
@@ -24,16 +26,15 @@ import argparse
 import compileall
 import json
 import os
-import platform
 import resource
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import tracer
-import worker
 import workloads as wl
 
 HERE = Path(__file__).resolve().parent
@@ -52,7 +53,12 @@ ITEM_BUDGET_S = 60.0
 # every item of a run ends within this many seconds of its start: no pass
 # starts that could overrun it, and item budgets are cut to it
 RUN_DEADLINE_S = 150.0
-SETUP_PROBES = 11
+# set-up probes: workers started before the passes that only start, import
+# and (on sweep) run the warm-up item; the first also reports the kernel
+# backend.  setup_s is the median start-up time of the probes and of the
+# untraced pass workers: 1 + 14 per pass on ladder, 2 + 1 per pass on sweep,
+# whose warm-up item's time varies by about 15 % from process to process
+SETUP_PROBES = {"ladder": 1, "sweep": 2}
 
 DOCUMENTED_RC = (0, 1, 2, 3)
 
@@ -67,8 +73,15 @@ def child_env() -> dict:
     return env
 
 
-def start_worker(job: dict) -> subprocess.Popen:
-    return subprocess.Popen(
+def run_worker(job: dict, timeout_s: float) -> dict:
+    """Run one ``worker.py`` process to its end and collect its report.  A
+    worker past ``timeout_s`` is killed and its missing items count as
+    timeouts.  ``startup_s`` is the time from starting the process to its
+    "ready" line (interpreter start, imports, any warm-up item), and
+    ``process_s`` the time until it has exited."""
+    out = {"ready": None, "items": [], "done": None, "startup_s": None}
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
         [sys.executable, str(HERE / "worker.py"), json.dumps(job)],
         stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
@@ -77,75 +90,39 @@ def start_worker(job: dict) -> subprocess.Popen:
         env=child_env(),
         text=True,
     )
-
-
-def finish_worker(proc: subprocess.Popen, n_items: int, timeout_s: float) -> dict:
-    """Collect a worker's report; a worker past ``timeout_s`` is killed and
-    its missing items count as timeouts."""
+    timer = threading.Timer(timeout_s, proc.kill)
+    timer.start()
     try:
-        stdout, _ = proc.communicate(timeout=timeout_s)
-    except subprocess.TimeoutExpired:
+        for line in proc.stdout:
+            if not line.endswith("\n"):
+                break  # cut short by the kill
+            msg = json.loads(line)
+            if "ready" in msg:
+                out["ready"] = msg
+                out["startup_s"] = time.perf_counter() - t0
+            elif "item" in msg:
+                out["items"].append(msg)
+            elif "done" in msg:
+                out["done"] = msg
+        proc.wait()
+    except BaseException:
         proc.kill()
-        stdout, _ = proc.communicate()
-    out = {"ready": None, "items": [], "done": None}
-    for line in stdout.splitlines():
-        msg = json.loads(line)
-        if "ready" in msg:
-            out["ready"] = msg
-        elif "item" in msg:
-            out["items"].append(msg)
-        elif "done" in msg:
-            out["done"] = msg
-    while len(out["items"]) < n_items:
+        proc.wait()
+        raise
+    finally:
+        timer.cancel()
+        proc.stdout.close()
+    out["process_s"] = time.perf_counter() - t0
+    while len(out["items"]) < len(job["items"]):
         out["items"].append({"status": "timeout", "s": 0.0})
     return out
 
 
-def run_worker(job: dict, timeout_s: float) -> dict:
-    return finish_worker(start_worker(job), len(job["items"]), timeout_s)
-
-
-def run_cli_process(argv: list[str], budget_s: float) -> dict:
-    """One ``wreathmac compute`` as a user runs it: a fresh interpreter."""
-    t0 = time.perf_counter()
-    try:
-        p = subprocess.run(
-            [sys.executable, "-m", "wreathmac.cli"] + argv,
-            capture_output=True,
-            text=True,
-            cwd=ROOT,
-            env=child_env(),
-            timeout=budget_s,
-        )
-    except subprocess.TimeoutExpired:
-        return {"status": "timeout", "s": time.perf_counter() - t0}
-    s = time.perf_counter() - t0
-    if "Traceback" in p.stderr:
-        kind, _, message = p.stderr.strip().splitlines()[-1].partition(": ")
-        return {"status": "error", "error": kind, "digest": worker.error_digest(kind, message), "s": s}
-    return {"status": "ok", "rc": p.returncode, "digest": worker.digest_text(p.stdout),
-            "stdout": p.stdout, "s": s}
-
-
-def setup_probe() -> tuple[float, str]:
-    """Interpreter start plus ``import wreathmac.cli``; returns the kernel
-    backend too."""
-    t0 = time.perf_counter()
-    p = subprocess.run(
-        [sys.executable, "-c", "import wreathmac.cli, wreathmac.kernels as k; print(k.BACKEND)"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env=child_env(),
-        timeout=60,
-        check=True,
-    )
-    return time.perf_counter() - t0, p.stdout.strip()
-
-
 # ---------------------------------------------------------------------------
-# passes: each returns {"wall_s", "items": [...], "setup_s" (extra set-up),
-# "trace" (worker reports)}
+# passes: each returns "wall_s", "items", "startups" (start-up time of each
+# worker), "outside_s" (time inside wall_s spent in worker processes outside
+# their items), "done" (the workers' final reports) and, on sweep, "checked"
+# (the warm-up item, verified like the others)
 
 
 def budget(deadline: float) -> float:
@@ -154,45 +131,54 @@ def budget(deadline: float) -> float:
 
 
 def ladder_pass(cfgs: list[tuple], trace: bool, deadline: float) -> dict:
-    items, reports = [], []
+    """Each configuration in a fresh worker process, as a CLI user pays."""
+    items, startups, done, outside = [], [], [], 0.0
     t0 = time.perf_counter()
     for cfg in cfgs:
-        argv = wl.compute_argv(*cfg)
         b = budget(deadline)
-        if trace:
-            res = run_worker({"items": [argv], "trace": True, "budget_s": b}, b + 10)
-            it = res["items"][0]
-            if res["done"]:
-                reports.append(res["done"]["trace"])
-        else:
-            it = run_cli_process(argv, b)
+        res = run_worker({"items": [wl.compute_argv(*cfg)], "trace": trace, "budget_s": b}, b + 10)
+        it = res["items"][0]
         it["cfg"] = cfg
         items.append(it)
-    return {"wall_s": time.perf_counter() - t0, "items": items, "setup_s": 0.0,
-            "trace": reports}
+        outside += res["process_s"] - it["s"]
+        if res["startup_s"] is not None:
+            startups.append(res["startup_s"])
+        if res["done"]:
+            done.append(res["done"])
+    return {"wall_s": time.perf_counter() - t0, "items": items, "startups": startups,
+            "outside_s": outside, "done": done}
 
 
-def sweep_pass(tuples: list[tuple], trace: bool, deadline: float) -> dict:
+def sweep_job(tuples: list[tuple], trace: bool, budget_s: float) -> dict:
     g, k, n = wl.SWEEP_GKN
-    job = {
+    return {
         "items": [wl.compute_argv(g, k, n, t) for t in tuples],
         "warmup": wl.compute_argv(g, k, n, wl.SWEEP_WARMUP),
         "trace": trace,
-        "budget_s": budget(deadline),
+        "budget_s": budget_s,
     }
-    res = run_worker(job, deadline - time.perf_counter() + 10)
+
+
+def warmup_item(res: dict) -> dict:
+    """A sweep worker's warm-up item, keyed for verification."""
+    warm = res["ready"]["warmup"] if res["ready"] else {"status": "timeout", "s": 0.0}
+    return {**warm, "cfg": (*wl.SWEEP_GKN, wl.SWEEP_WARMUP)}
+
+
+def sweep_pass(tuples: list[tuple], trace: bool, deadline: float) -> dict:
+    """All tuples in one worker process, after a warm-up item; the timed
+    pass is the items alone."""
+    res = run_worker(sweep_job(tuples, trace, budget(deadline)), deadline - time.perf_counter() + 10)
     items = res["items"]
     for t, it in zip(tuples, items):
-        it["cfg"] = (g, k, n, t)
-    warm = res["ready"]["warmup"] if res["ready"] else {"status": "timeout", "s": 0.0}
-    warm["cfg"] = (g, k, n, wl.SWEEP_WARMUP)
+        it["cfg"] = (*wl.SWEEP_GKN, t)
     return {
         "wall_s": sum(it["s"] for it in items),
         "items": items,
-        "setup_s": warm["s"],
-        "checked": [warm],
-        "trace": [res["done"]["trace"]] if trace and res["done"] else [],
-        "done": res["done"],
+        "startups": [res["startup_s"]] if res["startup_s"] is not None else [],
+        "outside_s": 0.0,
+        "checked": [warmup_item(res)],
+        "done": [res["done"]] if res["done"] else [],
     }
 
 
@@ -276,19 +262,22 @@ def main(argv=None) -> int:
     goldens = load_goldens()
 
     t_run = time.perf_counter()
-    probes = [setup_probe() for _ in range(SETUP_PROBES)]
-    backend = probes[0][1]
-    pyver = platform.python_version()
+    sweep = args.workload == "sweep"
+    probe_job = sweep_job([], False, ITEM_BUDGET_S) if sweep else {"items": [], "budget_s": 60}
+    n_probes = 1 if args.trace else SETUP_PROBES[args.workload]  # traced runs report no setup_s
+    probes = [run_worker(probe_job, ITEM_BUDGET_S + 10) for _ in range(n_probes)]
+    if probes[0]["ready"] is None:
+        sys.exit("error: the benchmark worker did not start")
+    backend, pyver = probes[0]["ready"]["backend"], probes[0]["ready"]["python"]
     if backend != BASELINE_BACKEND:
         sys.exit(f"error: kernel backend {backend!r} differs from the baseline backend "
                  f"{BASELINE_BACKEND!r}; times would not be comparable")
-    import_s = median([p[0] for p in probes])
 
     deadline = t_run + RUN_DEADLINE_S
-    if args.workload == "ladder":
-        run_pass, inputs = ladder_pass, wl.ladder_order(args.seed)
+    if sweep:
+        run_pass, inputs = sweep_pass, wl.sweep_draw(args.seed)
     else:
-        run_pass, inputs = sweep_pass, wl.sweep_draw(args.seed, wl.sweep_bands(wrefs))
+        run_pass, inputs = ladder_pass, wl.ladder_order(args.seed)
 
     # a traced run makes one untraced pass, to measure the tracing overhead
     passes = []
@@ -301,12 +290,12 @@ def main(argv=None) -> int:
             break
     traced = run_pass(inputs, True, deadline) if args.trace else None
 
-    checked = []
+    checked = [warmup_item(p) for p in probes] if sweep else []
     for p in passes + ([traced] if traced else []):
         checked += p["items"] + p.get("checked", [])
     for it in checked:
         it["verdict"] = verdict(it, wrefs, goldens)
-    wrapped = sum(p["done"]["wrapped"] for p in passes if p.get("done"))
+    wrapped = sum(d["wrapped"] for p in passes for d in p["done"])
     if wrapped:
         sys.exit(f"error: {wrapped} span wrappers installed during a timing run")
 
@@ -330,17 +319,21 @@ def main(argv=None) -> int:
             print(f"# rank{n}_s {median(xs):.4f} s (n={len(xs)})")
 
     if traced:
-        merged = tracer.merge(traced["trace"])
+        merged = tracer.merge([d["trace"] for d in traced["done"]])
         metrics = tracer.layer_metrics(merged)
+        metrics["process.outside_items_s"] = traced["outside_s"]
         metrics["trace.wall_s"] = traced["wall_s"]
         metrics["trace.overhead_s"] = traced["wall_s"] - median([p["wall_s"] for p in passes])
-        metrics["trace.unaccounted_s"] = traced["wall_s"] - tracer.self_total(merged)
+        metrics["trace.unaccounted_s"] = (traced["wall_s"] - tracer.self_total(merged)
+                                          - traced["outside_s"])
         print(f"# hodge.e_polynomial.calls per item "
               f"{metrics['hodge.e_polynomial.calls'] / len(traced['items']):.4g}")
         kind = "per_layer"
     else:
+        startups = [p["startup_s"] for p in probes if p["startup_s"] is not None]
+        startups += [s for p in passes for s in p["startups"]]
         metrics = {
-            "setup_s": import_s + median([p["setup_s"] for p in passes]),
+            "setup_s": median(startups),
             "wall_s": median([p["wall_s"] for p in passes]),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
         }

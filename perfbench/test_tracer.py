@@ -41,7 +41,7 @@ def test_every_layer_records_a_call():
 def test_metric_names_match_benchmark_json():
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     names = set(tracer.layer_metrics(tracer.merge([_worker(True)["trace"]])))
-    names |= {"trace.wall_s", "trace.overhead_s", "trace.unaccounted_s"}
+    names |= {"process.outside_items_s", "trace.wall_s", "trace.overhead_s", "trace.unaccounted_s"}
     assert names == {m["name"] for m in spec["per_layer"]}
 
 

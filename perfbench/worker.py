@@ -1,7 +1,9 @@
-"""Benchmark worker: runs a list of items in one fresh process.
+"""Benchmark worker: runs a list of items in one fresh process, each as
+``python -m wreathmac.cli`` would run it (``cli.main`` with its exit code).
 
 Takes one JSON job as its argument and writes one JSON line per event to stdout:
-``{"ready": ...}`` after import and warm-up, one ``{"item": ...}`` line per
+``{"ready": ...}`` (with the kernel backend and Python version) after import
+and warm-up, one ``{"item": ...}`` line per
 item, then ``{"done": ...}``.  The program's own stdout is captured per item
 and reduced to a digest, so protocol lines never mix with it.
 
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import signal
 import sys
 import time
@@ -46,8 +49,11 @@ def run_cli(argv):
 
     buf, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
-    return {"rc": rc, "digest": digest_text(buf.getvalue()), "stdout": buf.getvalue()}
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # as ``python -m wreathmac.cli`` exits
+            rc = exc.code
+    return {"rc": rc or 0, "digest": digest_text(buf.getvalue()), "stdout": buf.getvalue()}
 
 
 def run_item(argv, budget_s):
@@ -80,11 +86,12 @@ def main():
     job = json.loads(sys.argv[1])
     signal.signal(signal.SIGALRM, _on_alarm)
     import wreathmac.cli  # noqa: F401
+    from wreathmac import kernels
 
     import tracer
 
     budget = job["budget_s"]
-    ready = {"ready": True}
+    ready = {"ready": True, "backend": kernels.BACKEND, "python": platform.python_version()}
     if job.get("warmup") is not None:
         ready["warmup"] = run_item(job["warmup"], budget)
     # installed after the warm-up, so the trace covers the items only

@@ -8,7 +8,6 @@ but the generated command lines.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 # acceptance.PROPERTY_CONFIGS at the commit that defined the benchmark,
@@ -30,24 +29,38 @@ LADDER = [
     (0, 2, 5, ("1,0:1", "0,0:2", "2,0:", "2,0:")),
 ]
 
-# the 7 twisted class types of size 2, and the sweep's fixed (g, k, n)
-SWEEP_TYPES = ("2,0:", "1,0:1", "0,0:2", "0,0:1 1", "0,1:1", "1,1:", "0,2:")
 SWEEP_GKN = (0, 2, 4)
-SWEEP_POOL = list(itertools.combinations_with_replacement(SWEEP_TYPES, 4))
 # run before the timed items: fills the wreath_H / macdonald_H caches
 SWEEP_WARMUP = ("2,0:", "2,0:", "0,0:1 1", "0,0:1 1")
-# A pass draws one tuple per band: (kind of reference, quantile of the
-# baseline times of that kind).  Random draws over the whole pool, even
-# stratified, spread a pass's time by 30-50 % across seeds (item times run
-# from 1.6 to 34 s), so each band holds BAND_WIDTH tuples of near-equal
-# time.  6 of 8 items succeed and 2 reproduce a recorded failure, the
-# pool's share of 52 failures in 210; the cheapest failure band holds
-# 0,2: / 2,0: / 0,0:2 / 2,0:.
+# The pool is the 210 multisets of size 4 of the 7 twisted class types of
+# size 2 (2,0: 1,0:1 0,0:2 0,0:1 1 0,1:1 1,1: 0,2:).  Random draws over the
+# whole pool, even stratified, spread a pass's time by 30-50 % across seeds
+# (item times run from 1.6 to 34 s), so a pass draws one tuple from each of
+# these 8 bands of 3 tuples of near-equal time.  At the commit that defined
+# the benchmark, 24 tuples were picked near 8 quantiles of the pool's
+# per-tuple times, then grouped in threes by their median time over three
+# passes in one warm worker.  They are fixed here, so the workload never
+# depends on a later measurement.  6 bands succeed; the last 2 hold recorded
+# failures, the pool's share of them (52 in 210).
 SWEEP_BANDS = (
-    ("ok", 0.1), ("ok", 0.2), ("ok", 0.35), ("ok", 0.5), ("ok", 0.65), ("ok", 0.8),
-    ("error", 0.0), ("error", 0.3),
+    (("2,0:", "0,0:1 1", "0,1:1", "0,2:"), ("1,0:1", "0,0:2", "0,0:2", "0,2:"),
+     ("2,0:", "2,0:", "0,0:2", "0,0:1 1")),
+    (("1,0:1", "0,0:1 1", "0,2:", "0,2:"), ("2,0:", "1,0:1", "0,0:2", "0,1:1"),
+     ("1,0:1", "0,0:1 1", "1,1:", "0,2:")),
+    (("0,0:1 1", "1,1:", "1,1:", "0,2:"), ("2,0:", "1,0:1", "0,0:1 1", "1,1:"),
+     ("2,0:", "1,0:1", "1,0:1", "0,0:1 1")),
+    (("2,0:", "0,0:1 1", "0,0:1 1", "1,1:"), ("1,0:1", "0,0:2", "1,1:", "1,1:"),
+     ("0,0:2", "0,0:1 1", "0,0:1 1", "1,1:")),
+    (("0,0:1 1", "0,0:1 1", "1,1:", "1,1:"), ("1,0:1", "1,0:1", "0,0:1 1", "0,1:1"),
+     ("1,0:1", "0,0:1 1", "0,0:1 1", "0,0:1 1")),
+    (("2,0:", "2,0:", "2,0:", "1,0:1"), ("1,0:1", "0,0:1 1", "0,0:1 1", "0,1:1"),
+     ("2,0:", "2,0:", "0,1:1", "0,1:1")),
+    # recorded failures; the first is 0,2: / 2,0: / 0,0:2 / 2,0:
+    (("2,0:", "2,0:", "0,0:2", "0,2:"), ("2,0:", "2,0:", "2,0:", "0,0:2"),
+     ("2,0:", "0,0:2", "1,1:", "0,2:")),
+    (("0,0:2", "0,0:2", "1,1:", "0,2:"), ("0,0:2", "0,0:2", "0,0:2", "0,2:"),
+     ("2,0:", "0,0:2", "0,0:2", "0,0:2")),
 )
-BAND_WIDTH = 3
 
 
 def config_key(g, k, n, classes) -> str:
@@ -67,27 +80,9 @@ def ladder_order(seed: int) -> list[tuple]:
     return order
 
 
-def sweep_bands(refs: dict) -> list[list[tuple]]:
-    """The tuples a seed can draw, in bands of ``BAND_WIDTH`` neighbours in
-    baseline-time order, one band per entry of ``SWEEP_BANDS``.  Every draw
-    then costs about the same and has the same share of known failures."""
-    g, k, n = SWEEP_GKN
-    kinds = {"ok": [], "error": []}
-    for t in SWEEP_POOL:
-        ref = refs[config_key(g, k, n, t)]
-        kinds["error" if "error" in ref else "ok"].append((ref["baseline_s"], t))
-    bands = []
-    for kind, q in SWEEP_BANDS:
-        xs = [t for _, t in sorted(kinds[kind])]
-        i = round(q * (len(xs) - 1)) - BAND_WIDTH // 2
-        i = min(max(i, 0), len(xs) - BAND_WIDTH)
-        bands.append(xs[i : i + BAND_WIDTH])
-    return bands
-
-
-def sweep_draw(seed: int, bands: list[list[tuple]]) -> list[tuple]:
+def sweep_draw(seed: int) -> list[tuple]:
     """One tuple from each band, in a seeded order."""
     rng = random.Random(seed)
-    picks = [rng.choice(b) for b in bands]
+    picks = [rng.choice(b) for b in SWEEP_BANDS]
     rng.shuffle(picks)
     return picks
