@@ -82,9 +82,6 @@ class LaurentPoly:
             raise ValueError("not a constant polynomial")
         return self.terms[(0, 0)]
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
-
     def min_exponents(self) -> Expo:
         if not self.terms:
             return (0, 0)
@@ -509,19 +506,6 @@ def _poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # power substitutions
-
-
-def ratfun_arith(x: RatFun, y: RatFun, op: str) -> RatFun:
-    """Dispatch form of the field operations (“add”, “mul”, “div”, “neg”)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def substitute_powers(p: RatFun, mode: str, d: int) -> RatFun:

@@ -1,25 +1,16 @@
 """Combinatorial types of twisted conjugacy classes and of fixed characters:
 general types (two 2-partitions plus a multiset of partitions), simple types
-(eigenvalue multiplicity data), their duals, statistics, and the symmetric
+(eigenvalue multiplicity data), their duals, and the complete symmetric
 functions attached to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .algebra import QT
-from .partitions import (
-    BiPartition,
-    Partition,
-    brace,
-    check_partition,
-    size2,
-    z_stat,
-    z_stat2,
-)
-from .symfunc import SymFunc1, SymFunc2, complete2, embed_diagonal, schur2
+from .partitions import BiPartition, Partition, check_partition, size2
+from .symfunc import SymFunc1, SymFunc2, complete2, embed_diagonal
 
 
 @dataclass(frozen=True)
@@ -94,52 +85,3 @@ def h_of_type(omega: TypeData, vars=QT) -> SymFunc2:
         out = out * embed_diagonal(SymFunc1.basis_elem("h", lam, vars))
     return out.to_basis("s2")
 
-
-def s_of_type(omega: TypeData, vars=QT) -> SymFunc2:
-    out = schur2(omega.plus, vars) * schur2(omega.minus, vars)
-    for lam in omega.star:
-        out = out * embed_diagonal(SymFunc1.basis_elem("s", lam, vars))
-    return out.to_basis("s2")
-
-
-def type_statistics(omega: TypeData) -> tuple[int, int, int]:
-    """(N, K, z) of the type: N = prod of star multiplicities factorial,
-    K = (-1)^len * len!, z = product of centralizer orders."""
-    mult: dict[Partition, int] = {}
-    for lam in omega.star:
-        mult[lam] = mult.get(lam, 0) + 1
-    n_stat = 1
-    for m in mult.values():
-        n_stat *= factorial(m)
-    ell = len(omega.star)
-    k_stat = (-1) ** ell * factorial(ell)
-    z = z_stat2(omega.plus) * z_stat2(omega.minus)
-    for lam in omega.star:
-        z *= z_stat(lam)
-    return n_stat, k_stat, z
-
-
-def type_to_core_split(eps: int, omega: TypeData):
-    """Send an augmented type to (lam_plus, lam_minus, doubled star): the
-    2-partition slots become the partitions with trivial 2-core except the
-    slot selected by eps, which gets core (1); star multiplicities double."""
-    if eps not in (-1, 0, 1):
-        raise ValueError("augmentation must be -1, 0 or +1")
-    lam_plus = brace(omega.plus, 1 if eps == 1 else 0)
-    lam_minus = brace(omega.minus, 1 if eps == -1 else 0)
-    star = tuple(sorted(omega.star + omega.star, reverse=True))
-    return lam_plus, lam_minus, star
-
-
-def type_signed_parts(omega: TypeData) -> BiPartition:
-    """Merge all parts into one signed partition: star and first-component
-    parts stay positive, second-component parts of the 2-partition slots are
-    negative."""
-    pos: list[int] = []
-    neg: list[int] = []
-    for bp in (omega.plus, omega.minus):
-        pos.extend(bp[0])
-        neg.extend(bp[1])
-    for lam in omega.star:
-        pos.extend(lam)
-    return (tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True)))

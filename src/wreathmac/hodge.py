@@ -211,7 +211,8 @@ def mixed_hodge(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[R
         result = compute_hodge(spec)
     d = result.d
     mhp = substitute_powers(result.zw, "MHP", d)
-    e_at, _ = e_polynomial(spec, result)
+    # route A of the E-polynomial; ``e_polynomial`` checks it against route B
+    e_at = substitute_powers(result.zw, "E", d)
     at_tm1 = _set_t_minus_one(mhp)
     duality = mhp.monomial_map((-1, -2, 0, 1)) * RatFun.monomial((d, d)) == mhp
     return mhp, {"t_minus_one_is_e": at_tm1 == e_at, "curious_duality": duality}

@@ -1,7 +1,7 @@
 """Select the compiled arithmetic kernels, falling back to pure Python.
 
-Set ``WREATHMAC_PURE=1`` to force the pure-Python kernels (used by the
-benchmark and by the backend-parity tests).
+Set ``WREATHMAC_PURE=1`` to force the pure-Python kernels
+(``benchmarks/bench_kernels.py`` does so to compare the two backends).
 """
 
 import os

@@ -1,5 +1,4 @@
-"""Modified Macdonald polynomials, their (q, t) inner product, and the
-hook self-pairings.
+"""Modified Macdonald polynomials and their (q, t) inner product.
 
 ``macdonald_H(lam)`` solves the defining linear system over Q(q, t): the
 unknown Schur coefficients are constrained by the vanishing, after the
@@ -14,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import QT, LaurentPoly, RatFun
+from .algebra import RatFun
 from .linsolve import solve_unique
-from .partitions import Partition, dominance_geq, dual, hooks, partition_list
+from .partitions import Partition, dominance_geq, dual, partition_list
 from .symfunc import SymFunc1
 
 
@@ -74,43 +73,3 @@ def qt_inner1(f: SymFunc1, g: SymFunc1) -> RatFun:
     t = RatFun.var(1, f.vars)
     return f.hall_inner(g.scalar_plethysm((q - 1) * (1 - t)))
 
-
-def N_pairing(lam: Partition) -> RatFun:
-    """Hook-product self-pairing: prod (q^(a+1) - t^l)(q^a - t^(l+1))."""
-    out = LaurentPoly.const(1, QT)
-    for a, l, _ in hooks(lam):
-        out = out * (
-            LaurentPoly.monomial((a + 1, 0), 1, QT) - LaurentPoly.monomial((0, l), 1, QT)
-        )
-        out = out * (
-            LaurentPoly.monomial((a, 0), 1, QT) - LaurentPoly.monomial((0, l + 1), 1, QT)
-        )
-    return RatFun.from_poly(out)
-
-
-def N_deformed(lam: Partition) -> RatFun:
-    """Deformed pairing with u = z*w, q = z^2, t = w^2 substituted directly.
-
-    Each box contributes (q^(a+1) - u t^l)(q^a - u^{-1} t^(l+1)); the result
-    is returned in the (z, w) variable pair (every monomial in u, q, t has
-    even exponent difference, so the product is an ordinary polynomial).
-    """
-    vars = ("z", "w")
-    out = LaurentPoly.const(1, vars)
-    for a, l, _ in hooks(lam):
-        f1 = LaurentPoly.monomial((2 * a + 2, 0), 1, vars) - LaurentPoly.monomial(
-            (1, 2 * l + 1), 1, vars
-        )
-        f2 = LaurentPoly.monomial((2 * a, 0), 1, vars) - LaurentPoly.monomial(
-            (-1, 2 * l + 1), 1, vars
-        )
-        out = out * f1 * f2
-    return RatFun(out, LaurentPoly.const(1, vars))
-
-
-def N_deformed_uqt(lam: Partition, u: RatFun, q: RatFun, t: RatFun) -> RatFun:
-    """Deformed pairing evaluated at arbitrary RatFun arguments."""
-    out = RatFun.one(u.vars)
-    for a, l, _ in hooks(lam):
-        out = out * (q ** (a + 1) - u * t**l) * (q**a - t ** (l + 1) / u)
-    return out

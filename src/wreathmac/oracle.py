@@ -42,19 +42,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FFElem:
-    """Residue modulo an odd prime."""
-
-    residue: int
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValueError(f"modulus {self.p} is not an odd prime")
-        object.__setattr__(self, "residue", self.residue % self.p)
-
-
 def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
     """Exhaustively test the products of squared eigenvalue choices.
 
@@ -402,15 +389,6 @@ class CharTable:
     class_sizes: dict[object, int]
     char_degrees: list[int]
     char_values: list[dict[object, Fraction]]  # values on the listed classes
-
-    def validate_orthogonality(self, nsub_class_sizes, nsub_values):
-        """Optional first-orthogonality check on the subgroup restriction."""
-        for vals in nsub_values:
-            total = sum(
-                Fraction(sz) * v * v for sz, v in zip(nsub_class_sizes, vals)
-            )
-            if total != self.nsub_order:
-                raise ValueError("character row fails orthogonality on the subgroup")
 
 
 def frobenius_count(table: CharTable, g: int, class_ids: list[object]) -> int:

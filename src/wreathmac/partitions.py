@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import QT, LaurentPoly, RatFun
+from .algebra import QT, ZW, LaurentPoly, RatFun
 
 Partition = tuple[int, ...]
 BiPartition = tuple[Partition, Partition]
@@ -132,6 +132,36 @@ def hook_poly(lam: Partition) -> RatFun:
     out = LaurentPoly.const(1, QT)
     for _, _, h in hooks(lam):
         out = out * (LaurentPoly.const(1, QT) - LaurentPoly.monomial((h, 0), 1, QT))
+    return RatFun.from_poly(out)
+
+
+# variable maps for ``hook_product``: the variable pair of the result and the
+# exponent vectors of u, q and t in it
+PAIRING_QT = (QT, (0, 0), (1, 0), (0, 1))  # u = 1
+DEFORMED_ZW = (ZW, (1, 1), (2, 0), (0, 2))  # u = z*w, q = z^2, t = w^2
+
+
+def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:
+    """prod over boxes of (q^(a+1) - u t^l)(q^a - u^(-1) t^(l+1)), with u, q,
+    t replaced by the monomials of ``vmap``; ``even_only`` keeps only the
+    boxes of even hook length (the cotangent factor of the wreath pairings).
+
+    At u = 1 this is the Macdonald self-pairing N_lam(q, t); at u = z*w,
+    q = z^2, t = w^2 it is the deformed pairing of the two-variable series.
+    """
+    vars, u, q, t = vmap
+
+    def mono(i: int, j: int, k: int) -> LaurentPoly:
+        """u^i q^j t^k"""
+        e = (i * u[0] + j * q[0] + k * t[0], i * u[1] + j * q[1] + k * t[1])
+        return LaurentPoly.monomial(e, 1, vars)
+
+    out = LaurentPoly.const(1, vars)
+    for a, l, h in hooks(lam):
+        if even_only and h % 2:
+            continue
+        out = out * (mono(0, a + 1, 0) - mono(1, 0, l))
+        out = out * (mono(0, a, 0) - mono(-1, 0, l + 1))
     return RatFun.from_poly(out)
 
 

@@ -19,10 +19,19 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import QT, ZW, RatFun, double_to_zw
-from .macdonald import N_deformed, N_pairing, macdonald_H
-from .partitions import bipartition_list, brace, hook_poly, n_stat, partition_list
+from .macdonald import macdonald_H
+from .partitions import (
+    DEFORMED_ZW,
+    PAIRING_QT,
+    bipartition_list,
+    brace,
+    hook_poly,
+    hook_product,
+    n_stat,
+    partition_list,
+)
 from .symfunc import SymFunc1, SymFunc2, embed_diagonal
-from .wreath import cot_product_zw, wreath_H, wreath_N
+from .wreath import wreath_H, wreath_N
 
 
 @dataclass(frozen=True)
@@ -47,10 +56,12 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
     out = []
     for n in range(maxdeg + 1):
         for bp in bipartition_list(n):
-            num = N_deformed(brace(bp, core)) ** (g + k - 1)
+            lam = brace(bp, core)
+            num = hook_product(lam, DEFORMED_ZW) ** (g + k - 1)
             pairing = wreath_N(bp, core)
             den_plain = double_to_zw(pairing.total)
-            den_deformed = double_to_zw(pairing.nabla) * cot_product_zw(bp, core)
+            cot = hook_product(lam, DEFORMED_ZW, even_only=True)
+            den_deformed = double_to_zw(pairing.nabla) * cot
             coeff = num / (den_plain * den_deformed ** (k - 1))
             factor = wreath_H(bp, core).expansion.map_coeffs(double_to_zw)
             factor = SymFunc2(factor.basis, factor.coeffs, ZW)
@@ -67,7 +78,8 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
     out = []
     for n in range(maxdeg + 1):
         for lam in partition_list(n):
-            coeff = N_deformed(lam) ** (2 * g + k - 1) / double_to_zw(N_pairing(lam))
+            num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
+            coeff = num / double_to_zw(hook_product(lam, PAIRING_QT))
             f1 = macdonald_H(lam).expansion
             f1 = SymFunc1(f1.basis, {p: double_to_zw(c) for p, c in f1.coeffs.items()}, ZW)
             factor = embed_diagonal(f1).to_basis("s2")

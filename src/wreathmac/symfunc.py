@@ -1,6 +1,6 @@
 """Symmetric functions in one alphabet and in a pair of alphabets.
 
-One-alphabet bases: schur "s", power "p", complete "h", monomial "m".
+One-alphabet bases: schur "s", power "p", complete "h".
 Two-alphabet bases, indexed by 2-partitions:
 
 * "s2": products s_{a}(x0) s_{b}(x1);
@@ -35,6 +35,7 @@ def _h_to_power(n: int) -> dict[Partition, Fraction]:
 
 
 def _pmul(a: dict[Partition, Fraction], b: dict[Partition, Fraction]):
+    """Product in a multiplicative basis (power sums or h-monomials)."""
     out: dict[Partition, Fraction] = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -115,88 +116,6 @@ def symgroup_char(lam: Partition, mu: Partition) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
-def _kostka_table(n: int) -> dict[Partition, dict[Partition, int]]:
-    """K[lam][mu] = number of SSYT of shape lam and content mu."""
-
-    @lru_cache(maxsize=None)
-    def count(shape: Partition, content: Partition) -> int:
-        if not content:
-            return 1 if not shape else 0
-        last = content[-1]
-        rest = content[:-1]
-        total = 0
-        for prev in _horizontal_strips(shape, last):
-            total += count(prev, rest)
-        return total
-
-    table = {}
-    for lam in partition_list(n):
-        table[lam] = {
-            mu: c
-            for mu in partition_list(n)
-            if (c := count(lam, mu))
-        }
-    count.cache_clear()
-    return table
-
-
-def _horizontal_strips(shape: Partition, k: int):
-    """Partitions obtained from shape by removing a horizontal strip of k."""
-    ell = len(shape)
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == ell:
-            if remaining == 0:
-                yield tuple(x for x in acc if x)
-            return
-        lo = shape[i + 1] if i + 1 < ell else 0
-        hi = shape[i]
-        upper = acc[i - 1] if i > 0 else hi
-        for new in range(min(hi, upper), lo - 1, -1):
-            take = shape[i] - new
-            if take > remaining:
-                continue
-            # rows must still interleave: new_i >= shape_{i+1}
-            yield from rec(i + 1, remaining - take, acc + [new])
-
-    yield from rec(0, k, [])
-
-
-@lru_cache(maxsize=None)
-def monomial_to_schur(n: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """m_mu in the Schur basis, by exact inversion of the Kostka matrix."""
-    lams = partition_list(n)
-    K = _kostka_table(n)
-    idx = {lam: i for i, lam in enumerate(lams)}
-    size = len(lams)
-    mat = [[Fraction(K.get(lam, {}).get(mu, 0)) for mu in lams] for lam in lams]
-    inv = [[Fraction(1 if i == j else 0) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if mat[r][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(size):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    # rows of (K^T)^{-1}: m_mu = sum_lam (K^{-1})[mu][lam]^T ... careful:
-    # s_lam = sum_mu K[lam][mu] m_mu, so m = K^{-1} applied on the left of s:
-    # m_mu = sum_lam (K^{-1})[mu][lam] s_lam with K^{-1} as computed above.
-    return {
-        mu: {
-            lam: inv[idx[mu]][idx[lam]]
-            for lam in lams
-            if inv[idx[mu]][idx[lam]]
-        }
-        for mu in lams
-    }
-
-
 # ---------------------------------------------------------------------------
 # symmetric functions in one alphabet
 
@@ -207,7 +126,7 @@ class SymFunc1:
     __slots__ = ("basis", "coeffs", "vars")
 
     def __init__(self, basis: str, coeffs: dict[Partition, RatFun], vars=QT):
-        if basis not in ("s", "p", "h", "m"):
+        if basis not in ("s", "p", "h"):
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         self.vars = vars
@@ -274,8 +193,6 @@ class SymFunc1:
             return self._to_power()._power_to_schur()
         if basis == "h":
             return self._to_power()._power_to_h()
-        if basis == "m":
-            return self._to_schur_then_m()
         raise ValueError(f"unknown basis {basis!r}")
 
     def _to_power(self) -> "SymFunc1":
@@ -292,12 +209,8 @@ class SymFunc1:
         for k, c in self.coeffs.items():
             if self.basis == "s":
                 accum(schur_to_power(k), c)
-            elif self.basis == "h":
+            else:
                 accum(_hmono_to_power(k), c)
-            else:  # monomial
-                table = monomial_to_schur(sum(k))[k]
-                for lam, f in table.items():
-                    accum(schur_to_power(lam), c * f)
         return SymFunc1("p", out, self.vars)
 
     def _power_to_schur(self) -> "SymFunc1":
@@ -320,16 +233,6 @@ class SymFunc1:
                 add = c * f
                 out[lam] = add if v is None else v + add
         return SymFunc1("h", out, self.vars)
-
-    def _to_schur_then_m(self) -> "SymFunc1":
-        s = self.to_basis("s")
-        out: dict[Partition, RatFun] = {}
-        for lam, c in s.coeffs.items():
-            for mu, k in _kostka_table(sum(lam))[lam].items():
-                v = out.get(mu)
-                add = c * k
-                out[mu] = add if v is None else v + add
-        return SymFunc1("m", out, self.vars)
 
     def scalar_plethysm(self, c: RatFun) -> "SymFunc1":
         """u(Z) -> u[c Z]: multiply p_mu by prod over parts r of c(x^r, y^r)."""
@@ -378,7 +281,7 @@ def _power_to_hmono(mu: Partition) -> dict[Partition, Fraction]:
     if len(mu) > 1:
         out = {(): Fraction(1)}
         for r in mu:
-            out = _hmul(out, _power_to_hmono((r,)))
+            out = _pmul(out, _power_to_hmono((r,)))
         return out
     n = mu[0]
     out: dict[Partition, Fraction] = {(n,): Fraction(n)}
@@ -386,19 +289,6 @@ def _power_to_hmono(mu: Partition) -> dict[Partition, Fraction]:
         for lam, c in _power_to_hmono((n - i,)).items():
             key = tuple(sorted(lam + (i,), reverse=True))
             v = out.get(key, 0) - c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _hmul(a: dict[Partition, Fraction], b: dict[Partition, Fraction]):
-    out: dict[Partition, Fraction] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            v = out.get(key, 0) + ca * cb
             if v:
                 out[key] = v
             elif key in out:
@@ -603,15 +493,6 @@ class SymFunc2:
             out[(m0, m1)] = f
         return SymFunc2("p2", out, self.vars)
 
-    def set_first_alphabet_one(self) -> RatFun:
-        """Evaluate at x0 = {1}, x1 = {} (p_r(x0) -> 1, p_r(x1) -> 0)."""
-        p = self.to_basis("p2")
-        total = RatFun.zero(self.vars)
-        for (m0, m1), c in p.coeffs.items():
-            if not m1:
-                total = total + c
-        return total
-
     def __repr__(self):
         parts = ", ".join(f"{k}: {c.text()}" for k, c in sorted(self.coeffs.items()))
         return f"SymFunc2[{self.basis}]({parts})"
@@ -652,10 +533,6 @@ def _wp_expand(expansion, r: int, c0, c1):
 # named constructors and derived quantities
 
 
-def schur2(bp: BiPartition, vars=QT) -> SymFunc2:
-    return SymFunc2.basis_elem("s2", bp, vars)
-
-
 def complete2(bp: BiPartition, vars=QT) -> SymFunc2:
     """h_{bp}(x) = h_{bp0}(x0) h_{bp1}(x1) expanded in the Schur basis."""
     out: dict[BiPartition, RatFun] = {}
@@ -686,7 +563,3 @@ def wreath_char(alpha: BiPartition, beta: BiPartition) -> int:
         raise AssertionError("non-integral wreath character value")
     return v.numerator
 
-
-def convert_basis(f, basis: str):
-    """Re-express a SymFunc1 or SymFunc2 in the requested basis."""
-    return f.to_basis(basis)

@@ -20,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import QT, LaurentPoly, RatFun
+from .algebra import RatFun
 from .linsolve import solve_unique
 from .partitions import (
+    PAIRING_QT,
     BiPartition,
     bipartition_list,
     brace,
     dual2,
-    hooks,
+    hook_product,
     induced_dominance_geq,
     size2,
 )
@@ -110,46 +111,10 @@ def wreath_H(alpha: BiPartition, core: int) -> WreathMacPoly:
     return WreathMacPoly(alpha, core, SymFunc2("s2", coeffs))
 
 
-def wreath_family(n: int, core: int) -> list[WreathMacPoly]:
-    return [wreath_H(bp, core) for bp in bipartition_list(n)]
-
-
-def cot_product(alpha: BiPartition, core: int) -> RatFun:
-    """Even-hook box product of the brace partition, at u = 1, in (q, t)."""
-    out = LaurentPoly.const(1, QT)
-    for a, l, h in hooks(brace(alpha, core)):
-        if h % 2 == 0:
-            out = out * (
-                LaurentPoly.monomial((a + 1, 0), 1, QT)
-                - LaurentPoly.monomial((0, l), 1, QT)
-            )
-            out = out * (
-                LaurentPoly.monomial((a, 0), 1, QT)
-                - LaurentPoly.monomial((0, l + 1), 1, QT)
-            )
-    return RatFun.from_poly(out)
-
-
-def cot_product_zw(alpha: BiPartition, core: int) -> RatFun:
-    """Even-hook box product with u = z*w, q = z^2, t = w^2 substituted."""
-    vars = ("z", "w")
-    out = LaurentPoly.const(1, vars)
-    for a, l, h in hooks(brace(alpha, core)):
-        if h % 2 == 0:
-            f1 = LaurentPoly.monomial((2 * a + 2, 0), 1, vars) - LaurentPoly.monomial(
-                (1, 2 * l + 1), 1, vars
-            )
-            f2 = LaurentPoly.monomial((2 * a, 0), 1, vars) - LaurentPoly.monomial(
-                (-1, 2 * l + 1), 1, vars
-            )
-            out = out * f1 * f2
-    return RatFun(out, LaurentPoly.const(1, vars))
-
-
 @lru_cache(maxsize=None)
 def wreath_N(alpha: BiPartition, core: int) -> PairingData:
     alpha = (tuple(alpha[0]), tuple(alpha[1]))
     H = wreath_H(alpha, core).expansion
     total = qt_inner2(H, H)
-    cot1 = cot_product(alpha, core)
+    cot1 = hook_product(brace(alpha, core), PAIRING_QT, even_only=True)
     return PairingData(alpha, core, total, cot1, total / cot1)

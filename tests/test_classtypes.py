@@ -1,18 +1,7 @@
 import pytest
 
 from wreathmac.algebra import RatFun
-from wreathmac.classtypes import (
-    SimpleType,
-    TypeData,
-    h_of_type,
-    parse_simple_type,
-    s_of_type,
-    simple_dual,
-    type_signed_parts,
-    type_statistics,
-    type_to_core_split,
-)
-from wreathmac.partitions import bipartition_list, partition_list
+from wreathmac.classtypes import SimpleType, TypeData, h_of_type, parse_simple_type, simple_dual
 
 one = RatFun.one()
 
@@ -45,75 +34,5 @@ def test_h_of_type():
     f = h_of_type(simple_dual(SimpleType(0, 0, (1,))))
     assert f.coeffs == {((1,), ()): one, ((), (1,)): one}
     # empty type
-    f = s_of_type(TypeData(((), ()), ((), ()), ()))
+    f = h_of_type(TypeData(((), ()), ((), ()), ()))
     assert f.coeffs == {((), ()): one}
-
-
-def test_type_statistics():
-    n, k, _ = type_statistics(TypeData(((), ()), ((), ()), ((1,), (1,))))
-    assert (n, k) == (2, 2)
-    n, k, _ = type_statistics(TypeData(((), ()), ((), ()), ()))
-    assert (n, k) == (1, 1)
-    n, k, _ = type_statistics(TypeData(((), ()), ((), ()), ((2,), (1,))))
-    assert (n, k) == (1, 2)
-    # z of a pure 2-partition slot: 2^l z z
-    _, _, z = type_statistics(TypeData(((1,), ()), ((), ()), ()))
-    assert z == 2
-
-
-def test_core_split():
-    omega = TypeData(((1,), ()), ((), ()), ())
-    lp, lm, star = type_to_core_split(1, omega)
-    assert lp == (3,) and lm == () and star == ()
-    lp, lm, star = type_to_core_split(0, omega)
-    assert lp == (2,)
-    assert type_to_core_split(0, TypeData(((), ()), ((), ()), ())) == ((), (), ())
-
-
-def test_signed_parts():
-    omega = TypeData(((), (1,)), ((), ()), ((2,),))
-    assert type_signed_parts(omega) == ((2,), (1,))
-    omega = TypeData(((2,), (1,)), ((1,), ()), ((3, 1),))
-    assert type_signed_parts(omega) == ((3, 2, 1, 1), (1,))
-
-
-def all_types_of_size(n):
-    """Enumerate all TypeData of the given size."""
-    star_pool = [lam for m in range(1, n + 1) for lam in partition_list(m)]
-    for a in range(n + 1):
-        for plus in bipartition_list(a):
-            for b in range(n - a + 1):
-                for minus in bipartition_list(b):
-                    rest = n - a - b
-                    for star in _multisets(star_pool, rest):
-                        yield TypeData(plus, minus, star)
-
-
-def _multisets(pool, total):
-    if total == 0:
-        yield ()
-        return
-    for i, lam in enumerate(pool):
-        s = sum(lam)
-        if s <= total:
-            for rest in _multisets(pool[i:], total - s):
-                yield (lam,) + rest
-
-
-def test_size_bookkeeping_of_core_split():
-    for n in range(4):
-        for omega in all_types_of_size(n):
-            for eps in (-1, 0, 1):
-                lp, lm, star = type_to_core_split(eps, omega)
-                total = sum(lp) + sum(lm) + sum(sum(x) for x in star)
-                assert total == 2 * omega.size + abs(eps)
-                # star multiplicities double
-                assert len(star) == 2 * len(omega.star)
-
-
-def test_signed_parts_consistency():
-    # the merged signed partition has the same total size as the type
-    for n in range(4):
-        for omega in all_types_of_size(n):
-            bp = type_signed_parts(omega)
-            assert sum(bp[0]) + sum(bp[1]) == omega.size

@@ -1,8 +1,14 @@
-"""Backend parity: the compiled kernels must agree with the pure-Python
-kernels operation by operation."""
+"""Kernel checks.  The parity tests hold the selected kernels and the
+pure-Python kernels to references computed here, so they check the
+arithmetic under either backend; with the compiled extension they also
+show that the two backends agree operation by operation."""
 
 from wreathmac import _kernels_py as pyk
 from wreathmac import kernels
+
+# the selected backend and the pure-Python kernels (the same module when no
+# extension is built)
+IMPLS = (kernels, pyk)
 
 
 def rand_dict(rng, nterms=8, maxexp=6):
@@ -20,24 +26,66 @@ def rand_rec(rng, dw=4, dz=4):
     return pyk.btrim([pyk.utrim(r) for r in out])
 
 
+def as_dict(rec):
+    """Recursive dense form (w-degree, then z-degree) as an exponent dict."""
+    return {(a, b): c for b, row in enumerate(rec) for a, c in enumerate(row) if c}
+
+
+def as_rec(d):
+    """Exponent dict in the trimmed recursive dense form the kernels return."""
+    rows = [[] for _ in range(max((b for _, b in d), default=-1) + 1)]
+    for (a, b), c in d.items():
+        row = rows[b]
+        row.extend([0] * (a + 1 - len(row)))
+        row[a] = c
+    return rows
+
+
+def ref_pmul(a, b):
+    out = {}
+    for (xa, ya), ca in a.items():
+        for (xb, yb), cb in b.items():
+            key = (xa + xb, ya + yb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_padd(a, b):
+    out = {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
+    return {key: c for key, c in out.items() if c}
+
+
 def test_pmul_parity(rng):
     for _ in range(30):
         a, b = rand_dict(rng), rand_dict(rng)
-        assert kernels.pmul(a, b) == pyk.pmul(a, b)
+        for k in IMPLS:
+            assert k.pmul(a, b) == ref_pmul(a, b)
 
 
 def test_padd_parity(rng):
     for _ in range(30):
         a, b = rand_dict(rng), rand_dict(rng)
-        assert kernels.padd(a, b) == pyk.padd(a, b)
+        for k in IMPLS:
+            assert k.padd(a, b) == ref_padd(a, b)
 
 
 def test_bmul_and_gcd_parity(rng):
     for _ in range(25):
         a, b = rand_rec(rng), rand_rec(rng)
-        assert kernels.bmul(a, b) == pyk.bmul(a, b)
+        for k in IMPLS:
+            assert k.bmul(a, b) == as_rec(ref_pmul(as_dict(a), as_dict(b)))
         if a and b:
             assert kernels.bgcd(a, b) == pyk.bgcd(a, b)
+        # w + p(z) and w + r(z) are coprime when p != r, so the gcd of
+        # c (w + p) and c (w + r) is c up to sign
+        c = rand_rec(rng)
+        p, r = (pyk.utrim([rng.randrange(-6, 7) for _ in range(3)]) for _ in range(2))
+        if not c or p == r:
+            continue
+        want = as_dict(c)
+        for k in IMPLS:
+            g = as_dict(k.bgcd(k.bmul(c, [p, [1]]), k.bmul(c, [r, [1]])))
+            assert g in (want, {e: -v for e, v in want.items()})
 
 
 def test_gcd_divides_products(rng):

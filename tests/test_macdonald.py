@@ -1,6 +1,17 @@
-from wreathmac.algebra import RatFun
-from wreathmac.macdonald import N_deformed, N_pairing, macdonald_H, qt_inner1
-from wreathmac.partitions import dual, hook_poly, n_stat, partition_list
+from fractions import Fraction
+
+from wreathmac.algebra import RatFun, double_to_zw
+from wreathmac.macdonald import macdonald_H, qt_inner1
+from wreathmac.partitions import (
+    DEFORMED_ZW,
+    PAIRING_QT,
+    dual,
+    hook_poly,
+    hook_product,
+    hooks,
+    n_stat,
+    partition_list,
+)
 from wreathmac.symfunc import SymFunc1
 
 q = RatFun.var(0)
@@ -15,11 +26,11 @@ def test_degree_2_expansions():
 
 
 def test_pairings():
-    assert N_pairing((2,)) == (q**2 - 1) * (q - t) * (q - 1) * (1 - t)
-    assert N_pairing((1,)) == (q - 1) * (1 - t)
+    assert hook_product((2,), PAIRING_QT) == (q**2 - 1) * (q - t) * (q - 1) * (1 - t)
+    assert hook_product((1,), PAIRING_QT) == (q - 1) * (1 - t)
     H2 = macdonald_H((2,)).expansion
     H11 = macdonald_H((1, 1)).expansion
-    assert qt_inner1(H2, H2) == N_pairing((2,))
+    assert qt_inner1(H2, H2) == hook_product((2,), PAIRING_QT)
     assert qt_inner1(H2, H11).is_zero()
     assert qt_inner1(SymFunc1.one(), SymFunc1.one()) == one
 
@@ -29,7 +40,7 @@ def test_orthogonality_to_degree_4():
         for lam in partition_list(n):
             for mu in partition_list(n):
                 v = qt_inner1(macdonald_H(lam).expansion, macdonald_H(mu).expansion)
-                assert v == (N_pairing(lam) if lam == mu else RatFun.zero())
+                assert v == (hook_product(lam, PAIRING_QT) if lam == mu else RatFun.zero())
 
 
 def test_parameter_swap_symmetry():
@@ -40,9 +51,10 @@ def test_parameter_swap_symmetry():
                 k: c.monomial_map(swap) for k, c in macdonald_H(lam).expansion.coeffs.items()
             }
             assert swapped == macdonald_H(dual(lam)).expansion.coeffs
-            assert N_pairing(lam).monomial_map(swap) == N_pairing(dual(lam))
-            # the deformed pairing swaps under (z, w) exchange
-            assert N_deformed(lam).monomial_map(swap) == N_deformed(dual(lam))
+            # the pairing swaps under (q, t) exchange, the deformed pairing
+            # under (z, w) exchange
+            for vmap in (PAIRING_QT, DEFORMED_ZW):
+                assert hook_product(lam, vmap).monomial_map(swap) == hook_product(dual(lam), vmap)
 
 
 def test_t_inverse_specialization():
@@ -60,7 +72,7 @@ def test_t_inverse_specialization():
                 for k, c in s.scalar_plethysm(inv1mq).to_basis("s").coeffs.items()
             }
             assert lhs == rhs
-            assert N_pairing(lam).monomial_map((1, 0, -1, 0)) == RatFun.monomial(
+            assert hook_product(lam, PAIRING_QT).monomial_map((1, 0, -1, 0)) == RatFun.monomial(
                 (-n, 0)
             ) * f * f
             assert f == hook_poly(lam) / RatFun.monomial((n_stat(lam), 0))
@@ -69,6 +81,33 @@ def test_t_inverse_specialization():
 def test_deformed_at_one():
     for n in range(6):
         for lam in partition_list(n):
-            at_u1 = N_deformed(lam).monomial_map((1, 0, -1, 0))
-            expect = N_pairing(lam).monomial_map((2, 0, -2, 0), ("z", "w"))
+            at_u1 = hook_product(lam, DEFORMED_ZW).monomial_map((1, 0, -1, 0))
+            expect = hook_product(lam, PAIRING_QT).monomial_map((2, 0, -2, 0), ("z", "w"))
             assert at_u1 == expect
+
+
+def test_hook_product_matches_box_formula(rng):
+    # each form of the product the library builds, with (u, q, t) at the
+    # point (x, y) of its variable pair
+    forms = (
+        (lambda lam, e: hook_product(lam, PAIRING_QT, e), lambda x, y: (1, x, y)),
+        (
+            lambda lam, e: double_to_zw(hook_product(lam, PAIRING_QT, e)),
+            lambda x, y: (1, x * x, y * y),
+        ),
+        (lambda lam, e: hook_product(lam, DEFORMED_ZW, e), lambda x, y: (x * y, x * x, y * y)),
+    )
+    for form, (build, uqt) in enumerate(forms):
+        for even_only in (False, True):
+            for n in range(7):
+                for lam in partition_list(n):
+                    x, y = (
+                        Fraction(rng.randrange(-8, 9) or 1, rng.randrange(1, 9)) for _ in range(2)
+                    )
+                    u, q_, t_ = uqt(x, y)
+                    want = Fraction(1)
+                    for a, l, h in hooks(lam):
+                        if not (even_only and h % 2):
+                            want *= (q_ ** (a + 1) - u * t_**l) * (q_**a - t_ ** (l + 1) / u)
+                    got = build(lam, even_only).eval_at(x, y)
+                    assert got == want, (form, even_only, lam, x, y)

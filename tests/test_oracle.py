@@ -4,7 +4,6 @@ import pytest
 
 from wreathmac.oracle import (
     CharTable,
-    FFElem,
     count_points,
     frobenius_count,
     genericity_check,
@@ -15,14 +14,6 @@ from wreathmac.oracle import (
 )
 from wreathmac.partitions import bipartition_list, partition_list
 from wreathmac.symfunc import symgroup_char, wreath_char
-
-
-def test_ffelem_validation():
-    assert FFElem(9, 7).residue == 2
-    with pytest.raises(ValueError):
-        FFElem(1, 8)
-    with pytest.raises(ValueError):
-        FFElem(1, 2)
 
 
 def test_genericity_examples():

@@ -6,9 +6,7 @@ from wreathmac.symfunc import (
     SymFunc1,
     SymFunc2,
     complete2,
-    convert_basis,
     embed_diagonal,
-    schur2,
     wreath_char,
 )
 
@@ -31,12 +29,12 @@ def test_wreath_power_expansion():
     assert f.coeffs == {((1,), ()): one, ((), (1,)): RatFun.const(-1)}
 
 
-@pytest.mark.parametrize("basis", ["s", "p", "h", "m"])
-@pytest.mark.parametrize("target", ["s", "p", "h", "m"])
+@pytest.mark.parametrize("basis", ["s", "p", "h"])
+@pytest.mark.parametrize("target", ["s", "p", "h"])
 def test_one_alphabet_round_trips(basis, target, rng):
     coeffs = {lam: RatFun.const(rng.randrange(-3, 4)) for lam in partition_list(4)}
     f = SymFunc1(basis, coeffs)
-    assert convert_basis(convert_basis(f, target), basis) == f
+    assert f.to_basis(target).to_basis(basis) == f
 
 
 @pytest.mark.parametrize("basis", ["s2", "p2", "wp"])
@@ -44,7 +42,7 @@ def test_one_alphabet_round_trips(basis, target, rng):
 def test_two_alphabet_round_trips(basis, target, rng):
     coeffs = {bp: RatFun.const(rng.randrange(-3, 4)) for bp in bipartition_list(3)}
     f = SymFunc2(basis, coeffs)
-    assert convert_basis(convert_basis(f, target), basis) == f
+    assert f.to_basis(target).to_basis(basis) == f
 
 
 def test_embed_diagonal():
@@ -61,8 +59,9 @@ def test_embed_diagonal():
 
 
 def test_hall_inner():
-    assert schur2(((1,), ())).hall_inner(schur2(((1,), ()))) == one
-    assert schur2(((1,), ())).hall_inner(schur2(((), (1,)))) == zero
+    s2 = lambda bp: SymFunc2.basis_elem("s2", bp)
+    assert s2(((1,), ())).hall_inner(s2(((1,), ()))) == one
+    assert s2(((1,), ())).hall_inner(s2(((), (1,)))) == zero
     wp = lambda bp: SymFunc2.basis_elem("wp", bp)
     assert wp(((1,), ())).hall_inner(wp(((1,), ()))) == RatFun.const(2)
     for m in range(3):
@@ -79,7 +78,7 @@ def test_substitute_identity_and_negation(rng):
     neg = [[zero, -one], [-one, zero]]
     for n in range(4):
         for bp in bipartition_list(n):
-            g = schur2(bp).alphabet_substitute(neg).to_basis("s2")
+            g = SymFunc2.basis_elem("s2", bp).alphabet_substitute(neg).to_basis("s2")
             assert g.coeffs == {dual2(bp): RatFun.const((-1) ** n)}
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from wreathmac.algebra import RatFun, poly_from_json
 from wreathmac.partitions import bipartition_list, dual2, parse_bipartition
-from wreathmac.symfunc import SymFunc2, schur2
+from wreathmac.symfunc import SymFunc2
 from wreathmac.wreath import qt_inner2, wreath_H, wreath_N
 
 q = RatFun.var(0)
@@ -68,8 +68,10 @@ def test_qt_inner_examples():
     assert qt_inner2(H, H2).is_zero()
     assert qt_inner2(SymFunc2.one(), SymFunc2.one()) == one
     # symmetry of the pairing
-    f = schur2(((1,), ())) + schur2(((), (1,))).scale(q)
-    g = schur2(((), (1,))).scale(t) - schur2(((1,), ()))
+    s10 = SymFunc2.basis_elem("s2", ((1,), ()))
+    s01 = SymFunc2.basis_elem("s2", ((), (1,)))
+    f = s10 + s01.scale(q)
+    g = s01.scale(t) - s10
     assert qt_inner2(f, g) == qt_inner2(g, f)
 
 
