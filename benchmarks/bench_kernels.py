@@ -1,7 +1,9 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Backend selection happens at import time, so each measurement runs in a
-subprocess with WREATHMAC_PURE set accordingly.
+subprocess with WREATHMAC_PURE set accordingly.  The bivariate gcd is the
+same pure-Python code under both backends, so it has no row of its own; it
+is part of the rank-4 row.
 
     python benchmarks/bench_kernels.py
 """
@@ -22,23 +24,6 @@ start = time.perf_counter()
 for a in polys:
     for b in polys:
         kernels.pmul(a, b)
-print(time.perf_counter() - start)
-""",
-    "poly-gcd": """
-import random, time
-from wreathmac import kernels
-rng = random.Random(2)
-def rec():
-    return kernels.btrim([[rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))]
-                          for _ in range(rng.randrange(1, 7))])
-pairs = []
-while len(pairs) < 60:
-    a, b, c = rec(), rec(), rec()
-    if a and b and c:
-        pairs.append((kernels.bmul(a, c), kernels.bmul(b, c)))
-start = time.perf_counter()
-for a, b in pairs:
-    kernels.bgcd(a, b)
 print(time.perf_counter() - start)
 """,
     "rank4-polynomial": """

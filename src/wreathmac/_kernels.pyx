@@ -1,12 +1,12 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled arithmetic kernels; mirrors ``_kernels_py`` exactly.
+"""Compiled arithmetic kernels; mirrors the products and exact divisions
+of ``_kernels_py`` exactly.  The bivariate gcd has no twin here:
+``kernels.py`` takes ``bgcd`` from ``_kernels_py`` under both backends.
 
 Exponents are machine ints; coefficients stay Python ints (arbitrary
 precision).  The win over the pure-Python kernels is loop and dict overhead
-in polynomial multiplication and in the gcd remainder sequences.
+in polynomial multiplication and exact division.
 """
-
-from math import gcd as _igcd
 
 
 def pmul(dict a, dict b):
@@ -91,28 +91,6 @@ def uscale(list a, c):
     return [ai * c for ai in a]
 
 
-def ucontent(list a):
-    g = 0
-    for ai in a:
-        if ai:
-            g = _igcd(g, ai if ai > 0 else -ai)
-            if g == 1:
-                return 1
-    return g
-
-
-def udivexact_int(list a, c):
-    if c == 1:
-        return list(a)
-    cdef list out = []
-    for ai in a:
-        q, r = divmod(ai, c)
-        if r:
-            raise ArithmeticError("non-exact integer division in kernel")
-        out.append(q)
-    return out
-
-
 def udivexact(list a, list b):
     cdef Py_ssize_t db, da, k, j
     if not b:
@@ -141,53 +119,6 @@ def udivexact(list a, list b):
     return utrim(out)
 
 
-cdef list _upos(list a):
-    if a and a[len(a) - 1] < 0:
-        return [-x for x in a]
-    return list(a)
-
-
-cdef list _uprem(list a, list b):
-    cdef Py_ssize_t db = len(b) - 1, da, i, j
-    a = list(a)
-    lb = b[db]
-    while True:
-        utrim(a)
-        da = len(a) - 1
-        if not a or da < db:
-            return a
-        la = a[da]
-        for i in range(da):
-            a[i] = a[i] * lb
-        a[da] = 0
-        for j in range(db):
-            a[da - db + j] = a[da - db + j] - la * b[j]
-
-
-def ugcd(list a, list b):
-    a = utrim(list(a))
-    b = utrim(list(b))
-    if not a:
-        return _upos(b)
-    if not b:
-        return _upos(a)
-    ca, cb = ucontent(a), ucontent(b)
-    c = _igcd(ca, cb)
-    a = udivexact_int(a, ca)
-    b = udivexact_int(b, cb)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _uprem(a, b)
-        a, b = b, r
-        if b:
-            cb = ucontent(b)
-            b = udivexact_int(b, cb)
-    if len(a) == 1:
-        return [c]
-    return uscale(_upos(a), c)
-
-
 def btrim(list A):
     cdef Py_ssize_t n = len(A)
     while n and not A[n - 1]:
@@ -209,28 +140,6 @@ def bmul(list A, list B):
                 if bj:
                     out[i + j] = uadd(out[i + j], umul(ai, bj))
     return btrim(out)
-
-
-def bscale_u(list A, list c):
-    if not c:
-        return []
-    return btrim([umul(ai, c) for ai in A])
-
-
-def bcontent(list A):
-    cdef list g = []
-    for ai in A:
-        if ai:
-            g = ugcd(g, ai)
-            if g == [1]:
-                return g
-    return g
-
-
-def bdivexact_u(list A, list c):
-    if c == [1]:
-        return [list(ai) for ai in A]
-    return [udivexact(ai, c) if ai else [] for ai in A]
 
 
 def bdivexact(list A, list B):
@@ -258,67 +167,3 @@ def bdivexact(list A, list B):
         if ai:
             raise ArithmeticError("non-exact bivariate division")
     return btrim(out)
-
-
-cdef list _bprem(list A, list B):
-    cdef Py_ssize_t db = len(B) - 1, da, i, j, e
-    A = [list(ai) for ai in A]
-    lb = B[db]
-    e = len(A) - 1 - db + 1
-    while True:
-        btrim(A)
-        da = len(A) - 1
-        if not A or da < db:
-            break
-        la = A[da]
-        for i in range(da):
-            A[i] = umul(A[i], lb)
-        A[da] = []
-        for j in range(db):
-            if B[j]:
-                A[da - db + j] = uadd(A[da - db + j], uscale(umul(la, B[j]), -1))
-        e -= 1
-    for i in range(e):
-        A = [umul(ai, lb) for ai in A]
-    return A
-
-
-cdef list _upow(list a, Py_ssize_t n):
-    cdef list out = [1]
-    cdef Py_ssize_t i
-    for i in range(n):
-        out = umul(out, a)
-    return out
-
-
-def bgcd(list A, list B):
-    cdef Py_ssize_t d
-    A = btrim([utrim(list(ai)) for ai in A])
-    B = btrim([utrim(list(ai)) for ai in B])
-    if not A:
-        return B
-    if not B:
-        return A
-    ca, cb = bcontent(A), bcontent(B)
-    c = ugcd(ca, cb)
-    A = bdivexact_u(A, ca)
-    B = bdivexact_u(B, cb)
-    if len(A) < len(B):
-        A, B = B, A
-    cdef list g = [1]
-    cdef list h = [1]
-    cdef list R, result
-    while True:
-        d = len(A) - len(B)
-        R = _bprem(A, B)
-        if not R:
-            result = bdivexact_u(B, bcontent(B))
-            break
-        if len(R) == 1:
-            result = [[1]]
-            break
-        A, B = B, bdivexact_u(R, umul(g, _upow(h, d)))
-        g = A[len(A) - 1]
-        if d > 0:
-            h = udivexact(_upow(g, d), _upow(h, d - 1))
-    return bscale_u(result, c)

@@ -6,11 +6,14 @@ an element of Z[z][w] is a list indexed by the w-degree whose entries are
 little-endian int lists (elements of Z[z]); trailing zeros are trimmed at
 both levels and the zero polynomial is the empty list.
 
-The compiled twin of this module is ``_kernels.pyx``; both expose the same
-functions and are selected in ``kernels.py``.
+The compiled twin ``_kernels.pyx`` has the same sparse, univariate and
+bivariate products and exact divisions; ``kernels.py`` selects between the
+two.  The bivariate gcd ``bgcd`` exists only here and serves both backends;
+what a compiled twin of it would gain is unmeasured.
 """
 
 from math import gcd as _igcd
+from math import isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,163 @@ def bdivexact(A, B):
     return btrim(out)
 
 
+# ---------------------------------------------------------------------------
+# gcd in Z[z][w]: the heuristic GCDHEU, with the subresultant PRS as fallback
+
+# evaluation points GCDHEU tries, at each level, before it gives up
+HEU_GCD_TRIES = 6
+
+
+def bgcd(A, B):
+    """gcd in Z[z][w] by GCDHEU, the heuristic integer-gcd method of Char,
+    Geddes & Gonnet (J. Symb. Comp. 7, 1989, 31-48).
+
+    The common integer content is taken out.  Then z -> xi maps A and B to
+    Z[w], their gcd there is found by the same method one level down
+    (w -> xi', one integer gcd), and each coefficient of the image gcd is
+    read back as a polynomial in z from its symmetric xi-adic digits.  At
+    each level xi satisfies
+
+        xi >= 2 * min(|A|_inf, |B|_inf) + 2
+
+    for that level's inputs, |.|_inf being the largest absolute coefficient.
+    Under this bound the theorem behind GCDHEU holds: a primitive candidate
+    that divides both inputs exactly is their gcd.  So the exact division by
+    ``bdivexact`` proves each result; a smaller xi (SymPy's ``99*isqrt(B)``)
+    would turn the proof into a guess.  A point at which a leading
+    coefficient vanishes is skipped, and xi grows as in SymPy.  After
+    ``HEU_GCD_TRIES`` failed points the subresultant PRS ``_bgcd_prs``
+    computes the gcd.
+
+    The result has a positive leading coefficient; a zero operand returns
+    the other operand as it is.
+    """
+    A = btrim([utrim(list(ai)) for ai in A])
+    B = btrim([utrim(list(ai)) for ai in B])
+    if not A:
+        return B
+    if not B:
+        return A
+    c = _igcd(_bicontent(A), _bicontent(B))
+    if c != 1:
+        A = [udivexact_int(ai, c) for ai in A]
+        B = [udivexact_int(bi, c) for bi in B]
+    if (len(A) == 1 and len(A[0]) == 1) or (len(B) == 1 and len(B[0]) == 1):
+        return [[c]]  # a constant operand
+    xi = 2 * min(_bnorm(A), _bnorm(B)) + 2
+    for _ in range(HEU_GCD_TRIES):
+        G = _bgcd_heu_at(A, B, xi)
+        if G is not None:
+            break
+        xi = _next_xi(xi)
+    else:
+        G = _bgcd_prs(A, B)
+        if G[-1][-1] < 0:
+            G = [uscale(gi, -1) for gi in G]
+    return G if c == 1 else [uscale(gi, c) for gi in G]
+
+
+def _bgcd_heu_at(A, B, xi):
+    """One GCDHEU try at z -> xi for primitive A, B; None if it fails."""
+    if not (_ueval(A[-1], xi) and _ueval(B[-1], xi)):
+        return None
+    h = _ugcd_heu([_ueval(ai, xi) for ai in A], [_ueval(bi, xi) for bi in B])
+    if h is None:
+        return None
+    G = [_symdigits(hi, xi) for hi in h]
+    g = _bicontent(G)
+    G = [udivexact_int(gi, g) for gi in G]
+    if G[-1][-1] < 0:
+        G = [uscale(gi, -1) for gi in G]
+    if G == [[1]] or (_bdivides(A, G) and _bdivides(B, G)):
+        return G
+    return None
+
+
+def _ugcd_heu(a, b):
+    """gcd in Z[w] of nonzero a and b, integer content included, with a
+    positive leading coefficient, by GCDHEU (the bound of ``bgcd``); None if
+    every try fails."""
+    c = _igcd(ucontent(a), ucontent(b))
+    if len(a) == 1 or len(b) == 1:
+        return [c]
+    if c != 1:
+        a, b = udivexact_int(a, c), udivexact_int(b, c)
+    xi = 2 * min(_unorm(a), _unorm(b)) + 2
+    for _ in range(HEU_GCD_TRIES):
+        va, vb = _ueval(a, xi), _ueval(b, xi)
+        if va and vb:
+            g = _symdigits(_igcd(va, vb), xi)
+            g = udivexact_int(g, ucontent(g))
+            if g[-1] < 0:
+                g = uscale(g, -1)
+            if len(g) == 1:
+                return [c]
+            if _udivides(a, g) and _udivides(b, g):
+                return uscale(g, c)
+        xi = _next_xi(xi)
+    return None
+
+
+def _ueval(a, x):
+    """Value of a in Z[z] at z = x."""
+    v = 0
+    for ai in reversed(a):
+        v = v * x + ai
+    return v
+
+
+def _symdigits(h, x):
+    """Little-endian digits d_i of the integer h = sum d_i x^i, |d_i| <= x/2."""
+    half = x // 2
+    out = []
+    while h:
+        d = h % x
+        if d > half:
+            d -= x
+        out.append(d)
+        h = (h - d) // x
+    return out
+
+
+def _next_xi(xi):
+    return 73794 * xi * isqrt(isqrt(xi)) // 27011
+
+
+def _unorm(a):
+    return max(max(a), -min(a))
+
+
+def _bnorm(A):
+    return max(_unorm(ai) for ai in A if ai)
+
+
+def _bicontent(A):
+    """Integer content of A (gcd of all its coefficients)."""
+    g = 0
+    for ai in A:
+        g = _igcd(g, ucontent(ai))
+        if g == 1:
+            break
+    return g
+
+
+def _udivides(a, b):
+    try:
+        udivexact(a, b)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _bdivides(A, B):
+    try:
+        bdivexact(A, B)
+    except ArithmeticError:
+        return False
+    return True
+
+
 def _bprem(A, B):
     """Pseudo-remainder of A by B in Z[z][w]: lc(B)^(deg A - deg B + 1) A mod B."""
     A = [list(ai) for ai in A]
@@ -290,8 +450,9 @@ def _bprem(A, B):
     return A
 
 
-def bgcd(A, B):
-    """Subresultant-PRS gcd in Z[z][w], primitive-part based."""
+def _bgcd_prs(A, B):
+    """Subresultant-PRS gcd in Z[z][w], primitive-part based; the fallback
+    of ``bgcd``."""
     A = btrim([utrim(list(ai)) for ai in A])
     B = btrim([utrim(list(ai)) for ai in B])
     if not A:

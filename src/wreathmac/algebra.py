@@ -394,6 +394,8 @@ class RatFun:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("RatFun division by zero")
             other = Fraction(other)
             return self._scale(other.denominator, other.numerator)
         return self * other.inverse()
@@ -483,11 +485,11 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     # polynomial gcd; a one-term side can share nothing further: the joint
     # exponent shift and the content extraction above already make the gcd 1
     if not (len(nt) == 1 or len(dt) == 1):
-        g = kernels.bgcd(_to_rec(nt), _to_rec(dt))
-        if len(g) > 1 or (g and len(g[0]) > 1) or (g and g[0][0] != 1):
-            gd = _from_rec(g)
-            nt = _from_rec(kernels.bdivexact(_to_rec(nt), _to_rec(gd)))
-            dt = _from_rec(kernels.bdivexact(_to_rec(dt), _to_rec(gd)))
+        nr, dr = _to_rec(nt), _to_rec(dt)
+        g = kernels.bgcd(nr, dr)
+        if g != [[1]]:
+            nt = _from_rec(kernels.bdivexact(nr, g))
+            dt = _from_rec(kernels.bdivexact(dr, g))
     num = LaurentPoly(vars, nt)
     den = LaurentPoly(vars, dt)
     if den.leading_coeff() < 0:

@@ -20,7 +20,7 @@ import sys
 from .acceptance import run_criteria
 from .classtypes import parse_simple_type
 from .hodge import ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
-from .oracle import count_points, genericity_check
+from .oracle import count_points, genericity_check, require_odd_prime
 from .partitions import bipartition_list, bipartition_str
 from .wreath import wreath_H, wreath_N
 
@@ -86,6 +86,7 @@ def cmd_compute(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
+        require_odd_prime(args.q)
         eig_lists = [[int(x) for x in s.split()] if s.strip() else [] for s in args.eigs]
         if args.n == 1:
             eigenvalues = [1] * len(eig_lists)
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("oracle", help="brute-force finite-field point count")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, help="an odd prime")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument(

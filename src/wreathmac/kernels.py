@@ -2,13 +2,16 @@
 
 Set ``WREATHMAC_PURE=1`` to force the pure-Python kernels
 (``benchmarks/bench_kernels.py`` does so to compare the two backends).
+The bivariate gcd ``bgcd`` is the pure-Python heuristic gcd under both
+backends: it has no compiled twin.
 """
 
 import os
 
-if os.environ.get("WREATHMAC_PURE") == "1":
-    from . import _kernels_py as _impl
+from . import _kernels_py
 
+if os.environ.get("WREATHMAC_PURE") == "1":
+    _impl = _kernels_py
     BACKEND = "python"
 else:
     try:
@@ -16,22 +19,13 @@ else:
 
         BACKEND = "cython"
     except ImportError:
-        from . import _kernels_py as _impl
-
+        _impl = _kernels_py
         BACKEND = "python"
 
 pmul = _impl.pmul
 padd = _impl.padd
 pscale = _impl.pscale
-umul = _impl.umul
-uadd = _impl.uadd
-uscale = _impl.uscale
-ugcd = _impl.ugcd
-udivexact = _impl.udivexact
 bmul = _impl.bmul
-bgcd = _impl.bgcd
 bdivexact = _impl.bdivexact
-bdivexact_u = _impl.bdivexact_u
-bcontent = _impl.bcontent
-bscale_u = _impl.bscale_u
 btrim = _impl.btrim
+bgcd = _kernels_py.bgcd

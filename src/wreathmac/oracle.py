@@ -42,6 +42,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def require_odd_prime(q: int) -> None:
+    if not _is_prime(q) or q == 2:
+        raise ValueError(f"{q} is not an odd prime")
+
+
 def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
     """Exhaustively test the products of squared eigenvalue choices.
 
@@ -49,8 +54,7 @@ def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
     witness names the subsets and signs whose product is 1 (or -1 when
     strong) if the test fails.
     """
-    if not _is_prime(q) or q == 2:
-        raise ValueError(f"{q} is not an odd prime")
+    require_odd_prime(q)
     tuples = [tuple(a % q for a in e) for e in eigs]
     if any(a == 0 for e in tuples for a in e):
         raise ValueError("eigenvalues must be units")
@@ -301,8 +305,7 @@ _GL2_CACHE: dict[int, _GL2] = {}
 
 def _gl2(q: int) -> _GL2:
     if q not in _GL2_CACHE:
-        if not _is_prime(q) or q == 2:
-            raise ValueError(f"{q} is not an odd prime")
+        require_odd_prime(q)
         _GL2_CACHE[q] = _GL2(q)
     return _GL2_CACHE[q]
 

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wreathmac.algebra import (
     QT,
@@ -55,6 +57,14 @@ def test_division_by_zero():
         q / RatFun.zero()
     with pytest.raises(ZeroDivisionError):
         RatFun(LaurentPoly.const(1, QT), LaurentPoly.zero(QT))
+
+
+def test_division_by_zero_scalar():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            q / zero
+        with pytest.raises(ZeroDivisionError):
+            RatFun.zero() / zero
 
 
 def test_laurent_storage():
@@ -138,3 +148,49 @@ def test_text_and_json_round_trip():
 def test_grlex_ordering():
     p = (q + t + 1).as_poly()
     assert [tuple(e[:2]) for e in p.json_terms()] == [(0, 0), (1, 0), (0, 1)]
+
+
+# -- property tests: canonical form and the evaluation homomorphism ---------
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-6, 6), max_size=5
+).map(lambda terms: LaurentPoly(ZW, terms))
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+ratfuns = st.builds(RatFun, polys, nonzero_polys)
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+points = st.tuples(coords, coords)
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(polys, nonzero_polys, nonzero_polys)
+def test_canonical_form_cancels_common_factors(a, b, c):
+    x, y = RatFun(a * c, b * c), RatFun(a, b)
+    assert (x.num, x.den) == (y.num, y.den)
+
+
+@PROPERTY_SETTINGS
+@given(ratfuns, ratfuns)
+def test_multiply_then_divide_is_identity(x, y):
+    assume(not y.is_zero())
+    z = (x * y) / y
+    assert (z.num, z.den) == (x.num, x.den)
+
+
+@PROPERTY_SETTINGS
+@given(ratfuns, ratfuns, points)
+def test_eval_at_is_a_homomorphism(x, y, pt):
+    assume(x.den.eval_at(*pt) != 0 and y.den.eval_at(*pt) != 0)
+    ex, ey = x.eval_at(*pt), y.eval_at(*pt)
+    assert (x + y).eval_at(*pt) == ex + ey
+    assert (x * y).eval_at(*pt) == ex * ey
+    if ey != 0:
+        assert (x / y).eval_at(*pt) == ex / ey
+
+
+@PROPERTY_SETTINGS
+@given(polys, nonzero_polys, nonzero_polys, points)
+def test_eval_at_survives_normalization(a, b, c, pt):
+    bc = (b * c).eval_at(*pt)
+    assume(bc != 0)
+    assert RatFun(a * c, b * c).eval_at(*pt) == (a * c).eval_at(*pt) / bc

@@ -97,6 +97,16 @@ def test_oracle_rejects_nongeneric(capsys):
     assert code == 3
 
 
+def test_oracle_rejects_q_not_an_odd_prime(capsys):
+    for q in ("4", "0", "2", "-3"):
+        for n, eigs in (("1", ["", ""]), ("2", ["2", "1"])):
+            argv = ["oracle", "--q", q, "--n", n, "--g", "1"]
+            for e in eigs:
+                argv += ["--eigs", e]
+            code, out = run_cli(capsys, *argv)
+            assert (code, out) == (3, "")
+
+
 def test_selftest_filter(capsys):
     code, out = run_cli(capsys, "selftest", "--filter", "09-partition")
     assert code == 0

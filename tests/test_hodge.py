@@ -117,3 +117,28 @@ def test_non_ccl_warns_but_computes():
     # the e-routes still agree beyond the conjecture's hypotheses
     e, checks = e_polynomial(spec, res)
     assert checks["routes_agree"]
+
+
+def test_rank_six_finishes_with_every_check_true():
+    # the rank-6 configuration of the ROADMAP; its polynomial is not frozen
+    # as a golden until an independent route confirms it
+    spec = ProblemSpec(0, 2, 6, (pt("0,0:1 1 1"), pt("0,0:1 1 1"), pt("3,0:"), pt("3,0:")))
+    res = compute_hodge(spec)
+    _, e_checks = e_polynomial(spec, res)
+    _, m_checks = mixed_hodge(spec, res)
+    checks = {**res.checks, **e_checks, **m_checks}
+    flags = {key: v for key, v in checks.items() if isinstance(v, bool)}
+    assert set(flags) == {
+        "is_polynomial",
+        "degree_le_d",
+        "degree_eq_d",
+        "even_total_degree",
+        "neg_z_nonnegative",
+        "zw_symmetric",
+        "routes_agree",
+        "palindromic",
+        "t_minus_one_is_e",
+        "curious_duality",
+    }
+    assert all(flags.values()), flags
+    assert res.d == 24
