@@ -7,13 +7,11 @@ finite-field brute-force oracle for independent verification at small rank.
 __version__ = "0.1.0"
 
 from .algebra import LaurentPoly, RatFun, half_specialize, substitute_powers
-from .kernels import BACKEND
 
 __all__ = [
     "LaurentPoly",
     "RatFun",
     "half_specialize",
     "substitute_powers",
-    "BACKEND",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Pure-Python arithmetic kernels for sparse bivariate (Laurent) polynomials.
+"""Arithmetic kernels for sparse bivariate (Laurent) polynomials.
 
 A polynomial is a dict mapping exponent pairs ``(a, b)`` to nonzero integer
 coefficients.  The gcd machinery works on a dense recursive representation:
@@ -6,10 +6,7 @@ an element of Z[z][w] is a list indexed by the w-degree whose entries are
 little-endian int lists (elements of Z[z]); trailing zeros are trimmed at
 both levels and the zero polynomial is the empty list.
 
-The compiled twin ``_kernels.pyx`` has the same sparse, univariate and
-bivariate products and exact divisions; ``kernels.py`` selects between the
-two.  The bivariate gcd ``bgcd`` exists only here and serves both backends;
-what a compiled twin of it would gain is unmeasured.
+``kernels.py`` re-exports the functions that ``algebra`` calls.
 """
 
 from math import gcd as _igcd
@@ -204,18 +201,6 @@ def btrim(A):
         n -= 1
     del A[n:]
     return A
-
-
-def bmul(A, B):
-    if not A or not B:
-        return []
-    out = [[] for _ in range(len(A) + len(B) - 1)]
-    for i, ai in enumerate(A):
-        if ai:
-            for j, bj in enumerate(B):
-                if bj:
-                    out[i + j] = uadd(out[i + j], umul(ai, bj))
-    return btrim(out)
 
 
 def bscale_u(A, c):

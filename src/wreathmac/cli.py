@@ -87,18 +87,29 @@ def cmd_compute(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         require_odd_prime(args.q)
+        if args.n not in (1, 2):
+            raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={args.n}")
+        if args.g < 0:
+            raise ValueError(f"the genus must be nonnegative, not g={args.g}")
+        if not args.eigs or len(args.eigs) % 2:
+            raise ValueError(
+                f"--eigs must be given a positive even number of times (2k), "
+                f"not {len(args.eigs)}"
+            )
         eig_lists = [[int(x) for x in s.split()] if s.strip() else [] for s in args.eigs]
         if args.n == 1:
             eigenvalues = [1] * len(eig_lists)
         else:
-            if any(len(e) != args.n // 2 for e in eig_lists):
-                raise ValueError(f"each --eigs needs {args.n // 2} entries for n={args.n}")
+            if any(len(e) != 1 for e in eig_lists):
+                raise ValueError("each --eigs needs 1 entry for n=2")
             eigenvalues = [e[0] for e in eig_lists]
+            if any(a % args.q == 0 for a in eigenvalues):
+                raise ValueError(f"eigenvalues must be units mod q={args.q}, not 0")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
-        if args.n >= 2:
+        if args.n == 2:
             tuples = [tuple(e) for e in eig_lists]
             generic, witness = genericity_check(tuples, args.q, strong=args.strong_check)
             if not generic:
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--eigs",
         action="append",
-        required=True,
+        default=[],
         help="eigenvalues of one class, space separated (repeat 2k times)",
     )
     p.add_argument("--strong-check", action="store_true")

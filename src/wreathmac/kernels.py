@@ -1,31 +1,14 @@
-"""Select the compiled arithmetic kernels, falling back to pure Python.
+"""The arithmetic kernels that ``algebra`` calls, implemented in ``_kernels_py``.
 
-Set ``WREATHMAC_PURE=1`` to force the pure-Python kernels
-(``benchmarks/bench_kernels.py`` does so to compare the two backends).
-The bivariate gcd ``bgcd`` is the pure-Python heuristic gcd under both
-backends: it has no compiled twin.
+The names are re-exported here, in a module of their own, so that a
+profiler wrapping ``kernels.bgcd``, ``kernels.pmul`` or ``kernels.bdivexact``
+counts the calls ``algebra`` makes and not the exact divisions that
+``bgcd`` runs inside ``_kernels_py`` to prove each result.
 """
 
-import os
+from ._kernels_py import bdivexact, bgcd, btrim, padd, pmul, pscale
 
-from . import _kernels_py
+__all__ = ["BACKEND", "bdivexact", "bgcd", "btrim", "padd", "pmul", "pscale"]
 
-if os.environ.get("WREATHMAC_PURE") == "1":
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-
-pmul = _impl.pmul
-padd = _impl.padd
-pscale = _impl.pscale
-bmul = _impl.bmul
-bdivexact = _impl.bdivexact
-btrim = _impl.btrim
-bgcd = _kernels_py.bgcd
+# the kernel implementation in use, as the benchmark worker reports it
+BACKEND = "python"

@@ -2,12 +2,6 @@ import random
 
 import pytest
 
-from wreathmac import kernels
-
-
-def pytest_report_header(config):
-    return f"wreathmac kernel backend: {kernels.BACKEND}"
-
 
 def pytest_addoption(parser):
     parser.addoption(

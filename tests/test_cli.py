@@ -107,6 +107,28 @@ def test_oracle_rejects_q_not_an_odd_prime(capsys):
             assert (code, out) == (3, "")
 
 
+def test_oracle_rejects_bad_input_before_counting(capsys):
+    # each case breaks one rule; none may reach a count (exit 1) or a
+    # genericity verdict, and the message names the rule
+    cases = (
+        (["--n", "1", "--g", "-1", "--eigs", "", "--eigs", ""], "genus must be nonnegative"),
+        (["--n", "1", "--g", "1"], "positive even number"),
+        (["--n", "1", "--g", "1", "--eigs", ""], "positive even number"),
+        (["--n", "2", "--g", "1", "--eigs", "2", "--eigs", "1", "--eigs", "3"], "positive even number"),
+        (["--n", "2", "--g", "1", "--eigs", "7", "--eigs", "1"], "units"),
+        (["--n", "2", "--g", "0", "--eigs", "2", "--eigs", "-14"], "units"),
+        (["--n", "0", "--g", "1", "--eigs", "", "--eigs", ""], "rank 1 and 2"),
+        (["--n", "-1", "--g", "1", "--eigs", "", "--eigs", ""], "rank 1 and 2"),
+        (["--n", "3", "--g", "1", "--eigs", "2", "--eigs", "1"], "rank 1 and 2"),
+        (["--n", "4", "--g", "1", "--eigs", "2 3", "--eigs", "1 2"], "rank 1 and 2"),
+    )
+    for argv, rule in cases:
+        code = main(["oracle", "--q", "7", *argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and rule in err, (argv, err)
+
+
 def test_selftest_filter(capsys):
     code, out = run_cli(capsys, "selftest", "--filter", "09-partition")
     assert code == 0
