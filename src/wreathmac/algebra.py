@@ -43,7 +43,9 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                if isinstance(c, Fraction) and c.denominator == 1:
+                # the type test first: an isinstance check against the
+                # Fraction ABC is slow, and most coefficients are ints
+                if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
                     c = c.numerator
                 if c:
                     clean[e] = c
@@ -221,20 +223,17 @@ def poly_from_json(triples, vars=QT) -> LaurentPoly:
 
 
 def _to_rec(terms: dict) -> list:
+    # each row ends at its largest z-exponent and the last row is that of the
+    # largest w-exponent, so the result is trimmed (terms are nonzero)
     if not terms:
         return []
-    da = max(a for a, _ in terms)
-    db = max(b for _, b in terms)
-    out = [[0] * (da + 1) for _ in range(db + 1)]
+    rec = [[] for _ in range(max(b for _, b in terms) + 1)]
     for (a, b), c in terms.items():
-        out[b][a] = c
-    rec = []
-    for row in out:
-        n = len(row)
-        while n and not row[n - 1]:
-            n -= 1
-        rec.append(row[:n])
-    return kernels.btrim(rec)
+        row = rec[b]
+        if len(row) <= a:
+            row.extend([0] * (a + 1 - len(row)))
+        row[a] = c
+    return rec
 
 
 def _from_rec(rec: list) -> dict:
@@ -328,13 +327,25 @@ class RatFun:
             return other
         if other.is_zero():
             return self
+        # Henrici: with g = gcd(d1, d2), d1 = g*db and d2 = g*dd, the sum is
+        # t/(g*db*dd) with t = n1*dd + n2*db, and no factor of db or dd
+        # divides t, so gcd(t, g) is all that can cancel
         if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        g = _poly_gcd(self.den, other.den)
-        db = _poly_divexact(self.den, g)
-        dd = _poly_divexact(other.den, g)
-        num = self.num * dd + other.num * db
-        return RatFun(num, g * db * dd)
+            g, cof = self.den, None
+            t = self.num + other.num
+        else:
+            g = _poly_gcd(self.den, other.den)
+            db = _poly_divexact(self.den, g)
+            dd = _poly_divexact(other.den, g)
+            cof = db * dd
+            t = self.num * dd + other.num * db
+        if t.is_zero():
+            return RatFun.zero(self.vars)
+        h = _poly_gcd(t, g)
+        if not _is_one(h):
+            t = _poly_divexact(t, h)
+            g = _poly_divexact(g, h)
+        return _signed(t, g if cof is None else g * cof)
 
     __radd__ = __add__
 
@@ -358,11 +369,16 @@ class RatFun:
             return self._scale(other.numerator, other.denominator)
         if self.is_zero() or other.is_zero():
             return RatFun.zero(self.vars)
-        g1 = _poly_gcd(self.num, other.den)
-        g2 = _poly_gcd(other.num, self.den)
-        num = _poly_divexact(self.num, g1) * _poly_divexact(other.num, g2)
-        den = _poly_divexact(self.den, g2) * _poly_divexact(other.den, g1)
-        return RatFun(num, den)
+        # Henrici: once the cross gcds (integer content included) are
+        # cancelled, the product of two reduced fractions is reduced
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g1 = _poly_gcd(n1, d2)
+        if not _is_one(g1):
+            n1, d2 = _poly_divexact(n1, g1), _poly_divexact(d2, g1)
+        g2 = _poly_gcd(n2, d1)
+        if not _is_one(g2):
+            n2, d1 = _poly_divexact(n2, g2), _poly_divexact(d1, g2)
+        return _signed(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -379,18 +395,12 @@ class RatFun:
         if g != 1:
             nt = {e: c // g for e, c in nt.items()}
             dt = {e: c // g for e, c in dt.items()}
-        num = LaurentPoly(self.vars, nt)
-        den = LaurentPoly(self.vars, dt)
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        r = object.__new__(RatFun)
-        r.num, r.den = num, den
-        return r
+        return _signed(LaurentPoly(self.vars, nt), LaurentPoly(self.vars, dt))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero RatFun")
-        return RatFun(self.den, self.num)
+        return _signed(self.den, self.num)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -407,11 +417,7 @@ class RatFun:
         if n < 0:
             return self.inverse() ** (-n)
         # powers of a reduced fraction stay reduced
-        r = object.__new__(RatFun)
-        r.num, r.den = self.num**n, self.den**n
-        if r.den.leading_coeff() < 0:
-            r.num, r.den = -r.num, -r.den
-        return r
+        return _signed(self.num**n, self.den**n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -497,12 +503,58 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     return num, den
 
 
+def _signed(num: LaurentPoly, den: LaurentPoly) -> RatFun:
+    """The RatFun of a coprime pair of integer polynomials without negative
+    exponents: only the sign of the denominator's leading coefficient is
+    fixed, nothing is re-normalised."""
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    r = object.__new__(RatFun)
+    r.num, r.den = num, den
+    return r
+
+
+def _is_one(p: LaurentPoly) -> bool:
+    return p.terms == {(0, 0): 1}
+
+
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd of two integer-coefficient ordinary polynomials (same vars)."""
+    """gcd in Z[x, y] of two integer-coefficient ordinary polynomials (same
+    vars), integer content included, as ``kernels.bgcd`` computes it.
+
+    Against a one-term operand c*x^i*y^j of a nonzero other operand the gcd
+    is the monomial of the exponent minima with the integer gcd of c and the
+    other operand's content, so no kernel runs."""
+    if len(b.terms) == 1 and a.terms:
+        a, b = b, a
+    if len(a.terms) == 1 and b.terms:
+        ((i, j), c), = a.terms.items()
+        g = c if c > 0 else -c
+        for (x, y), v in b.terms.items():
+            if g != 1:
+                g = _igcd(g, v)
+            if x < i:
+                i = x
+            if y < j:
+                j = y
+        return LaurentPoly(a.vars, {(i, j): g})
     return LaurentPoly(a.vars, _from_rec(kernels.bgcd(_to_rec(a.terms), _to_rec(b.terms))))
 
 
 def _poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Exact quotient a/b; ``ArithmeticError`` when b does not divide a.
+
+    By a one-term b = c*x^i*y^j it is an exponent shift and an integer
+    division of every coefficient, without the kernel."""
+    if len(b.terms) == 1:
+        ((i, j), c), = b.terms.items()
+        out = {}
+        for (x, y), v in a.terms.items():
+            qv, rv = divmod(v, c)
+            if rv or x < i or y < j:
+                raise ArithmeticError("non-exact division by a monomial")
+            out[(x - i, y - j)] = qv
+        return LaurentPoly(a.vars, out)
     return LaurentPoly(a.vars, _from_rec(kernels.bdivexact(_to_rec(a.terms), _to_rec(b.terms))))
 
 

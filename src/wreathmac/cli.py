@@ -17,10 +17,8 @@ import argparse
 import json
 import sys
 
-from .acceptance import run_criteria
 from .classtypes import parse_simple_type
 from .hodge import ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
-from .oracle import count_points, genericity_check, require_odd_prime
 from .partitions import bipartition_list, bipartition_str
 from .wreath import wreath_H, wreath_N
 
@@ -85,6 +83,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # the oracle and the acceptance suite import numpy, which ``compute``
+    # does not need, so they are imported by the subcommands that use them
+    from .oracle import count_points, genericity_check, require_odd_prime
+
     try:
         require_odd_prime(args.q)
         if args.n not in (1, 2):
@@ -192,6 +194,8 @@ def cmd_wreath_mac(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_criteria
+
     results = run_criteria(filter_substr=args.filter, seed=args.seed)
     all_ok = True
     for r in results:
@@ -215,8 +219,17 @@ def cmd_selftest(args) -> int:
     return 0 if all_ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: exit code 3, not argparse's 2, which this
+    CLI reserves for a falsified property check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wreathmac", description=__doc__)
+    parser = _Parser(prog="wreathmac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="polynomial invariants of a class configuration")

@@ -6,9 +6,9 @@ counts the calls ``algebra`` makes and not the exact divisions that
 ``bgcd`` runs inside ``_kernels_py`` to prove each result.
 """
 
-from ._kernels_py import bdivexact, bgcd, btrim, padd, pmul, pscale
+from ._kernels_py import bdivexact, bgcd, padd, pmul, pscale
 
-__all__ = ["BACKEND", "bdivexact", "bgcd", "btrim", "padd", "pmul", "pscale"]
+__all__ = ["BACKEND", "bdivexact", "bgcd", "padd", "pmul", "pscale"]
 
 # the kernel implementation in use, as the benchmark worker reports it
 BACKEND = "python"

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wreathmac import kernels
 from wreathmac.algebra import (
     QT,
     ZW,
     LaurentPoly,
     RatFun,
+    _from_rec,
+    _poly_divexact,
+    _poly_gcd,
+    _to_rec,
     half_specialize,
     poly_from_json,
     substitute_powers,
@@ -194,3 +199,94 @@ def test_eval_at_survives_normalization(a, b, c, pt):
     bc = (b * c).eval_at(*pt)
     assume(bc != 0)
     assert RatFun(a * c, b * c).eval_at(*pt) == (a * c).eval_at(*pt) / bc
+
+
+# -- property tests: the arithmetic that skips re-normalisation --------------
+# `*`, `+`, `-`, `inverse` and `/` build their results without `_normalize`,
+# and `_poly_gcd`/`_poly_divexact` bypass the kernels for one-term operands.
+# Each must agree with the fully normalised fraction and with the kernels.
+
+coeffs = st.integers(-12, 12).filter(bool)
+monomials = st.builds(
+    lambda a, b, c: LaurentPoly(ZW, {(a, b): c}), st.integers(0, 3), st.integers(0, 3), coeffs
+)
+constants = coeffs.map(lambda c: LaurentPoly.const(c, ZW))
+# constant and one-term denominators are as frequent as multi-term ones, as
+# they are in the Schur coefficients the series are built from
+mixed_dens = st.one_of(constants, monomials, nonzero_polys)
+mixed_ratfuns = st.builds(RatFun, st.one_of(constants, monomials, polys), mixed_dens)
+
+
+def pair(x: RatFun):
+    return (x.num, x.den)
+
+
+def normalised(num, den):
+    return pair(RatFun(num, den))
+
+
+@PROPERTY_SETTINGS
+@given(mixed_ratfuns, mixed_ratfuns)
+def test_arithmetic_equals_full_normalisation(x, y):
+    assert pair(x * y) == normalised(x.num * y.num, x.den * y.den)
+    assert pair(x + y) == normalised(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert pair(x - y) == normalised(x.num * y.den - y.num * x.den, x.den * y.den)
+    if not x.is_zero():
+        assert pair(x.inverse()) == normalised(x.den, x.num)
+    if not y.is_zero():
+        assert pair(x / y) == normalised(x.num * y.den, x.den * y.num)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(constants, monomials, polys), st.one_of(constants, monomials, polys), mixed_dens)
+def test_sum_over_a_shared_denominator_equals_full_normalisation(a, b, d):
+    x, y = RatFun(a, d), RatFun(b, d)
+    assert pair(x + y) == normalised(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def test_sums_and_products_cancel_the_shared_factor():
+    half = RatFun.const(Fraction(1, 2), ZW)
+    # the cancelled factor lies in gcd(d1, d2): z, then the content 2
+    x = (z * (z + 1)).inverse() + (z * (z - 1)).inverse()
+    assert x == 2 / (z**2 - 1)
+    assert half + half == RatFun.one(ZW)
+    assert pair(2 * z * half) == pair(z)
+    # the cross gcd of w - z^2 has a negative grlex leading coefficient
+    p = RatFun.from_poly(LaurentPoly(ZW, {(2, 0): 1, (0, 1): -1}))
+    assert pair(p * (p * (z + 1)).inverse()) == pair((z + 1).inverse())
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(monomials, constants), polys)
+def test_monomial_gcd_equals_kernel_gcd(m, p):
+    assume(not p.is_zero())
+    expected = _from_rec(kernels.bgcd(_to_rec(m.terms), _to_rec(p.terms)))
+    assert _poly_gcd(m, p).terms == expected
+    assert _poly_gcd(p, m).terms == expected
+
+
+@PROPERTY_SETTINGS
+@given(polys, st.one_of(monomials, constants), st.booleans())
+def test_monomial_divexact_equals_kernel_divexact(p, m, exact):
+    if exact:
+        p = p * m
+    try:
+        expected = _from_rec(kernels.bdivexact(_to_rec(p.terms), _to_rec(m.terms)))
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(p, m)
+    else:
+        assert _poly_divexact(p, m).terms == expected
+
+
+def test_monomial_divexact_raises_on_a_non_exact_quotient():
+    p = LaurentPoly(ZW, {(1, 0): 4, (1, 1): 6})
+    assert _poly_divexact(p, LaurentPoly(ZW, {(1, 0): -2})).terms == {(0, 0): -2, (0, 1): -3}
+    for m in (
+        {(0, 0): 4},  # 6 is not divisible by 4
+        {(1, 0): 3},  # 4 is not divisible by 3
+        {(0, 1): 2},  # the exponent of w in 4z is below the shift
+        {(2, 0): 1},  # the exponent of z is below the shift
+    ):
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(p, LaurentPoly(ZW, m))

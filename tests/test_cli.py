@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from wreathmac.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -160,3 +168,41 @@ def test_oracle_non_ccl_skips_formula(capsys):
     payload = json.loads(out)
     assert "verdict" not in payload
     assert payload["count"] == 13**6 - 3 * 13**4 + 4 * 13**3 - 3 * 13**2 + 1
+
+
+def test_usage_errors_exit_3(capsys):
+    # exit code 2 means a falsified property check, so a command line that
+    # argparse rejects is bad input (3), with argparse's message on stderr
+    cases = (
+        (["compute", "--g", "0", "--k", "1"], "required: --n, --class"),
+        (["compute", "--g", "x", "--k", "1", "--n", "2", "--class", "0,0:"], "invalid int"),
+        (["oracle", "--q", "x", "--n", "1", "--g", "1"], "argument --q: invalid int"),
+        (["wreath-mac", "--size", "1"], "required: --core"),
+        (["bogus"], "invalid choice"),
+        ([], "required: command"),
+    )
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (3, ""), argv
+        assert "error: " in err and message in err, (argv, err)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["compute", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: wreathmac" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the oracle and the acceptance suite need numpy; `compute` pays
+    # for its import in every process when the CLI module loads it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, wreathmac.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
