@@ -115,7 +115,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -209,6 +209,27 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.text()!r})"
+
+
+def _poly(vars, terms: dict) -> LaurentPoly:
+    """The LaurentPoly of a clean term dict (nonzero coefficients, none an
+    integral Fraction), stored as is.  ``LaurentPoly(...)`` copies and
+    cleans its dict, because Fraction coefficients can sum to integral
+    Fractions; the dicts the kernels return for integer inputs, and those
+    built below from integer polynomials, are clean already."""
+    p = object.__new__(LaurentPoly)
+    p.vars, p.terms = vars, terms
+    return p
+
+
+def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a*b for integer polynomials in the same variables."""
+    return _poly(a.vars, kernels.pmul(a.terms, b.terms))
+
+
+def _add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a+b for integer polynomials in the same variables."""
+    return _poly(a.vars, kernels.padd(a.terms, b.terms))
 
 
 def poly_from_json(triples, vars=QT) -> LaurentPoly:
@@ -327,25 +348,26 @@ class RatFun:
             return other
         if other.is_zero():
             return self
+        self.num._check(other.num)
         # Henrici: with g = gcd(d1, d2), d1 = g*db and d2 = g*dd, the sum is
         # t/(g*db*dd) with t = n1*dd + n2*db, and no factor of db or dd
         # divides t, so gcd(t, g) is all that can cancel
         if self.den == other.den:
             g, cof = self.den, None
-            t = self.num + other.num
+            t = _add(self.num, other.num)
         else:
             g = _poly_gcd(self.den, other.den)
             db = _poly_divexact(self.den, g)
             dd = _poly_divexact(other.den, g)
-            cof = db * dd
-            t = self.num * dd + other.num * db
+            cof = _mul(db, dd)
+            t = _add(_mul(self.num, dd), _mul(other.num, db))
         if t.is_zero():
             return RatFun.zero(self.vars)
         h = _poly_gcd(t, g)
         if not _is_one(h):
             t = _poly_divexact(t, h)
             g = _poly_divexact(g, h)
-        return _signed(t, g if cof is None else g * cof)
+        return _signed(t, g if cof is None else _mul(g, cof))
 
     __radd__ = __add__
 
@@ -369,6 +391,7 @@ class RatFun:
             return self._scale(other.numerator, other.denominator)
         if self.is_zero() or other.is_zero():
             return RatFun.zero(self.vars)
+        self.num._check(other.num)
         # Henrici: once the cross gcds (integer content included) are
         # cancelled, the product of two reduced fractions is reduced
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -378,7 +401,7 @@ class RatFun:
         g2 = _poly_gcd(n2, d1)
         if not _is_one(g2):
             n2, d1 = _poly_divexact(n2, g2), _poly_divexact(d1, g2)
-        return _signed(n1 * n2, d1 * d2)
+        return _signed(_mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -395,7 +418,7 @@ class RatFun:
         if g != 1:
             nt = {e: c // g for e, c in nt.items()}
             dt = {e: c // g for e, c in dt.items()}
-        return _signed(LaurentPoly(self.vars, nt), LaurentPoly(self.vars, dt))
+        return _signed(_poly(self.vars, nt), _poly(self.vars, dt))
 
     def inverse(self):
         if self.is_zero():
@@ -496,8 +519,9 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
         if g != [[1]]:
             nt = _from_rec(kernels.bdivexact(nr, g))
             dt = _from_rec(kernels.bdivexact(dr, g))
-    num = LaurentPoly(vars, nt)
-    den = LaurentPoly(vars, dt)
+    # integer-valued and zero-free: the Fractions are cleared above
+    num = _poly(vars, nt)
+    den = _poly(vars, dt)
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den
@@ -537,8 +561,8 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 i = x
             if y < j:
                 j = y
-        return LaurentPoly(a.vars, {(i, j): g})
-    return LaurentPoly(a.vars, _from_rec(kernels.bgcd(_to_rec(a.terms), _to_rec(b.terms))))
+        return _poly(a.vars, {(i, j): g})
+    return _poly(a.vars, _from_rec(kernels.bgcd(_to_rec(a.terms), _to_rec(b.terms))))
 
 
 def _poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -554,8 +578,8 @@ def _poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             if rv or x < i or y < j:
                 raise ArithmeticError("non-exact division by a monomial")
             out[(x - i, y - j)] = qv
-        return LaurentPoly(a.vars, out)
-    return LaurentPoly(a.vars, _from_rec(kernels.bdivexact(_to_rec(a.terms), _to_rec(b.terms))))
+        return _poly(a.vars, out)
+    return _poly(a.vars, _from_rec(kernels.bdivexact(_to_rec(a.terms), _to_rec(b.terms))))
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,23 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _missing_numpy(exc: ImportError) -> int:
+    """Bad input for a subcommand that needs the optional numpy: exit code 3
+    with an install hint.  Any other failed import propagates."""
+    if exc.name != "numpy":
+        raise exc
+    print("error: this command needs numpy: pip install wreathmac[oracle]", file=sys.stderr)
+    return 3
+
+
 def cmd_oracle(args) -> int:
-    # the oracle and the acceptance suite import numpy, which ``compute``
-    # does not need, so they are imported by the subcommands that use them
-    from .oracle import count_points, genericity_check, require_odd_prime
+    # the oracle and the acceptance suite import numpy, an optional
+    # dependency that ``compute`` does not need, so they are imported by the
+    # subcommands that use them
+    try:
+        from .oracle import count_points, genericity_check, require_odd_prime
+    except ImportError as exc:
+        return _missing_numpy(exc)
 
     try:
         require_odd_prime(args.q)
@@ -194,7 +207,10 @@ def cmd_wreath_mac(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .acceptance import run_criteria
+    try:
+        from .acceptance import run_criteria
+    except ImportError as exc:
+        return _missing_numpy(exc)
 
     results = run_criteria(filter_substr=args.filter, seed=args.seed)
     all_ok = True

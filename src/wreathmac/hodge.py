@@ -7,12 +7,17 @@ The two-variable function pairs the product of the two wreath series and
 the inverted diagonal series against the product of the complete symmetric
 functions dual to the class types; the pairing factorizes over punctures,
 so the assembly enumerates index triples whose sizes sum to half the rank.
+That series side depends on (g, k, n) only, so it is memoised per
+(g, k, n), and so is its pairing against the class function of each class
+type: further class tuples at the same (g, k, n) only multiply and add
+memoised values.
 Property-check failures are recorded in the result, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import QT, ZW, LaurentPoly, RatFun, substitute_powers
 from .classtypes import SimpleType, h_of_type, simple_dual
@@ -88,27 +93,57 @@ def dimension(spec: ProblemSpec) -> int:
     )
 
 
-def _pair_against_classes(spec: ProblemSpec, triples, vars) -> RatFun:
+@lru_cache(maxsize=None)
+def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
+    """The series side of the pairing, which depends on (g, k, n) only: for
+    every index triple with a nonzero coefficient, the product of the three
+    coefficients and the Schur expansion of the product of the three
+    factors.  Route ZW pairs the two-variable series, route QT the
+    one-parameter series."""
+    if route == ZW:
+        wreath_terms, star_terms = wreath_series_terms, star_series_terms
+    else:
+        wreath_terms, star_terms = one_param_wreath_terms, one_param_star_terms
+    N = n // 2
+    if n % 2:
+        first = wreath_terms(1, g, k, N)
+        second = wreath_terms(0, g, k, N)
+    else:
+        first = second = wreath_terms(0, g, k, N)
+    inverted = invert_series(star_terms(g, k, N), N)
+    rows = []
+    for a, b, s in _triples(first, second, inverted, N):
+        coeff = a.coeff * b.coeff * s.coeff
+        if not coeff.is_zero():
+            rows.append((coeff, (a.factor * b.factor * s.factor).to_basis("s2")))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleType) -> tuple:
+    """Hall pairing of every row of ``_pairing_rows`` against the complete
+    function dual to the class type."""
+    h = h_of_type(simple_dual(beta), route)
+    return tuple(phi.hall_inner(h) for _, phi in _pairing_rows(route, g, k, n))
+
+
+def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
     """Sum over index triples of coeff times the product over punctures of
     the Hall pairing of the triple's factor against each class function."""
-    hcache = {}
-    for beta in spec.classes:
-        if beta not in hcache:
-            hcache[beta] = h_of_type(simple_dual(beta), vars)
-    total = RatFun.zero(vars)
-    for a, b, s in triples:
-        coeff = a.coeff * b.coeff * s.coeff
-        if coeff.is_zero():
-            continue
-        phi = (a.factor * b.factor * s.factor).to_basis("s2")
-        inner_cache = {}
-        for beta in spec.classes:
-            if beta not in inner_cache:
-                inner_cache[beta] = phi.hall_inner(hcache[beta])
-            coeff = coeff * inner_cache[beta]
-            if coeff.is_zero():
+    rows = _pairing_rows(route, spec.g, spec.k, spec.n)
+    first, *rest = [_class_column(route, spec.g, spec.k, spec.n, beta) for beta in spec.classes]
+    total = RatFun.zero(route)
+    for i, (coeff, _) in enumerate(rows):
+        # the class values first: their denominators are small (on route ZW
+        # at most monomials, whose gcds skip the kernels), and the series
+        # coefficient with its large denominator joins the product once
+        value = first[i]
+        for column in rest:
+            if value.is_zero():
                 break
-        total = total + coeff
+            value = value * column[i]
+        if not value.is_zero():
+            total = total + value * coeff
     return total
 
 
@@ -134,21 +169,13 @@ def _triples(first, second, inverted, target: int):
 def compute_hodge(spec: ProblemSpec) -> HodgeResult:
     """The two-variable rational function of the class data, with the
     polynomiality / degree / parity / positivity / symmetry checks."""
-    g, k, N = spec.g, spec.k, spec.half_rank
     warnings = []
     if not spec.ccl_ok:
         warnings.append(
             "classes with m_minus > 0: the formula's hypotheses fail and the "
             "polynomiality conjecture is not asserted for this input"
         )
-    if spec.n % 2:
-        first = wreath_series_terms(1, g, k, N)
-        second = wreath_series_terms(0, g, k, N)
-    else:
-        first = wreath_series_terms(0, g, k, N)
-        second = first
-    inverted = invert_series(star_series_terms(g, k, N), N)
-    zw = _pair_against_classes(spec, _triples(first, second, inverted, N), ZW)
+    zw = _pair_against_classes(spec, ZW)
     d = dimension(spec)
 
     checks: dict[str, object] = {"d": d}
@@ -175,17 +202,7 @@ def e_polynomial(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[
         result = compute_hodge(spec)
     d = result.d
     route_a = substitute_powers(result.zw, "E", d)
-
-    g, k, N = spec.g, spec.k, spec.half_rank
-    if spec.n % 2:
-        first = one_param_wreath_terms(1, g, k, N)
-        second = one_param_wreath_terms(0, g, k, N)
-    else:
-        first = one_param_wreath_terms(0, g, k, N)
-        second = first
-    inverted = invert_series(one_param_star_terms(g, k, N), N)
-    paired = _pair_against_classes(spec, _triples(first, second, inverted, N), QT)
-    route_b = RatFun.monomial((d // 2, 0)) * paired
+    route_b = RatFun.monomial((d // 2, 0)) * _pair_against_classes(spec, QT)
 
     if route_a != route_b:
         raise ArithmeticError(

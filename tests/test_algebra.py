@@ -98,6 +98,27 @@ def test_reduction_idempotence(rng):
         assert again.num == x.num and again.den == x.den
 
 
+
+def is_clean_int_poly(p: LaurentPoly) -> bool:
+    return all(type(c) is int and c != 0 for c in p.terms.values())
+
+
+def test_arithmetic_results_have_nonzero_int_coefficients(rng):
+    # `+`, `*`, `/` and `inverse` store the dicts they build without the
+    # cleaning pass of the public LaurentPoly constructor
+    for _ in range(200):
+        x = rand_ratfun(rng, ZW, terms=rng.randrange(1, 4))
+        y = rand_ratfun(rng, ZW, terms=rng.randrange(1, 4))
+        shared = RatFun(rand_ratfun(rng, ZW).num, y.den)
+        results = [x + y, x - y, x + shared, y + shared, x * y, x * x, x * Fraction(3, 2)]
+        if not y.is_zero():
+            results += [x / y, y.inverse(), x / Fraction(-2, 3)]
+        for r in results:
+            assert is_clean_int_poly(r.num) and is_clean_int_poly(r.den), r
+    # the public constructor still cleans: halves sum to an integral Fraction
+    half = LaurentPoly.const(Fraction(1, 2), ZW)
+    assert (half + half).terms == {(0, 0): 1} and is_clean_int_poly(half + half)
+
 def test_substitute_powers_e_mode():
     # monomial-wise: sqrt(q)^d * p(sqrt(q), 1/sqrt(q))
     assert substitute_powers(z**2 + w**2, "E", 2) == q**2 + 1

@@ -206,3 +206,22 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--q", "7", "--n", "1", "--g", "0", "--eigs", "", "--eigs", ""],
+        ["selftest", "--filter", "hook"],
+    ],
+)
+def test_numpy_commands_exit_3_without_numpy(capsys, monkeypatch, argv):
+    # numpy is the optional `oracle` extra: a None entry in sys.modules makes
+    # its import fail, and the modules that import it are loaded afresh
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for name in ("wreathmac.oracle", "wreathmac.acceptance"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pip install wreathmac[oracle]" in captured.err

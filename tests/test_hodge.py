@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from wreathmac import cli, hodge
 from wreathmac.algebra import RatFun, ZW, poly_from_json
 from wreathmac.classtypes import SimpleType, parse_simple_type
 from wreathmac.hodge import (
@@ -119,10 +120,7 @@ def test_non_ccl_warns_but_computes():
     assert checks["routes_agree"]
 
 
-def test_rank_six_finishes_with_every_check_true():
-    # the rank-6 configuration of the ROADMAP; its polynomial is not frozen
-    # as a golden until an independent route confirms it
-    spec = ProblemSpec(0, 2, 6, (pt("0,0:1 1 1"), pt("0,0:1 1 1"), pt("3,0:"), pt("3,0:")))
+def assert_every_check_true(spec, d):
     res = compute_hodge(spec)
     _, e_checks = e_polynomial(spec, res)
     _, m_checks = mixed_hodge(spec, res)
@@ -141,4 +139,86 @@ def test_rank_six_finishes_with_every_check_true():
         "curious_duality",
     }
     assert all(flags.values()), flags
-    assert res.d == 24
+    assert res.d == d
+
+
+def test_rank_six_finishes_with_every_check_true():
+    # the rank-6 configuration of the ROADMAP; its polynomial is not frozen
+    # as a golden until an independent route confirms it
+    spec = ProblemSpec(0, 2, 6, (pt("0,0:1 1 1"), pt("0,0:1 1 1"), pt("3,0:"), pt("3,0:")))
+    assert_every_check_true(spec, 24)
+
+
+def test_rank_seven_finishes_with_every_check_true():
+    # odd rank: the two wreath series are taken at different 2-cores
+    spec = ProblemSpec(0, 2, 7, (pt("0,0:1 1 1"), pt("1,0:1 1"), pt("3,0:"), pt("3,0:")))
+    assert_every_check_true(spec, 48)
+
+
+# -- memoised pairing tables ------------------------------------------------
+
+# at (g, k, n) = (0, 2, 4): the benchmark's sweep warm-up tuple, then the
+# first tuple of each of its succeeding class-tuple bands
+SWEEP_TUPLES = (
+    ("2,0:", "2,0:", "0,0:1 1", "0,0:1 1"),
+    ("2,0:", "0,0:1 1", "0,1:1", "0,2:"),
+    ("1,0:1", "0,0:1 1", "0,2:", "0,2:"),
+    ("0,0:1 1", "1,1:", "1,1:", "0,2:"),
+    ("2,0:", "0,0:1 1", "0,0:1 1", "1,1:"),
+    ("0,0:1 1", "0,0:1 1", "1,1:", "1,1:"),
+    ("2,0:", "2,0:", "2,0:", "1,0:1"),
+)
+
+
+def clear_pairing_memos():
+    hodge._pairing_rows.cache_clear()
+    hodge._class_column.cache_clear()
+
+
+def compute_json(capsys, classes) -> tuple[int, str]:
+    """Exit code and stdout of ``compute --json`` at (g, k, n) = (0, 2, 4);
+    some tuples falsify a check and exit 2, with a full payload."""
+    argv = ["compute", "--g", "0", "--k", "2", "--n", "4", "--json"]
+    for c in classes:
+        argv += ["--class", c]
+    rc = cli.main(argv)
+    return rc, capsys.readouterr().out
+
+
+def test_warm_tables_give_the_cold_output(capsys):
+    cold = {}
+    for classes in SWEEP_TUPLES:
+        clear_pairing_memos()
+        cold[classes] = compute_json(capsys, classes)
+    clear_pairing_memos()
+    orders = (SWEEP_TUPLES, SWEEP_TUPLES[3:] + SWEEP_TUPLES[2::-1])
+    for order in orders:
+        for classes in order:
+            assert compute_json(capsys, classes) == cold[classes], classes
+
+
+def test_same_gkn_builds_no_series(capsys, monkeypatch):
+    calls = []
+    for name in (
+        "wreath_series_terms",
+        "star_series_terms",
+        "one_param_wreath_terms",
+        "one_param_star_terms",
+        "invert_series",
+    ):
+        builder = getattr(hodge, name)
+        monkeypatch.setattr(
+            hodge, name, lambda *args, _f=builder, _n=name: calls.append(_n) or _f(*args)
+        )
+    clear_pairing_memos()
+    compute_json(capsys, SWEEP_TUPLES[0])
+    assert set(calls) == {
+        "wreath_series_terms",
+        "star_series_terms",
+        "one_param_wreath_terms",
+        "one_param_star_terms",
+        "invert_series",
+    }
+    calls.clear()
+    compute_json(capsys, SWEEP_TUPLES[1])
+    assert calls == []
