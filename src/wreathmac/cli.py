@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .classtypes import parse_simple_type
 from .hodge import ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
@@ -244,7 +245,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` returns a
+    fresh namespace and copies the ``append`` defaults, so calls share no
+    state."""
     parser = _Parser(prog="wreathmac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

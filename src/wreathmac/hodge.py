@@ -8,9 +8,11 @@ the inverted diagonal series against the product of the complete symmetric
 functions dual to the class types; the pairing factorizes over punctures,
 so the assembly enumerates index triples whose sizes sum to half the rank.
 That series side depends on (g, k, n) only, so it is memoised per
-(g, k, n), and so is its pairing against the class function of each class
-type: further class tuples at the same (g, k, n) only multiply and add
-memoised values.
+(g, k, n), grouped by the denominator of the triple's coefficient, and so
+is its pairing against the class function of each class type, over one
+common denominator per type.  A class tuple then sums each group as
+polynomials and normalises it once; only the groups meet in ``RatFun``
+addition.
 Property-check failures are recorded in the result, never raised.
 """
 
@@ -19,7 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import QT, ZW, LaurentPoly, RatFun, substitute_powers
+from .algebra import (
+    QT,
+    ZW,
+    LaurentPoly,
+    RatFun,
+    _add,
+    _mul,
+    _poly_divexact,
+    _poly_gcd,
+    substitute_powers,
+)
 from .classtypes import SimpleType, h_of_type, simple_dual
 from .series import (
     SeriesTerm,
@@ -98,8 +110,9 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     """The series side of the pairing, which depends on (g, k, n) only: for
     every index triple with a nonzero coefficient, the product of the three
     coefficients and the Schur expansion of the product of the three
-    factors.  Route ZW pairs the two-variable series, route QT the
-    one-parameter series."""
+    factors.  The rows are grouped by the coefficient's denominator ``d``,
+    as ``(d, ((numerator, factor), ...))``.  Route ZW pairs the two-variable
+    series, route QT the one-parameter series."""
     if route == ZW:
         wreath_terms, star_terms = wreath_series_terms, star_series_terms
     else:
@@ -111,39 +124,60 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     else:
         first = second = wreath_terms(0, g, k, N)
     inverted = invert_series(star_terms(g, k, N), N)
-    rows = []
+    groups: dict[LaurentPoly, list] = {}
     for a, b, s in _triples(first, second, inverted, N):
         coeff = a.coeff * b.coeff * s.coeff
         if not coeff.is_zero():
-            rows.append((coeff, (a.factor * b.factor * s.factor).to_basis("s2")))
-    return tuple(rows)
+            phi = (a.factor * b.factor * s.factor).to_basis("s2")
+            groups.setdefault(coeff.den, []).append((coeff.num, phi))
+    # the groups in order of growing denominator degree: the partial sums of
+    # ``_pair_against_classes`` then take the large denominators last
+    order = sorted(groups, key=lambda d: max(a + b for a, b in d.terms))
+    return tuple((d, tuple(groups[d])) for d in order)
 
 
 @lru_cache(maxsize=None)
 def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleType) -> tuple:
-    """Hall pairing of every row of ``_pairing_rows`` against the complete
-    function dual to the class type."""
+    """Hall pairing of every row of ``_pairing_rows`` (in the order of its
+    groups) against the complete function dual to the class type, as
+    ``(numerators, E)``: the values are ``numerator / E`` over the lcm ``E``
+    of their denominators."""
     h = h_of_type(simple_dual(beta), route)
-    return tuple(phi.hall_inner(h) for _, phi in _pairing_rows(route, g, k, n))
+    values = [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
+    lcm = LaurentPoly.const(1, route)
+    for v in values:
+        lcm = _mul(lcm, _poly_divexact(v.den, _poly_gcd(lcm, v.den)))
+    return tuple(_mul(v.num, _poly_divexact(lcm, v.den)) for v in values), lcm
 
 
 def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
     """Sum over index triples of coeff times the product over punctures of
-    the Hall pairing of the triple's factor against each class function."""
-    rows = _pairing_rows(route, spec.g, spec.k, spec.n)
-    first, *rest = [_class_column(route, spec.g, spec.k, spec.n, beta) for beta in spec.classes]
+    the Hall pairing of the triple's factor against each class function.
+
+    The rows that share a coefficient denominator ``d`` are summed as
+    polynomials over ``d`` times the product of the class lcms, so each
+    group is normalised once and only the groups meet in ``RatFun`` ``+``."""
+    g, k, n = spec.g, spec.k, spec.n
+    (first, den), *rest = [_class_column(route, g, k, n, beta) for beta in spec.classes]
+    for _, lcm in rest:
+        den = _mul(den, lcm)
     total = RatFun.zero(route)
-    for i, (coeff, _) in enumerate(rows):
-        # the class values first: their denominators are small (on route ZW
-        # at most monomials, whose gcds skip the kernels), and the series
-        # coefficient with its large denominator joins the product once
-        value = first[i]
-        for column in rest:
-            if value.is_zero():
-                break
-            value = value * column[i]
-        if not value.is_zero():
-            total = total + value * coeff
+    i = 0
+    for d, rows in _pairing_rows(route, g, k, n):
+        group = LaurentPoly.zero(route)
+        for num, _ in rows:
+            # the class numerators first: they are small, and the series
+            # numerator joins the product once
+            value = first[i]
+            for column, _ in rest:
+                if value.is_zero():
+                    break
+                value = _mul(value, column[i])
+            i += 1
+            if not value.is_zero():
+                group = _add(group, _mul(value, num))
+        if not group.is_zero():
+            total = total + RatFun(group, _mul(d, den))
     return total
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wreathmac.cli import main
+from wreathmac.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -225,3 +225,18 @@ def test_numpy_commands_exit_3_without_numpy(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pip install wreathmac[oracle]" in captured.err
+
+
+def test_parser_is_built_once_and_calls_share_no_lists(capsys):
+    assert build_parser() is build_parser()
+    argv = ["compute", "--g", "1", "--k", "1", "--n", "2", "--class", "0,0:1", "--class", "1,0:", "--json"]
+    first = run_cli(capsys, *argv)
+    # a shared --class list would hand the second call 4 classes (exit 3)
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0
+    parser = build_parser()
+    base = ["oracle", "--q", "7", "--n", "2", "--g", "1"]
+    a = parser.parse_args(base + ["--eigs", "2", "--eigs", "1"])
+    b = parser.parse_args(base + ["--eigs", "3"])
+    c = parser.parse_args(base)
+    assert (a.eigs, b.eigs, c.eigs) == (["2", "1"], ["3"], [])

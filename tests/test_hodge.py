@@ -1,11 +1,12 @@
 import json
+import random
 from importlib import resources
 
 import pytest
 
 from wreathmac import cli, hodge
-from wreathmac.algebra import RatFun, ZW, poly_from_json
-from wreathmac.classtypes import SimpleType, parse_simple_type
+from wreathmac.algebra import QT, RatFun, ZW, poly_from_json
+from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type, simple_dual
 from wreathmac.hodge import (
     ProblemSpec,
     compute_hodge,
@@ -171,8 +172,14 @@ SWEEP_TUPLES = (
 
 
 def clear_pairing_memos():
-    hodge._pairing_rows.cache_clear()
-    hodge._class_column.cache_clear()
+    """Clear every memo among the ``hodge`` module globals, so that a memo
+    added later cannot keep a "cold" run warm."""
+    cleared = set()
+    for name, obj in vars(hodge).items():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+            cleared.add(name)
+    assert {"_pairing_rows", "_class_column"} <= cleared
 
 
 def compute_json(capsys, classes) -> tuple[int, str]:
@@ -222,3 +229,58 @@ def test_same_gkn_builds_no_series(capsys, monkeypatch):
     calls.clear()
     compute_json(capsys, SWEEP_TUPLES[1])
     assert calls == []
+
+
+# -- grouped pairing sum ----------------------------------------------------
+
+SIZE_TWO_TYPES = ("2,0:", "0,2:", "1,1:", "1,0:1", "0,1:1", "0,0:2", "0,0:1 1")
+
+
+def reference_pairing(spec, route):
+    """The pairing sum as the formula reads: over every index triple, the
+    triple's coefficient times the Hall pairings of its Schur factor against
+    each class function, folded with plain ``RatFun`` addition."""
+    if route == ZW:
+        wreath_terms, star_terms = hodge.wreath_series_terms, hodge.star_series_terms
+    else:
+        wreath_terms, star_terms = hodge.one_param_wreath_terms, hodge.one_param_star_terms
+    g, k, N = spec.g, spec.k, spec.half_rank
+    first = wreath_terms(spec.n % 2, g, k, N)
+    second = wreath_terms(0, g, k, N)
+    inverted = hodge.invert_series(star_terms(g, k, N), N)
+    hs = [h_of_type(simple_dual(beta), route) for beta in spec.classes]
+    total = RatFun.zero(route)
+    for a, b, s in hodge._triples(first, second, inverted, N):
+        phi = (a.factor * b.factor * s.factor).to_basis("s2")
+        value = a.coeff * b.coeff * s.coeff
+        for h in hs:
+            value = value * phi.hall_inner(h)
+        total = total + value
+    return total
+
+
+def seeded_tuples(seed, count, size):
+    rng = random.Random(seed)
+    return [tuple(rng.choice(SIZE_TWO_TYPES) for _ in range(size)) for _ in range(count)]
+
+
+# its two-variable function is not a polynomial: a denominator survives
+NON_POLYNOMIAL = ("0,2:", "2,0:", "0,0:2", "2,0:")
+
+
+@pytest.mark.parametrize(
+    "g, k, n, tuples",
+    [
+        (0, 2, 4, [NON_POLYNOMIAL] + seeded_tuples(4, 4, 4)),
+        (1, 1, 4, seeded_tuples(11, 4, 2)),
+        (0, 2, 5, seeded_tuples(5, 2, 4)),
+    ],
+)
+def test_grouped_sum_equals_plain_fold(g, k, n, tuples):
+    for classes in tuples:
+        spec = ProblemSpec(g, k, n, tuple(pt(c) for c in classes))
+        for route in (ZW, QT):
+            value = hodge._pair_against_classes(spec, route)
+            assert value == reference_pairing(spec, route), (classes, route)
+            if classes == NON_POLYNOMIAL and route == ZW:
+                assert not value.is_polynomial()
