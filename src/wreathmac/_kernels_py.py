@@ -81,15 +81,6 @@ def umul(a, b):
     return utrim(out)
 
 
-def uadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, bi in enumerate(b):
-        out[i] += bi
-    return utrim(out)
-
-
 def uscale(a, c):
     if not c:
         return []
@@ -246,12 +237,26 @@ def bdivexact(A, B):
         if c:
             q = udivexact(c, lb)
             out[k] = q
-            for j in range(db + 1):
+            # udivexact proved q*lb == c, so the leading row is cleared
+            A[k + db] = []
+            for j in range(db):
                 if B[j]:
-                    A[k + j] = uadd(A[k + j], uscale(umul(q, B[j]), -1))
+                    _usubmul(A[k + j], q, B[j])
     if any(A):
         raise ArithmeticError("non-exact bivariate division")
     return btrim(out)
+
+
+def _usubmul(a, q, b):
+    """a -= q*b in place, for nonzero q and b; a stays trimmed."""
+    n = len(q) + len(b) - 1
+    if len(a) < n:
+        a.extend([0] * (n - len(a)))
+    for i, qi in enumerate(q):
+        if qi:
+            for j, bj in enumerate(b):
+                a[i + j] -= qi * bj
+    utrim(a)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +266,22 @@ def bdivexact(A, B):
 HEU_GCD_TRIES = 6
 
 
+class Gcd(list):
+    """A gcd G of A and B in the recursive dense form, as a list, with the
+    cofactors ``quotients = (A/G, B/G)`` in the same form."""
+
+    __slots__ = ("quotients",)
+
+    def __init__(self, G, qa, qb):
+        super().__init__(G)
+        self.quotients = (qa, qb)
+
+
 def bgcd(A, B):
     """gcd in Z[z][w] by GCDHEU, the heuristic integer-gcd method of Char,
-    Geddes & Gonnet (J. Symb. Comp. 7, 1989, 31-48).
+    Geddes & Gonnet (J. Symb. Comp. 7, 1989, 31-48), returned as a ``Gcd``:
+    the gcd G, which compares equal to and indexes like its list, with the
+    cofactors ``G.quotients = (A/G, B/G)``.
 
     The common integer content is taken out.  Then z -> xi maps A and B to
     Z[w], their gcd there is found by the same method one level down
@@ -275,43 +293,48 @@ def bgcd(A, B):
 
     for that level's inputs, |.|_inf being the largest absolute coefficient.
     Under this bound the theorem behind GCDHEU holds: a primitive candidate
-    that divides both inputs exactly is their gcd.  So the exact division by
-    ``bdivexact`` proves each result; a smaller xi (SymPy's ``99*isqrt(B)``)
-    would turn the proof into a guess.  A point at which a leading
-    coefficient vanishes is skipped, and xi grows as in SymPy.  After
-    ``HEU_GCD_TRIES`` failed points the subresultant PRS ``_bgcd_prs``
-    computes the gcd.
+    that divides both inputs exactly is their gcd.  So the exact divisions
+    prove each result, and their quotients are the cofactors (those of the
+    content-free inputs by the primitive candidate are A/G and B/G); a
+    smaller xi (SymPy's ``99*isqrt(B)``) would turn the proof into a guess.
+    A point at which a leading coefficient vanishes is skipped, and xi grows
+    as in SymPy.  After ``HEU_GCD_TRIES`` failed points the subresultant PRS
+    ``_bgcd_prs`` computes the gcd, and one division per input its
+    cofactors.
 
-    The result has a positive leading coefficient; a zero operand returns
-    the other operand as it is.
+    The gcd has a positive leading coefficient; a zero operand returns the
+    other operand as it is, with the cofactors 0 and 1.
     """
     A = btrim([utrim(list(ai)) for ai in A])
     B = btrim([utrim(list(ai)) for ai in B])
     if not A:
-        return B
+        return Gcd(B, [], [[1]])
     if not B:
-        return A
+        return Gcd(A, [[1]], [])
     c = _igcd(_bicontent(A), _bicontent(B))
     if c != 1:
         A = [udivexact_int(ai, c) for ai in A]
         B = [udivexact_int(bi, c) for bi in B]
     if (len(A) == 1 and len(A[0]) == 1) or (len(B) == 1 and len(B[0]) == 1):
-        return [[c]]  # a constant operand
+        return Gcd([[c]], A, B)  # a constant operand
     xi = 2 * min(_bnorm(A), _bnorm(B)) + 2
     for _ in range(HEU_GCD_TRIES):
-        G = _bgcd_heu_at(A, B, xi)
-        if G is not None:
+        found = _bgcd_heu_at(A, B, xi)
+        if found is not None:
+            G, qa, qb = found
             break
         xi = _next_xi(xi)
     else:
         G = _bgcd_prs(A, B)
         if G[-1][-1] < 0:
             G = [uscale(gi, -1) for gi in G]
-    return G if c == 1 else [uscale(gi, c) for gi in G]
+        qa, qb = bdivexact(A, G), bdivexact(B, G)
+    return Gcd(G if c == 1 else [uscale(gi, c) for gi in G], qa, qb)
 
 
 def _bgcd_heu_at(A, B, xi):
-    """One GCDHEU try at z -> xi for primitive A, B; None if it fails."""
+    """One GCDHEU try at z -> xi for primitive A, B: ``(G, A/G, B/G)``, or
+    None if it fails."""
     if not (_ueval(A[-1], xi) and _ueval(B[-1], xi)):
         return None
     h = _ugcd_heu([_ueval(ai, xi) for ai in A], [_ueval(bi, xi) for bi in B])
@@ -322,9 +345,15 @@ def _bgcd_heu_at(A, B, xi):
     G = [udivexact_int(gi, g) for gi in G]
     if G[-1][-1] < 0:
         G = [uscale(gi, -1) for gi in G]
-    if G == [[1]] or (_bdivides(A, G) and _bdivides(B, G)):
-        return G
-    return None
+    if G == [[1]]:
+        return G, A, B
+    qa = _bquo(A, G)
+    if qa is None:
+        return None
+    qb = _bquo(B, G)
+    if qb is None:
+        return None
+    return G, qa, qb
 
 
 def _ugcd_heu(a, b):
@@ -403,12 +432,12 @@ def _udivides(a, b):
     return True
 
 
-def _bdivides(A, B):
+def _bquo(A, B):
+    """A/B when B divides A exactly, else None."""
     try:
-        bdivexact(A, B)
+        return bdivexact(A, B)
     except ArithmeticError:
-        return False
-    return True
+        return None
 
 
 def _bprem(A, B):
@@ -428,7 +457,7 @@ def _bprem(A, B):
         A[-1] = []
         for j in range(db):
             if B[j]:
-                A[da - db + j] = uadd(A[da - db + j], uscale(umul(la, B[j]), -1))
+                _usubmul(A[da - db + j], la, B[j])
         e -= 1
     for _ in range(e):
         A = [umul(ai, lb) for ai in A]

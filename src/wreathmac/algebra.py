@@ -356,17 +356,12 @@ class RatFun:
             g, cof = self.den, None
             t = _add(self.num, other.num)
         else:
-            g = _poly_gcd(self.den, other.den)
-            db = _poly_divexact(self.den, g)
-            dd = _poly_divexact(other.den, g)
+            g, db, dd = _poly_gcd(self.den, other.den)
             cof = _mul(db, dd)
             t = _add(_mul(self.num, dd), _mul(other.num, db))
         if t.is_zero():
             return RatFun.zero(self.vars)
-        h = _poly_gcd(t, g)
-        if not _is_one(h):
-            t = _poly_divexact(t, h)
-            g = _poly_divexact(g, h)
+        _, t, g = _poly_gcd(t, g)
         return _signed(t, g if cof is None else _mul(g, cof))
 
     __radd__ = __add__
@@ -394,13 +389,8 @@ class RatFun:
         self.num._check(other.num)
         # Henrici: once the cross gcds (integer content included) are
         # cancelled, the product of two reduced fractions is reduced
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1 = _poly_gcd(n1, d2)
-        if not _is_one(g1):
-            n1, d2 = _poly_divexact(n1, g1), _poly_divexact(d2, g1)
-        g2 = _poly_gcd(n2, d1)
-        if not _is_one(g2):
-            n2, d1 = _poly_divexact(n2, g2), _poly_divexact(d1, g2)
+        _, n1, d2 = _poly_gcd(self.num, other.den)
+        _, n2, d1 = _poly_gcd(other.num, self.den)
         return _signed(_mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
@@ -511,17 +501,9 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     if cg > 1:
         nt = {e: c // cg for e, c in nt.items()}
         dt = {e: c // cg for e, c in dt.items()}
-    # polynomial gcd; a one-term side can share nothing further: the joint
-    # exponent shift and the content extraction above already make the gcd 1
-    if not (len(nt) == 1 or len(dt) == 1):
-        nr, dr = _to_rec(nt), _to_rec(dt)
-        g = kernels.bgcd(nr, dr)
-        if g != [[1]]:
-            nt = _from_rec(kernels.bdivexact(nr, g))
-            dt = _from_rec(kernels.bdivexact(dr, g))
-    # integer-valued and zero-free: the Fractions are cleared above
-    num = _poly(vars, nt)
-    den = _poly(vars, dt)
+    # polynomial gcd of the integer-valued, zero-free parts (the Fractions
+    # are cleared above)
+    _, num, den = _poly_gcd(_poly(vars, nt), _poly(vars, dt))
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den
@@ -542,27 +524,40 @@ def _is_one(p: LaurentPoly) -> bool:
     return p.terms == {(0, 0): 1}
 
 
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """gcd in Z[x, y] of two integer-coefficient ordinary polynomials (same
-    vars), integer content included, as ``kernels.bgcd`` computes it.
-
-    Against a one-term operand c*x^i*y^j of a nonzero other operand the gcd
-    is the monomial of the exponent minima with the integer gcd of c and the
-    other operand's content, so no kernel runs."""
+def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """``(g, a/g, b/g)`` with g the gcd in Z[x, y] of two integer-coefficient
+    ordinary polynomials (same vars), integer content included, as
+    ``kernels.bgcd`` computes it; when g is 1 the cofactors are a and b
+    themselves."""
     if len(b.terms) == 1 and a.terms:
-        a, b = b, a
+        g, qb, qa = _monomial_gcd(b, a)
+        return g, qa, qb
     if len(a.terms) == 1 and b.terms:
-        ((i, j), c), = a.terms.items()
-        g = c if c > 0 else -c
-        for (x, y), v in b.terms.items():
-            if g != 1:
-                g = _igcd(g, v)
-            if x < i:
-                i = x
-            if y < j:
-                j = y
-        return _poly(a.vars, {(i, j): g})
-    return _poly(a.vars, _from_rec(kernels.bgcd(_to_rec(a.terms), _to_rec(b.terms))))
+        return _monomial_gcd(a, b)
+    G = kernels.bgcd(_to_rec(a.terms), _to_rec(b.terms))
+    if G == [[1]]:
+        return _poly(a.vars, {(0, 0): 1}), a, b
+    qa, qb = G.quotients
+    return _poly(a.vars, _from_rec(G)), _poly(a.vars, _from_rec(qa)), _poly(a.vars, _from_rec(qb))
+
+
+def _monomial_gcd(m: LaurentPoly, p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """``_poly_gcd`` of a one-term m = c*x^i*y^j and a nonzero p, without the
+    kernel: the gcd is the monomial of the exponent minima with the integer
+    gcd of c and the content of p."""
+    ((i, j), c), = m.terms.items()
+    g = c if c > 0 else -c
+    for (x, y), v in p.terms.items():
+        if g != 1:
+            g = _igcd(g, v)
+        if x < i:
+            i = x
+        if y < j:
+            j = y
+    g = _poly(m.vars, {(i, j): g})
+    if _is_one(g):
+        return g, m, p
+    return g, _poly_divexact(m, g), _poly_divexact(p, g)
 
 
 def _poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -146,7 +146,8 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
     values = [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
     lcm = LaurentPoly.const(1, route)
     for v in values:
-        lcm = _mul(lcm, _poly_divexact(v.den, _poly_gcd(lcm, v.den)))
+        # times v.den / gcd(lcm, v.den), the gcd's second cofactor
+        lcm = _mul(lcm, _poly_gcd(lcm, v.den)[2])
     return tuple(_mul(v.num, _poly_divexact(lcm, v.den)) for v in values), lcm
 
 

@@ -28,8 +28,8 @@ def solve_unique(rows: list[list[RatFun]], rhs: list[RatFun]) -> list[RatFun]:
     for row, b in zip(rows, rhs):
         den = one
         for entry in row + [b]:
-            g = _poly_gcd(den, entry.den)
-            den = den * _poly_divexact(entry.den, g)
+            # times entry.den / gcd(den, entry.den), the gcd's second cofactor
+            den = den * _poly_gcd(den, entry.den)[2]
         cleared = [entry.num * _poly_divexact(den, entry.den) for entry in row + [b]]
         mat.append(cleared)
 

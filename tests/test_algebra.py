@@ -280,10 +280,14 @@ def test_sums_and_products_cancel_the_shared_factor():
 @PROPERTY_SETTINGS
 @given(st.one_of(monomials, constants), polys)
 def test_monomial_gcd_equals_kernel_gcd(m, p):
+    # the gcd and both cofactors, in either operand order
     assume(not p.is_zero())
-    expected = _from_rec(kernels.bgcd(_to_rec(m.terms), _to_rec(p.terms)))
-    assert _poly_gcd(m, p).terms == expected
-    assert _poly_gcd(p, m).terms == expected
+    G = kernels.bgcd(_to_rec(m.terms), _to_rec(p.terms))
+    expected = (_from_rec(G), *(_from_rec(q) for q in G.quotients))
+    g, qm, qp = _poly_gcd(m, p)
+    assert (g.terms, qm.terms, qp.terms) == expected
+    g, qp, qm = _poly_gcd(p, m)
+    assert (g.terms, qm.terms, qp.terms) == expected
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,9 @@
-"""Kernel checks: products and sums against references computed here, and
-the heuristic gcd against a known answer and against the subresultant PRS."""
+"""Kernel checks: products and sums against references computed here, the
+heuristic gcd against a known answer and against the subresultant PRS, its
+cofactors against the reference product, and exact division against planted
+quotients and remainders."""
+
+import pytest
 
 from wreathmac import _kernels_py as pyk
 from wreathmac import kernels
@@ -126,6 +130,70 @@ def test_gcd_fallback_matches_prs(rng, monkeypatch):
     for a, b in planted_pairs(rng, 60):
         g, want = kernels.bgcd(a, b), pyk._bgcd_prs(a, b)
         assert g in (want, neg(want))
+
+
+def assert_cofactors(a, b):
+    g = kernels.bgcd(a, b)
+    qa, qb = g.quotients
+    assert rec_mul(g, qa) == a
+    assert rec_mul(g, qb) == b
+
+
+# zero and constant operands, integer content included
+EDGE_PAIRS = (
+    ([], []),
+    ([], [[0, 2], [4]]),
+    ([[0, -2], [4]], []),
+    ([[6]], [[0, 4], [2, 8]]),
+    ([[0, 4], [2, 8]], [[-6]]),
+    ([[3]], [[5]]),
+)
+
+
+def test_gcd_cofactors_multiply_back(rng):
+    for a, b in EDGE_PAIRS:
+        assert_cofactors(a, b)
+    for a, b in planted_pairs(rng):
+        assert_cofactors(a, b)
+
+
+def test_fallback_gcd_cofactors_multiply_back(rng, monkeypatch):
+    monkeypatch.setattr(pyk, "HEU_GCD_TRIES", 0)
+    for a, b in EDGE_PAIRS:
+        assert_cofactors(a, b)
+    for a, b in planted_pairs(rng, 60):
+        assert_cofactors(a, b)
+
+
+def rec_add(a, b):
+    return as_rec(ref_padd(as_dict(a), as_dict(b)))
+
+
+def test_divexact_raises_on_a_remainder(rng):
+    for _ in range(200):
+        q = rand_rec(rng, 4, 4, 6)
+        b = rand_rec(rng, 4, 4, 6)
+        if not (q and b) or b == [[1]] or b == [[-1]]:
+            continue
+        qb = rec_mul(q, b)
+        assert kernels.bdivexact(qb, b) == q
+        # a nonzero remainder below the w-degree of b: the leading rows of
+        # q*b + r divide, and only a lower row is left over
+        if len(b) > 1:
+            r = rand_rec(rng, len(b), 4, 6)
+            if r:
+                with pytest.raises(ArithmeticError):
+                    kernels.bdivexact(rec_add(qb, r), b)
+        # a remainder r(z)*w^m in any row m: its divisors have one nonzero
+        # row, so b with two does not divide it, nor does b(z) alone when
+        # r has the lower z-degree
+        nonzero_rows = sum(1 for row in b if row)
+        if nonzero_rows > 1 or len(b[0]) > 1:
+            r = pyk.utrim([rng.randrange(-6, 7) for _ in range(3 if nonzero_rows > 1 else len(b[0]) - 1)])
+            if r:
+                m = rng.randrange(0, len(qb) + 1)
+                with pytest.raises(ArithmeticError):
+                    kernels.bdivexact(rec_add(qb, [[]] * m + [r]), b)
 
 
 def test_gcd_divides_products(rng):
