@@ -365,7 +365,7 @@ CRITERIA = [
 ]
 
 
-def run_criteria(filter_substr: str = "", seed: int = 20240801) -> list[CriterionResult]:
+def run_criteria(filter_substr: str = "") -> list[CriterionResult]:
     results = []
     for name, fn in CRITERIA:
         if filter_substr and filter_substr not in name:

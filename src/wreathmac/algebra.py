@@ -400,6 +400,10 @@ class RatFun:
         so only integer content and sign need renormalizing."""
         if p == 0:
             return RatFun.zero(self.vars)
+        if p == q:
+            return self
+        if p == -q:
+            return -self
         if q < 0:
             p, q = -p, -q
         nt = kernels.pscale(self.num.terms, p)

@@ -213,7 +213,7 @@ def cmd_selftest(args) -> int:
     except ImportError as exc:
         return _missing_numpy(exc)
 
-    results = run_criteria(filter_substr=args.filter, seed=args.seed)
+    results = run_criteria(filter_substr=args.filter)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--filter", default="")
-    p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_selftest)
     return parser

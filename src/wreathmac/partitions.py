@@ -18,8 +18,6 @@ from .algebra import QT, ZW, LaurentPoly, RatFun
 Partition = tuple[int, ...]
 BiPartition = tuple[Partition, Partition]
 
-EMPTY: Partition = ()
-
 
 def check_partition(lam) -> Partition:
     lam = tuple(int(x) for x in lam if x)
@@ -28,16 +26,8 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def size2(bp: BiPartition) -> int:
     return sum(bp[0]) + sum(bp[1])
-
-
-def length2(bp: BiPartition) -> int:
-    return len(bp[0]) + len(bp[1])
 
 
 def dual(lam: Partition) -> Partition:
@@ -64,11 +54,6 @@ def z_stat(lam: Partition) -> int:
         mult[x] = mult.get(x, 0) + 1
         z *= x * mult[x]
     return z
-
-
-def z_stat2(bp: BiPartition) -> int:
-    """Signed-cycle centralizer order: 2^len * z(first) * z(second)."""
-    return (1 << length2(bp)) * z_stat(bp[0]) * z_stat(bp[1])
 
 
 def partitions_of(n: int, max_part: int | None = None):

@@ -63,8 +63,8 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             cot = hook_product(lam, DEFORMED_ZW, even_only=True)
             den_deformed = double_to_zw(pairing.nabla) * cot
             coeff = num / (den_plain * den_deformed ** (k - 1))
-            factor = wreath_H(bp, core).expansion.map_coeffs(double_to_zw)
-            factor = SymFunc2(factor.basis, factor.coeffs, ZW)
+            f2 = wreath_H(bp, core).expansion
+            factor = SymFunc2(f2.basis, {key: double_to_zw(c) for key, c in f2.coeffs.items()}, ZW)
             out.append(SeriesTerm(bp, n, coeff, factor))
     return out
 
@@ -173,10 +173,8 @@ def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
                 q ** ((2 - 2 * g - k) * n)
                 * (hook_poly(lam) ** 2 * q ** (-2 * n_stat(lam))) ** (2 * g + 2 * k - 2)
             )
-            factor = (
-                embed_diagonal(SymFunc1.basis_elem("s", lam))
-                .scalar_plethysm(inv1mq)
-                .to_basis("s2")
-            )
+            # scalar plethysm commutes with the diagonal embedding
+            s_lam = SymFunc1.basis_elem("s", lam).scalar_plethysm(inv1mq)
+            factor = embed_diagonal(s_lam).to_basis("s2")
             out.append(SeriesTerm(lam, n, coeff, factor))
     return out

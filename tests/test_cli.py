@@ -178,6 +178,7 @@ def test_usage_errors_exit_3(capsys):
         (["compute", "--g", "x", "--k", "1", "--n", "2", "--class", "0,0:"], "invalid int"),
         (["oracle", "--q", "x", "--n", "1", "--g", "1"], "argument --q: invalid int"),
         (["wreath-mac", "--size", "1"], "required: --core"),
+        (["selftest", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["bogus"], "invalid choice"),
         ([], "required: command"),
     )

@@ -6,6 +6,7 @@ from wreathmac.series import (
     star_series_terms,
     wreath_series_terms,
 )
+from wreathmac.symfunc import SymFunc1, embed_diagonal
 
 z = RatFun.var(0, ZW)
 w = RatFun.var(1, ZW)
@@ -94,3 +95,17 @@ def test_one_param_star_factor():
     # s_1[(x0+x1)/(1-q)] = (p1(x0) + p1(x1))/(1-q)
     c = (RatFun.one() - q).inverse()
     assert f.to_basis("s2").coeffs == {((1,), ()): c, ((), (1,)): c}
+
+
+def test_one_param_star_factors_match_the_substituted_alphabet():
+    # s_lam[(x0+x1)/(1-q)] by the two-alphabet route: substitute the scaled
+    # identity matrix into the diagonal image of s_lam
+    c = (RatFun.one() - q).inverse()
+    zero = RatFun.zero()
+    scaled = [[c, zero], [zero, c]]
+    terms = one_param_star_terms(0, 1, 4)
+    assert len(terms) == 1 + 1 + 2 + 3 + 5
+    for t in terms:
+        image = embed_diagonal(SymFunc1.basis_elem("s", t.index))
+        expect = image.alphabet_substitute(scaled).to_basis("s2")
+        assert t.factor.basis == "s2" and t.factor.coeffs == expect.coeffs, t.index

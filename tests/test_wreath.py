@@ -68,10 +68,8 @@ def test_qt_inner_examples():
     assert qt_inner2(H, H2).is_zero()
     assert qt_inner2(SymFunc2.one(), SymFunc2.one()) == one
     # symmetry of the pairing
-    s10 = SymFunc2.basis_elem("s2", ((1,), ()))
-    s01 = SymFunc2.basis_elem("s2", ((), (1,)))
-    f = s10 + s01.scale(q)
-    g = s01.scale(t) - s10
+    f = SymFunc2("s2", {((1,), ()): one, ((), (1,)): q})
+    g = SymFunc2("s2", {((1,), ()): -one, ((), (1,)): t})
     assert qt_inner2(f, g) == qt_inner2(g, f)
 
 
