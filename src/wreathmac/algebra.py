@@ -2,9 +2,10 @@
 field, with the power substitutions used by the polynomial specializations.
 
 A ``LaurentPoly`` is a sparse map from exponent pairs ``(a, b)`` (possibly
-negative) to nonzero rational coefficients, together with the pair of
-variable names.  A ``RatFun`` is a reduced fraction of two such polynomials
-in canonical form:
+negative) to nonzero integer coefficients, together with the pair of
+variable names; its operators, its gcd with cofactors and its exact
+division are the only polynomial arithmetic of the package.  A ``RatFun``
+is a reduced fraction of two such polynomials in canonical form:
 
 * numerator and denominator have integer coefficients and no negative
   exponents,
@@ -34,22 +35,18 @@ def _grlex_key(e: Expo):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in two named variables."""
+    """Sparse Laurent polynomial in two named variables with integer
+    coefficients."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, str], terms=None):
+    def __init__(self, vars: tuple[str, str], terms: dict):
+        # the polynomial owns ``terms``; it is copied only to drop zeros, so
+        # the zero-free dicts the kernels return are stored as they are
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
         self.vars = vars
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                # the type test first: an isinstance check against the
-                # Fraction ABC is slow, and most coefficients are ints
-                if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
-                    c = c.numerator
-                if c:
-                    clean[e] = c
-        self.terms = clean
+        self.terms = terms
 
     # -- constructors -------------------------------------------------------
 
@@ -115,14 +112,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self):
-        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly(self.vars, kernels.pscale(self.terms, other))
         self._check(other)
-        # the kernels only add and multiply coefficients, so Fraction
-        # coefficients pass through them unchanged
         return LaurentPoly(self.vars, kernels.pmul(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -149,29 +144,91 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
+    def gcd(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly", "LaurentPoly"]:
+        """``(g, self/g, other/g)`` with g the gcd in Z[x, y] of two ordinary
+        polynomials in the same variables, integer content included, as
+        ``kernels.bgcd`` computes it; when g is 1 the cofactors are the
+        operands themselves."""
+        if len(other.terms) == 1 and self.terms:
+            g, qb, qa = other._monomial_gcd(self)
+            return g, qa, qb
+        if len(self.terms) == 1 and other.terms:
+            return self._monomial_gcd(other)
+        G = kernels.bgcd(_to_rec(self.terms), _to_rec(other.terms))
+        if G == [[1]]:
+            return LaurentPoly.const(1, self.vars), self, other
+        qa, qb = G.quotients
+        return (
+            LaurentPoly(self.vars, _from_rec(G)),
+            LaurentPoly(self.vars, _from_rec(qa)),
+            LaurentPoly(self.vars, _from_rec(qb)),
+        )
+
+    def _monomial_gcd(self, p: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly", "LaurentPoly"]:
+        """``gcd`` of a one-term self = c*x^i*y^j and a nonzero p, without the
+        kernel: the gcd is the monomial of the exponent minima with the
+        integer gcd of c and the content of p."""
+        ((i, j), c), = self.terms.items()
+        g = c if c > 0 else -c
+        for (x, y), v in p.terms.items():
+            if g != 1:
+                g = _igcd(g, v)
+            if x < i:
+                i = x
+            if y < j:
+                j = y
+        if g == 1 and i == j == 0:
+            return LaurentPoly.const(1, self.vars), self, p
+        g = LaurentPoly(self.vars, {(i, j): g})
+        return g, self.divexact(g), p.divexact(g)
+
+    def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact quotient self/other; ``ArithmeticError`` when other does not
+        divide self.
+
+        By a one-term other = c*x^i*y^j it is an exponent shift and an
+        integer division of every coefficient, without the kernel."""
+        if len(other.terms) == 1:
+            ((i, j), c), = other.terms.items()
+            out = {}
+            for (x, y), v in self.terms.items():
+                qv, rv = divmod(v, c)
+                if rv or x < i or y < j:
+                    raise ArithmeticError("non-exact division by a monomial")
+                out[(x - i, y - j)] = qv
+            return LaurentPoly(self.vars, out)
+        return LaurentPoly(
+            self.vars, _from_rec(kernels.bdivexact(_to_rec(self.terms), _to_rec(other.terms)))
+        )
+
     # -- maps and evaluation ------------------------------------------------
 
     def shift(self, da: int, db: int) -> "LaurentPoly":
         return LaurentPoly(self.vars, {(a + da, b + db): c for (a, b), c in self.terms.items()})
 
+    def remap(self, f, vars: tuple[str, str]) -> "LaurentPoly":
+        """The polynomial in ``vars`` that sends each term c*x^a*y^b to
+        s*c times the monomial of exponent e, where ``(e, s) = f(a, b)`` and
+        s is 1 or -1; terms sent to one exponent add up."""
+        out: dict[Expo, int] = {}
+        for (a, b), c in self.terms.items():
+            e, s = f(a, b)
+            out[e] = out.get(e, 0) + s * c
+        return LaurentPoly(vars, out)
+
     def monomial_map(self, m: tuple[int, int, int, int], vars=None) -> "LaurentPoly":
         """Exponent substitution x -> x'^m00 y'^m01, y -> x'^m10 y'^m11."""
         m00, m01, m10, m11 = m
-        out: dict[Expo, object] = {}
-        for (a, b), c in self.terms.items():
-            key = (a * m00 + b * m10, a * m01 + b * m11)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return LaurentPoly(vars or self.vars, out)
+        return self.remap(
+            lambda a, b: ((a * m00 + b * m10, a * m01 + b * m11), 1), vars or self.vars
+        )
 
-    def eval_at(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        total = Fraction(0)
+    def eval_at(self, x, y):
+        """The value at a point; x and y are Fractions when an exponent is
+        negative, so that the value stays exact."""
+        total = 0
         for (a, b), c in self.terms.items():
-            total += Fraction(c) * x**a * y**b
+            total += c * x**a * y**b
         return total
 
     # -- rendering ----------------------------------------------------------
@@ -211,31 +268,10 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
 
-def _poly(vars, terms: dict) -> LaurentPoly:
-    """The LaurentPoly of a clean term dict (nonzero coefficients, none an
-    integral Fraction), stored as is.  ``LaurentPoly(...)`` copies and
-    cleans its dict, because Fraction coefficients can sum to integral
-    Fractions; the dicts the kernels return for integer inputs, and those
-    built below from integer polynomials, are clean already."""
-    p = object.__new__(LaurentPoly)
-    p.vars, p.terms = vars, terms
-    return p
-
-
-def _mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a*b for integer polynomials in the same variables."""
-    return _poly(a.vars, kernels.pmul(a.terms, b.terms))
-
-
-def _add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a+b for integer polynomials in the same variables."""
-    return _poly(a.vars, kernels.padd(a.terms, b.terms))
-
-
 def poly_from_json(triples, vars=QT) -> LaurentPoly:
     terms = {}
     for a, b, c in triples:
-        terms[(int(a), int(b))] = Fraction(c)
+        terms[(int(a), int(b))] = int(c)
     return LaurentPoly(vars, terms)
 
 
@@ -354,15 +390,15 @@ class RatFun:
         # divides t, so gcd(t, g) is all that can cancel
         if self.den == other.den:
             g, cof = self.den, None
-            t = _add(self.num, other.num)
+            t = self.num + other.num
         else:
-            g, db, dd = _poly_gcd(self.den, other.den)
-            cof = _mul(db, dd)
-            t = _add(_mul(self.num, dd), _mul(other.num, db))
+            g, db, dd = self.den.gcd(other.den)
+            cof = db * dd
+            t = self.num * dd + other.num * db
         if t.is_zero():
             return RatFun.zero(self.vars)
-        _, t, g = _poly_gcd(t, g)
-        return _signed(t, g if cof is None else _mul(g, cof))
+        _, t, g = t.gcd(g)
+        return _signed(t, g if cof is None else g * cof)
 
     __radd__ = __add__
 
@@ -389,9 +425,9 @@ class RatFun:
         self.num._check(other.num)
         # Henrici: once the cross gcds (integer content included) are
         # cancelled, the product of two reduced fractions is reduced
-        _, n1, d2 = _poly_gcd(self.num, other.den)
-        _, n2, d1 = _poly_gcd(other.num, self.den)
-        return _signed(_mul(n1, n2), _mul(d1, d2))
+        _, n1, d2 = self.num.gcd(other.den)
+        _, n2, d1 = other.num.gcd(self.den)
+        return _signed(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -412,7 +448,7 @@ class RatFun:
         if g != 1:
             nt = {e: c // g for e, c in nt.items()}
             dt = {e: c // g for e, c in dt.items()}
-        return _signed(_poly(self.vars, nt), _poly(self.vars, dt))
+        return _signed(LaurentPoly(self.vars, nt), LaurentPoly(self.vars, dt))
 
     def inverse(self):
         if self.is_zero():
@@ -458,6 +494,7 @@ class RatFun:
         return self.monomial_map((r, 0, 0, r))
 
     def eval_at(self, x, y) -> Fraction:
+        x, y = Fraction(x), Fraction(y)
         d = self.den.eval_at(x, y)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
@@ -488,26 +525,12 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     if sa or sb:
         num = num.shift(-sa, -sb)
         den = den.shift(-sa, -sb)
-    # clear rational coefficients
-    mult = 1
-    for c in num.terms.values():
-        if isinstance(c, Fraction):
-            mult = mult * c.denominator // _igcd(mult, c.denominator)
-    for c in den.terms.values():
-        if isinstance(c, Fraction):
-            mult = mult * c.denominator // _igcd(mult, c.denominator)
-    if mult != 1:
-        num = num * mult
-        den = den * mult
-    nt, dt = num.terms, den.terms
     # integer content
-    cg = _igcd(_int_content(nt), _int_content(dt))
+    cg = _igcd(_int_content(num.terms), _int_content(den.terms))
     if cg > 1:
-        nt = {e: c // cg for e, c in nt.items()}
-        dt = {e: c // cg for e, c in dt.items()}
-    # polynomial gcd of the integer-valued, zero-free parts (the Fractions
-    # are cleared above)
-    _, num, den = _poly_gcd(_poly(vars, nt), _poly(vars, dt))
+        num = LaurentPoly(vars, {e: c // cg for e, c in num.terms.items()})
+        den = LaurentPoly(vars, {e: c // cg for e, c in den.terms.items()})
+    _, num, den = num.gcd(den)
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den
@@ -522,63 +545,6 @@ def _signed(num: LaurentPoly, den: LaurentPoly) -> RatFun:
     r = object.__new__(RatFun)
     r.num, r.den = num, den
     return r
-
-
-def _is_one(p: LaurentPoly) -> bool:
-    return p.terms == {(0, 0): 1}
-
-
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """``(g, a/g, b/g)`` with g the gcd in Z[x, y] of two integer-coefficient
-    ordinary polynomials (same vars), integer content included, as
-    ``kernels.bgcd`` computes it; when g is 1 the cofactors are a and b
-    themselves."""
-    if len(b.terms) == 1 and a.terms:
-        g, qb, qa = _monomial_gcd(b, a)
-        return g, qa, qb
-    if len(a.terms) == 1 and b.terms:
-        return _monomial_gcd(a, b)
-    G = kernels.bgcd(_to_rec(a.terms), _to_rec(b.terms))
-    if G == [[1]]:
-        return _poly(a.vars, {(0, 0): 1}), a, b
-    qa, qb = G.quotients
-    return _poly(a.vars, _from_rec(G)), _poly(a.vars, _from_rec(qa)), _poly(a.vars, _from_rec(qb))
-
-
-def _monomial_gcd(m: LaurentPoly, p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """``_poly_gcd`` of a one-term m = c*x^i*y^j and a nonzero p, without the
-    kernel: the gcd is the monomial of the exponent minima with the integer
-    gcd of c and the content of p."""
-    ((i, j), c), = m.terms.items()
-    g = c if c > 0 else -c
-    for (x, y), v in p.terms.items():
-        if g != 1:
-            g = _igcd(g, v)
-        if x < i:
-            i = x
-        if y < j:
-            j = y
-    g = _poly(m.vars, {(i, j): g})
-    if _is_one(g):
-        return g, m, p
-    return g, _poly_divexact(m, g), _poly_divexact(p, g)
-
-
-def _poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a/b; ``ArithmeticError`` when b does not divide a.
-
-    By a one-term b = c*x^i*y^j it is an exponent shift and an integer
-    division of every coefficient, without the kernel."""
-    if len(b.terms) == 1:
-        ((i, j), c), = b.terms.items()
-        out = {}
-        for (x, y), v in a.terms.items():
-            qv, rv = divmod(v, c)
-            if rv or x < i or y < j:
-                raise ArithmeticError("non-exact division by a monomial")
-            out[(x - i, y - j)] = qv
-        return _poly(a.vars, out)
-    return _poly(a.vars, _from_rec(kernels.bdivexact(_to_rec(a.terms), _to_rec(b.terms))))
 
 
 # ---------------------------------------------------------------------------
@@ -598,24 +564,15 @@ def substitute_powers(p: RatFun, mode: str, d: int) -> RatFun:
         raise ValueError(f"unknown substitution mode {mode!r}")
     if d % 2:
         raise ValueError(f"odd dimension d={d}")
-    poly = p.as_poly()
-    out: dict[Expo, object] = {}
-    for (a, b), c in poly.terms.items():
+    def term(a: int, b: int):
         if (a + b) % 2:
             raise ValueError(f"monomial z^{a} w^{b} has odd total degree")
         qexp = (d + a - b) // 2
         if mode == "E":
-            key = (qexp, 0)
-            coeff = c
-        else:
-            key = (qexp, d + a)
-            coeff = -c if a % 2 else c
-        v = out.get(key, 0) + coeff
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return RatFun.from_poly(LaurentPoly(QT, out))
+            return (qexp, 0), 1
+        return (qexp, d + a), (-1 if a % 2 else 1)
+
+    return RatFun.from_poly(p.as_poly().remap(term, QT))
 
 
 def half_specialize(p: RatFun) -> RatFun:
@@ -642,15 +599,7 @@ def half_specialize(p: RatFun) -> RatFun:
         den = den.shift(1, 0)
 
     def spec(poly: LaurentPoly) -> LaurentPoly:
-        out: dict[Expo, object] = {}
-        for (a, b), c in poly.terms.items():
-            key = ((a - b) // 2, 0)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return LaurentPoly(QT, out)
+        return poly.remap(lambda a, b: (((a - b) // 2, 0), 1), QT)
 
     return RatFun(spec(num), spec(den))
 

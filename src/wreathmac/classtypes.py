@@ -1,7 +1,5 @@
-"""Combinatorial types of twisted conjugacy classes and of fixed characters:
-general types (two 2-partitions plus a multiset of partitions), simple types
-(eigenvalue multiplicity data), their duals, and the complete symmetric
-functions attached to them.
+"""Simple types of twisted conjugacy classes (eigenvalue multiplicity data)
+and the complete symmetric functions dual to them.
 """
 
 from __future__ import annotations
@@ -9,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import QT
-from .partitions import BiPartition, Partition, check_partition, size2
 from .symfunc import SymFunc1, SymFunc2, complete2, embed_diagonal
 
 
@@ -47,41 +44,12 @@ def parse_simple_type(s: str) -> SimpleType:
         raise ValueError(f"malformed class {s!r} (expected 'm+,m-:m1 m2 ...')") from exc
 
 
-@dataclass(frozen=True)
-class TypeData:
-    """General type: two 2-partitions and an unordered multiset of nonempty
-    partitions (stored sorted)."""
-
-    plus: BiPartition
-    minus: BiPartition
-    star: tuple[Partition, ...]
-
-    def __post_init__(self):
-        star = tuple(sorted((check_partition(p) for p in self.star), reverse=True))
-        if any(not p for p in star):
-            raise ValueError("star slots must be nonempty partitions")
-        object.__setattr__(self, "star", star)
-
-    @property
-    def size(self) -> int:
-        return size2(self.plus) + size2(self.minus) + sum(sum(p) for p in self.star)
-
-
-def simple_dual(beta: SimpleType) -> TypeData:
-    """Dual of a simple type: one-row partitions in the first slots."""
-    one_row = lambda m: ((m,) if m else (), ())
-    return TypeData(
-        plus=one_row(beta.m_plus),
-        minus=one_row(beta.m_minus),
-        star=tuple((m,) for m in beta.star),
-    )
-
-
-def h_of_type(omega: TypeData, vars=QT) -> SymFunc2:
-    """Product of complete symmetric functions: two-alphabet factors for the
-    2-partition slots, diagonal-alphabet factors for the star slots."""
-    out = complete2(omega.plus, vars) * complete2(omega.minus, vars)
-    for lam in omega.star:
-        out = out * embed_diagonal(SymFunc1.basis_elem("h", lam, vars))
+def h_of_type(beta: SimpleType, vars=QT) -> SymFunc2:
+    """Product of the complete symmetric functions dual to a simple type:
+    h_(m_plus) and h_(m_minus) of the first alphabet, and the
+    diagonal-alphabet h_(m) of each generic multiplicity m."""
+    out = complete2(((beta.m_plus,) if beta.m_plus else (), ()), vars)
+    out = out * complete2(((beta.m_minus,) if beta.m_minus else (), ()), vars)
+    for m in beta.star:
+        out = out * embed_diagonal(SymFunc1.basis_elem("h", (m,), vars))
     return out.to_basis("s2")
-

@@ -97,11 +97,17 @@ def cmd_oracle(args) -> int:
     # dependency that ``compute`` does not need, so they are imported by the
     # subcommands that use them
     try:
-        from .oracle import count_points, genericity_check, require_odd_prime
+        from .oracle import (
+            count_points,
+            genericity_check,
+            require_odd_prime,
+            require_within_reach,
+        )
     except ImportError as exc:
         return _missing_numpy(exc)
 
     try:
+        require_within_reach(args.n, args.g, args.q, len(args.eigs))
         require_odd_prime(args.q)
         if args.n not in (1, 2):
             raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={args.n}")
@@ -187,7 +193,7 @@ def cmd_wreath_mac(args) -> int:
                 label: {
                     "schur": {
                         bipartition_str(b): c.to_json()
-                        for b, c in sorted(H.expansion.coeffs.items())
+                        for b, c in sorted(H.coeffs.items())
                     },
                     "pairing": P.total.to_json(),
                     "pairing_cot": P.cot_at_one.to_json(),
@@ -200,7 +206,7 @@ def cmd_wreath_mac(args) -> int:
     else:
         for label, (H, P) in family.items():
             print(f"H[{label}]:")
-            for b, c in sorted(H.expansion.coeffs.items()):
+            for b, c in sorted(H.coeffs.items()):
                 print(f"  s{bipartition_str(b)} * ({c.text()})")
             print(f"  pairing = {P.total.text()}")
             print(f"  nabla   = {P.nabla.text()}")

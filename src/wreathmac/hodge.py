@@ -21,18 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import (
-    QT,
-    ZW,
-    LaurentPoly,
-    RatFun,
-    _add,
-    _mul,
-    _poly_divexact,
-    _poly_gcd,
-    substitute_powers,
-)
-from .classtypes import SimpleType, h_of_type, simple_dual
+from .algebra import QT, ZW, LaurentPoly, RatFun, substitute_powers
+from .classtypes import SimpleType, h_of_type
 from .series import (
     SeriesTerm,
     invert_series,
@@ -142,13 +132,13 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
     groups) against the complete function dual to the class type, as
     ``(numerators, E)``: the values are ``numerator / E`` over the lcm ``E``
     of their denominators."""
-    h = h_of_type(simple_dual(beta), route)
+    h = h_of_type(beta, route)
     values = [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
     lcm = LaurentPoly.const(1, route)
     for v in values:
         # times v.den / gcd(lcm, v.den), the gcd's second cofactor
-        lcm = _mul(lcm, _poly_gcd(lcm, v.den)[2])
-    return tuple(_mul(v.num, _poly_divexact(lcm, v.den)) for v in values), lcm
+        lcm = lcm * lcm.gcd(v.den)[2]
+    return tuple(v.num * lcm.divexact(v.den) for v in values), lcm
 
 
 def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
@@ -161,7 +151,7 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
     g, k, n = spec.g, spec.k, spec.n
     (first, den), *rest = [_class_column(route, g, k, n, beta) for beta in spec.classes]
     for _, lcm in rest:
-        den = _mul(den, lcm)
+        den = den * lcm
     total = RatFun.zero(route)
     i = 0
     for d, rows in _pairing_rows(route, g, k, n):
@@ -173,12 +163,12 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
             for column, _ in rest:
                 if value.is_zero():
                     break
-                value = _mul(value, column[i])
+                value = value * column[i]
             i += 1
             if not value.is_zero():
-                group = _add(group, _mul(value, num))
+                group = group + value * num
         if not group.is_zero():
-            total = total + RatFun(group, _mul(d, den))
+            total = total + RatFun(group, d * den)
     return total
 
 
@@ -271,13 +261,5 @@ def mixed_hodge(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[R
 
 
 def _set_t_minus_one(r: RatFun) -> RatFun:
-    poly = r.as_poly()
-    out: dict[tuple[int, int], object] = {}
-    for (a, b), c in poly.terms.items():
-        key = (a, 0)
-        v = out.get(key, 0) + (c if b % 2 == 0 else -c)
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return RatFun.from_poly(LaurentPoly(QT, out))
+    poly = r.as_poly().remap(lambda a, b: ((a, 0), -1 if b % 2 else 1), QT)
+    return RatFun.from_poly(poly)

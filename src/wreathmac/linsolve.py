@@ -8,7 +8,7 @@ consistency of redundant rows; both failure modes raise.
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly, RatFun, _poly_divexact, _poly_gcd
+from .algebra import LaurentPoly, RatFun
 
 
 class LinearSolveError(ArithmeticError):
@@ -29,8 +29,8 @@ def solve_unique(rows: list[list[RatFun]], rhs: list[RatFun]) -> list[RatFun]:
         den = one
         for entry in row + [b]:
             # times entry.den / gcd(den, entry.den), the gcd's second cofactor
-            den = den * _poly_gcd(den, entry.den)[2]
-        cleared = [entry.num * _poly_divexact(den, entry.den) for entry in row + [b]]
+            den = den * den.gcd(entry.den)[2]
+        cleared = [entry.num * den.divexact(entry.den) for entry in row + [b]]
         mat.append(cleared)
 
     nrows = len(mat)
@@ -53,7 +53,7 @@ def solve_unique(rows: list[list[RatFun]], rhs: list[RatFun]) -> list[RatFun]:
             fi = mat[i][c]
             for j in range(c, ncols + 1):
                 num = pivot * mat[i][j] - fi * mat[r][j]
-                mat[i][j] = _poly_divexact(num, prev) if not num.is_zero() else num
+                mat[i][j] = num.divexact(prev) if not num.is_zero() else num
         prev = pivot
         piv_rows.append(r)
         r += 1

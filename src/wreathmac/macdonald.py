@@ -10,19 +10,12 @@ Solved families are memoized per degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import RatFun
 from .linsolve import solve_unique
 from .partitions import Partition, dominance_geq, dual, partition_list
 from .symfunc import SymFunc1
-
-
-@dataclass(frozen=True)
-class MacdonaldPoly:
-    label: Partition
-    expansion: SymFunc1  # Schur basis over Q(q, t)
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +34,9 @@ def _plethysm_tables(n: int):
 
 
 @lru_cache(maxsize=None)
-def macdonald_H(lam: Partition) -> MacdonaldPoly:
+def macdonald_H(lam: Partition) -> SymFunc1:
+    """The Schur expansion of the modified Macdonald polynomial of lam, over
+    Q(q, t)."""
     lam = tuple(lam)
     n = sum(lam)
     basis = partition_list(n)
@@ -64,7 +59,7 @@ def macdonald_H(lam: Partition) -> MacdonaldPoly:
 
     sol = solve_unique(rows, rhs)
     coeffs = {mu: c for mu, c in zip(basis, sol) if not c.is_zero()}
-    return MacdonaldPoly(lam, SymFunc1("s", coeffs))
+    return SymFunc1("s", coeffs)
 
 
 def qt_inner1(f: SymFunc1, g: SymFunc1) -> RatFun:

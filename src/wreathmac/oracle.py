@@ -47,6 +47,34 @@ def require_odd_prime(q: int) -> None:
         raise ValueError(f"{q} is not an odd prime")
 
 
+# The most steps a count may take, per rank, set so that the largest accepted
+# input finishes in under 40 s on a 2-CPU x86 machine.  A rank-1 step is one
+# of the (q-1)^(2k) tuples of units (about 3 us at most).  A rank-2 count
+# makes 2k - 1 + g passes over GL_2(F_q): k pair products, k - 1 pair
+# convolutions, then for g >= 1 a commutator pass and g - 1 convolutions;
+# each visits about q^2 classes times q^4 elements, q^6 steps (about 0.1 us
+# each).  Its genericity check multiplies 2k factors for each of up to
+# 2^(2k) sign choices.  At q = 101 one rank-2 pass would also need over
+# 6 GB of arrays.
+WORK_LIMIT = {1: 10**7, 2: 4 * 10**8}
+
+
+def require_within_reach(n: int, g: int, q: int, twok: int) -> None:
+    """ValueError when the count at rank n takes more than ``WORK_LIMIT``
+    steps.  It reads the sizes only, so it runs before any other check."""
+    if n == 1:
+        work = (q - 1) ** twok
+    elif n == 2:
+        work = q**6 * (twok - 1 + g) + twok * 2**twok
+    else:
+        return
+    if q > 2 and work > WORK_LIMIT[n]:
+        raise ValueError(
+            f"out of reach: the rank-{n} count at q={q}, g={g} with {twok} "
+            f"--eigs takes more than {WORK_LIMIT[n]:.0e} steps"
+        )
+
+
 def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
     """Exhaustively test the products of squared eigenvalue choices.
 

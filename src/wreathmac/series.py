@@ -63,7 +63,7 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             cot = hook_product(lam, DEFORMED_ZW, even_only=True)
             den_deformed = double_to_zw(pairing.nabla) * cot
             coeff = num / (den_plain * den_deformed ** (k - 1))
-            f2 = wreath_H(bp, core).expansion
+            f2 = wreath_H(bp, core)
             factor = SymFunc2(f2.basis, {key: double_to_zw(c) for key, c in f2.coeffs.items()}, ZW)
             out.append(SeriesTerm(bp, n, coeff, factor))
     return out
@@ -80,7 +80,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
             coeff = num / double_to_zw(hook_product(lam, PAIRING_QT))
-            f1 = macdonald_H(lam).expansion
+            f1 = macdonald_H(lam)
             f1 = SymFunc1(f1.basis, {p: double_to_zw(c) for p, c in f1.coeffs.items()}, ZW)
             factor = embed_diagonal(f1).to_basis("s2")
             out.append(SeriesTerm(lam, n, coeff, factor))

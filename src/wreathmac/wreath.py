@@ -36,16 +36,7 @@ from .symfunc import SymFunc2
 
 
 @dataclass(frozen=True)
-class WreathMacPoly:
-    label: BiPartition
-    core: int
-    expansion: SymFunc2  # Schur basis over Q(q, t)
-
-
-@dataclass(frozen=True)
 class PairingData:
-    label: BiPartition
-    core: int
     total: RatFun  # <H, H> under the (q, t) inner product
     cot_at_one: RatFun  # even-hook product at u = 1
     nabla: RatFun  # total / cot_at_one, exact quotient
@@ -82,7 +73,9 @@ def _triangularity_tables(n: int):
 
 
 @lru_cache(maxsize=None)
-def wreath_H(alpha: BiPartition, core: int) -> WreathMacPoly:
+def wreath_H(alpha: BiPartition, core: int) -> SymFunc2:
+    """The Schur expansion of the wreath Macdonald polynomial of alpha at the
+    given 2-core, over Q(q, t)."""
     alpha = (tuple(alpha[0]), tuple(alpha[1]))
     if core not in (0, 1):
         raise ValueError("core must be 0 or 1")
@@ -108,13 +101,13 @@ def wreath_H(alpha: BiPartition, core: int) -> WreathMacPoly:
 
     sol = solve_unique(rows, rhs)
     coeffs = {bp: c for bp, c in zip(basis, sol) if not c.is_zero()}
-    return WreathMacPoly(alpha, core, SymFunc2("s2", coeffs))
+    return SymFunc2("s2", coeffs)
 
 
 @lru_cache(maxsize=None)
 def wreath_N(alpha: BiPartition, core: int) -> PairingData:
     alpha = (tuple(alpha[0]), tuple(alpha[1]))
-    H = wreath_H(alpha, core).expansion
+    H = wreath_H(alpha, core)
     total = qt_inner2(H, H)
     cot1 = hook_product(brace(alpha, core), PAIRING_QT, even_only=True)
-    return PairingData(alpha, core, total, cot1, total / cot1)
+    return PairingData(total, cot1, total / cot1)

@@ -1,7 +1,7 @@
 import pytest
 
 from wreathmac.algebra import RatFun
-from wreathmac.classtypes import SimpleType, TypeData, h_of_type, parse_simple_type, simple_dual
+from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
 
 one = RatFun.one()
 
@@ -17,22 +17,13 @@ def test_parse_simple_type():
         parse_simple_type("-1,0:")
 
 
-def test_simple_dual():
-    d = simple_dual(SimpleType(1, 0, ()))
-    assert d.plus == ((1,), ()) and d.minus == ((), ()) and d.star == ()
-    d = simple_dual(SimpleType(0, 0, (1,)))
-    assert d.plus == ((), ()) and d.star == ((1,),)
-    d = simple_dual(SimpleType(2, 0, ()))
-    assert d.plus == ((2,), ())
-
-
 def test_h_of_type():
     # dual of the multiplicity-one special class: h_1 in the first alphabet
-    f = h_of_type(simple_dual(SimpleType(1, 0, ())))
+    f = h_of_type(SimpleType(1, 0, ()))
     assert f.coeffs == {((1,), ()): one}
     # dual of a regular class: the diagonal h_1
-    f = h_of_type(simple_dual(SimpleType(0, 0, (1,))))
+    f = h_of_type(SimpleType(0, 0, (1,)))
     assert f.coeffs == {((1,), ()): one, ((), (1,)): one}
     # empty type
-    f = h_of_type(TypeData(((), ()), ((), ()), ()))
+    f = h_of_type(SimpleType(0, 0, ()))
     assert f.coeffs == {((), ()): one}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,29 @@ def test_oracle_rejects_bad_input_before_counting(capsys):
         out, err = capsys.readouterr()
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: ") and rule in err, (argv, err)
+
+
+def test_oracle_refuses_out_of_reach_input_at_once(capsys):
+    # without the limit, q = 101 at rank 2 needs over 6 GB of arrays, the
+    # generic 2 / 1 / ... / 1 at q = 7 tries 2^40 sign choices, and the
+    # rank-1 cases enumerate 10^12 and 4^24 tuples; the refusal comes
+    # before the primality check (trial division of a large q) too
+    cases = (
+        ["--q", "1000003", "--n", "2", "--g", "1", "--eigs", "2", "--eigs", "3"],
+        ["--q", "101", "--n", "2", "--g", "0", "--eigs", "2", "--eigs", "3"],
+        ["--q", "7", "--n", "2", "--g", "0", "--eigs", "2", *["--eigs", "1"] * 39],
+        ["--q", "1000003", "--n", "1", "--g", "1", "--eigs", "", "--eigs", ""],
+        ["--q", "5", "--n", "1", "--g", "0", *["--eigs", ""] * 24],
+        ["--q", str(10**40 + 1), "--n", "2", "--g", "1", "--eigs", "2", "--eigs", "3"],
+    )
+    for argv in cases:
+        start = time.perf_counter()
+        code = main(["oracle", *argv])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: out of reach") and "Traceback" not in err, err
+        assert elapsed < 1, (argv, elapsed)
 
 
 def test_selftest_filter(capsys):

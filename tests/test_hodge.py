@@ -6,7 +6,7 @@ import pytest
 
 from wreathmac import cli, hodge
 from wreathmac.algebra import QT, RatFun, ZW, poly_from_json
-from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type, simple_dual
+from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
 from wreathmac.hodge import (
     ProblemSpec,
     compute_hodge,
@@ -248,7 +248,7 @@ def reference_pairing(spec, route):
     first = wreath_terms(spec.n % 2, g, k, N)
     second = wreath_terms(0, g, k, N)
     inverted = hodge.invert_series(star_terms(g, k, N), N)
-    hs = [h_of_type(simple_dual(beta), route) for beta in spec.classes]
+    hs = [h_of_type(beta, route) for beta in spec.classes]
     total = RatFun.zero(route)
     for a, b, s in hodge._triples(first, second, inverted, N):
         phi = (a.factor * b.factor * s.factor).to_basis("s2")

@@ -1,6 +1,7 @@
 """The repository tracks no file that its .gitignore excludes (build
-outputs, generated sources, test logs), and the package defines no public
-name that only its tests use."""
+outputs, generated sources, test logs), the package defines no public name
+that only its tests use, and no module of it reads another's private
+names."""
 
 import ast
 import shutil
@@ -60,36 +61,99 @@ def _public_names(stmt) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
-def _referenced_names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
-            yield from (alias.name for alias in sub.names)
-        elif (
-            # a module's __all__ exports names to code outside the package
-            isinstance(sub, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in sub.targets)
-            and isinstance(sub.value, (ast.List, ast.Tuple))
+def _source_module(node: ast.ImportFrom):
+    """The module of the package an import reads from ("" for the package
+    itself), or None for an import from outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "wreathmac":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _cross_module_reads(module: str, tree, modules) -> set[tuple[str, str]]:
+    """(M, n) for each name n that a module reads from another module M of
+    the package: by ``from .M import n``, or as ``M.n`` on a module it
+    imported with ``from . import M``."""
+    reads, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _source_module(node)
+            for alias in node.names if source is not None else ():
+                if source == "" and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    reads.add((source or "__init__", alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
         ):
-            yield from (e.value for e in sub.value.elts if isinstance(e, ast.Constant))
+            reads.add((aliases[node.value.id], node.attr))
+    return {(m, n) for m, n in reads if m != module}
+
+
+def _unused_public_names(sources: dict[str, str]) -> list[str]:
+    """``M.n`` for each public name n defined at the top level of module M
+    that nothing in the package uses.  A use is ``from .M import n``, ``M.n``
+    on an imported module, a load inside M outside n's own definition, or
+    n in ``M.__all__``; an attribute of another object that merely has the
+    same spelling is not one."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined, used = [], set()
+    for module, tree in trees.items():
+        used |= _cross_module_reads(module, tree, trees)
+        for stmt in tree.body:
+            own = _public_names(stmt)
+            defined += [(module, name) for name in sorted(own)]
+            used.update(
+                (module, sub.id)
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in own
+            )
+            if (
+                # a module's __all__ exports names to code outside the package
+                isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                and isinstance(stmt.value, (ast.List, ast.Tuple))
+            ):
+                used.update((module, e.value) for e in stmt.value.elts if isinstance(e, ast.Constant))
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if (module, name) not in used and (module, name) not in ENTRY_POINTS
+    ]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
 def test_every_public_name_is_used():
     # a public name that no other code in the package reads is kept alive
     # only by its own test: it should be deleted or moved into that test
-    defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            own = _public_names(stmt)
-            defined += [(path.stem, name) for name in sorted(own)]
-            # a definition's own body does not count as a use of it
-            used.update(name for name in _referenced_names(stmt) if name not in own)
-    unused = [
-        f"{module}.{name}"
-        for module, name in defined
-        if name not in used and (module, name) not in ENTRY_POINTS
-    ]
+    unused = _unused_public_names(_package_sources())
     assert not unused, f"public names nothing in src/wreathmac uses: {unused}"
+
+
+def test_a_same_named_attribute_is_not_a_use():
+    # `beta.size` reads the attribute of a SimpleType, not a function
+    # `partitions.size`: a planted unused one is still reported
+    sources = _package_sources()
+    sources["partitions"] += "\n\ndef size(lam):\n    return sum(lam)\n"
+    assert _unused_public_names(sources) == ["partitions.size"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name belongs to its module; a module that imports one
+    # depends on a decision that its owner should keep to itself
+    sources = _package_sources()
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    private = sorted(
+        f"{module} reads {source}.{name}"
+        for module, tree in trees.items()
+        for source, name in _cross_module_reads(module, tree, trees)
+        if name.startswith("_")
+    )
+    assert not private, f"private names read across modules: {private}"
