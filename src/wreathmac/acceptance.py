@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import QT, ZW, RatFun, half_specialize, poly_from_json
+from .algebra import ZW, RatFun, half_specialize, poly_from_json
 from .classtypes import parse_simple_type
 from .hodge import ProblemSpec, compute_hodge, e_polynomial
 from .macdonald import macdonald_H, qt_inner1
@@ -55,10 +55,10 @@ def _fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def _ratfun_from_fixture(value, vars=QT) -> RatFun:
+def _ratfun_from_fixture(value) -> RatFun:
     if isinstance(value, dict):
-        return RatFun(poly_from_json(value["num"], vars), poly_from_json(value["den"], vars))
-    return RatFun.from_poly(poly_from_json(value, vars))
+        return RatFun(poly_from_json(value["num"]), poly_from_json(value["den"]))
+    return RatFun.from_poly(poly_from_json(value))
 
 
 def _spec_from_fixture(entry) -> ProblemSpec:

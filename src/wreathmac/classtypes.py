@@ -1,5 +1,6 @@
 """Simple types of twisted conjugacy classes (eigenvalue multiplicity data)
-and the complete symmetric functions dual to them.
+and the complete symmetric functions dual to them, built as one-row Schur
+functions (h_m = s_(m)).
 """
 
 from __future__ import annotations
@@ -7,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import QT
-from .symfunc import SymFunc1, SymFunc2, complete2, embed_diagonal
+from .symfunc import SymFunc1, SymFunc2, embed_diagonal
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,10 @@ def h_of_type(beta: SimpleType, vars=QT) -> SymFunc2:
     """Product of the complete symmetric functions dual to a simple type:
     h_(m_plus) and h_(m_minus) of the first alphabet, and the
     diagonal-alphabet h_(m) of each generic multiplicity m."""
-    out = complete2(((beta.m_plus,) if beta.m_plus else (), ()), vars)
-    out = out * complete2(((beta.m_minus,) if beta.m_minus else (), ()), vars)
+    def first_alphabet(m):
+        return SymFunc2.basis_elem("s2", ((m,) if m else (), ()), vars)
+
+    out = first_alphabet(beta.m_plus) * first_alphabet(beta.m_minus)
     for m in beta.star:
-        out = out * embed_diagonal(SymFunc1.basis_elem("h", (m,), vars))
+        out = out * embed_diagonal(SymFunc1.basis_elem("s", (m,), vars))
     return out.to_basis("s2")

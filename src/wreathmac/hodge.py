@@ -173,15 +173,11 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
 
 
 def _triples(first, second, inverted, target: int):
-    by_size_a: dict[int, list[SeriesTerm]] = {}
-    for t in first:
-        by_size_a.setdefault(t.size, []).append(t)
-    by_size_b: dict[int, list[SeriesTerm]] = {}
-    for t in second:
-        by_size_b.setdefault(t.size, []).append(t)
-    by_size_s: dict[int, list[SeriesTerm]] = {}
-    for t in inverted:
-        by_size_s.setdefault(t.size, []).append(t)
+    by_size: list[dict[int, list[SeriesTerm]]] = [{}, {}, {}]
+    for terms, groups in zip((first, second, inverted), by_size):
+        for t in terms:
+            groups.setdefault(t.size, []).append(t)
+    by_size_a, by_size_b, by_size_s = by_size
     for sa in range(target + 1):
         for sb in range(target + 1 - sa):
             ss = target - sa - sb

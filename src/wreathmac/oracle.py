@@ -176,18 +176,14 @@ class _GL2:
 
     def _build_classes(self):
         keys = self._class_key(self.all_matrices())
-        uniq, inverse_map, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        # the first member of each class represents it
+        uniq, first, inverse_map, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.class_keys = uniq
         self.nclasses = len(uniq)
         self.class_of = inverse_map
         self.class_size = counts
-        self.key_to_class = {int(k): i for i, k in enumerate(uniq)}
-        first = np.zeros(self.nclasses, dtype=np.int64)
-        seen = np.zeros(self.nclasses, dtype=bool)
-        for idx in range(self.size):
-            ci = inverse_map[idx]
-            if not seen[ci]:
-                seen[ci] = True
-                first[ci] = idx
         self.class_rep = first
         # class of the inverse (same for every member)
         reps = tuple(x[first] for x in self.all_matrices())
@@ -195,12 +191,7 @@ class _GL2:
         self.inverse_class = self.class_index(inv_reps)
 
     def class_index(self, m):
-        keys = self._class_key(m)
-        if np.isscalar(keys) or keys.ndim == 0:
-            return self.key_to_class[int(keys)]
-        return np.array([self.key_to_class[int(k)] for k in np.ravel(keys)]).reshape(
-            np.shape(keys)
-        )
+        return np.searchsorted(self.class_keys, self._class_key(m))
 
     # -- distributions ------------------------------------------------------
 
@@ -258,22 +249,13 @@ class _GL2:
         return out
 
 
-@dataclass(frozen=True)
-class TwistedClass:
-    """A set of matrices M whose twisted elements form one or both rational
-    orbits of a semisimple class in the nonidentity component."""
-
-    eigenvalue: int
-    members: tuple[int, ...]  # indices into the group enumeration
-    orbits: str  # "single" or "both"
-
-
-def twisted_class(G: _GL2, a: int, orbits: str = "auto") -> TwistedClass:
-    """Matrices M with M*sigma in the rank-2 twisted class of eigenvalue a.
+def twisted_class(G: _GL2, a: int):
+    """Indices of the matrices M with M*sigma in the rank-2 twisted class of
+    eigenvalue a.
 
     For eigenvalue +-1 the class of the involution itself (the scalars); for
-    a^2 = -1 the centralizer is disconnected and both rational orbits are
-    returned by default; otherwise the single regular orbit.
+    a^2 = -1 (a disconnected centralizer) every rational orbit of the class,
+    the matrices of trace 0; otherwise the single regular orbit.
     """
     q = G.q
     a %= q
@@ -284,39 +266,19 @@ def twisted_class(G: _GL2, a: int, orbits: str = "auto") -> TwistedClass:
     det = G.det
     if a in (1, q - 1):
         mask = (am[1] == 0) & (am[2] == 0) & (am[0] == am[3])
-        got = "single"
     elif (a * a + 1) % q == 0:
         mask = tr == 0
-        got = "both"
-        if orbits == "single":
-            rep = np.array([a, 0, 0, (q - a) % q], dtype=np.int64)
-            members = _twisted_orbit(G, rep)
-            return TwistedClass(a, tuple(int(x) for x in members), "single")
     else:
         ainv = pow(a, -1, q)
         s = (a + ainv) % q
         mask = (tr * tr) % q == (det * s * s) % q
-        got = "single"
-    members = np.nonzero(mask)[0]
-    return TwistedClass(a, tuple(int(x) for x in members), got)
+    return np.nonzero(mask)[0]
 
 
-def _twisted_orbit(G: _GL2, rep):
-    """Orbit of M under g M sigma(g)^-1 = det(g) g M g^-1."""
+def twisted_pair_totals(G: _GL2, i1, i2) -> list[int]:
+    """Per class L, the number of pairs with (M1 sigma)(M2 sigma) in L, for
+    M1 and M2 the matrices at the indices i1 and i2."""
     allm = G.all_matrices()
-    allinv = G.inv(allm)
-    m = tuple(np.int64(x) for x in rep)
-    gm = G.matmul(allm, m)
-    gmg = G.matmul(gm, allinv)
-    out = tuple((x * G.det) % G.q for x in gmg)
-    return np.unique(G.code_lookup(out))
-
-
-def twisted_pair_totals(G: _GL2, s1: TwistedClass, s2: TwistedClass) -> list[int]:
-    """Per class L, the number of pairs with (M1 sigma)(M2 sigma) in L."""
-    allm = G.all_matrices()
-    i1 = np.array(s1.members, dtype=np.int64)
-    i2 = np.array(s2.members, dtype=np.int64)
     m2 = tuple(x[i2] for x in allm)
     sm2 = G.sigma(m2)
     totals = np.zeros(G.nclasses, dtype=object)
@@ -338,14 +300,10 @@ def _gl2(q: int) -> _GL2:
     return _GL2_CACHE[q]
 
 
-def count_points(n: int, g: int, q: int, eigenvalues: list[int], orbits=None) -> int:
+def count_points(n: int, g: int, q: int, eigenvalues: list[int]) -> int:
     """Number of points of the twisted character variety over F_q by brute
     force; rank n in {1, 2}.  eigenvalues gives one eigenvalue per puncture
     (rank 2) or an empty placeholder list handled by 2k = len(eigenvalues).
-
-    orbits, when given, is a per-puncture list of "single"/"both"/"auto"
-    selecting which rational orbits of a disconnected-centralizer class are
-    summed.
     """
     twok = len(eigenvalues)
     if twok % 2 or twok == 0:
@@ -355,8 +313,7 @@ def count_points(n: int, g: int, q: int, eigenvalues: list[int], orbits=None) ->
     if n != 2:
         raise ValueError("brute-force counting supports rank 1 and 2 only")
     G = _gl2(q)
-    orbits = orbits or ["auto"] * twok
-    sets = [twisted_class(G, a, o) for a, o in zip(eigenvalues, orbits)]
+    sets = [twisted_class(G, a) for a in eigenvalues]
     # distribution of the product of consecutive twisted pairs
     pair_vals = None
     for i in range(0, twok, 2):

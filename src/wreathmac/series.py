@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import QT, ZW, RatFun, double_to_zw
+from .algebra import ZW, RatFun, double_to_zw
 from .macdonald import macdonald_H
 from .partitions import (
     DEFORMED_ZW,
@@ -134,10 +134,10 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
 # one-parameter series
 
 
-def _p_matrix(vars=QT) -> list[list[RatFun]]:
+def _p_matrix() -> list[list[RatFun]]:
     """Inverse of [[1,-q],[-q,1]]: (1/(1-q^2)) [[1, q], [q, 1]]."""
-    q = RatFun.var(0, vars)
-    c = (RatFun.one(vars) - q * q).inverse()
+    q = RatFun.var(0)
+    c = (RatFun.one() - q * q).inverse()
     return [[c, c * q], [c * q, c]]
 
 

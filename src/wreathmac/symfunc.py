@@ -1,7 +1,6 @@
 """Symmetric functions in one alphabet and in a pair of alphabets.
 
-One-alphabet bases, indexed by partitions: schur "s", power "p", and
-complete "h" as a source basis only.
+One-alphabet bases, indexed by partitions: schur "s" and power "p".
 Two-alphabet bases, indexed by 2-partitions:
 
 * "s2": products s_{a}(x0) s_{b}(x1);
@@ -9,12 +8,13 @@ Two-alphabet bases, indexed by 2-partitions:
 * "wp": wreath power sums, products of p_r(x0) + p_r(x1) (first slot) and
   p_r(x0) - p_r(x1) (second slot); a source basis only.
 
-A function converts to the Schur and power bases of its alphabet.
-Transition tables are computed per degree and memoized.  Schur-to-power
+A function converts to the Schur and power bases of its alphabet through
+one memoized table per partition, applied to each alphabet.  Schur-to-power
 tables come from the Jacobi-Trudi determinant combined with the Newton
-expansion of the complete functions; symmetric-group character values are
-read off from those tables.  Coefficients are ``RatFun`` over a fixed
-variable pair; all values are immutable and operations pure.
+expansion of the complete functions; symmetric-group character values, and
+with them the power-to-Schur tables, are read off from those tables.
+Coefficients are ``RatFun`` over a fixed variable pair; all values are
+immutable and operations pure.
 """
 
 from __future__ import annotations
@@ -118,6 +118,12 @@ def symgroup_char(lam: Partition, mu: Partition) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
+def _power_to_schur(mu: Partition) -> dict[Partition, int]:
+    """p_mu = sum over lam of chi^lam_mu s_lam."""
+    return {lam: chi for lam in partition_list(sum(mu)) if (chi := symgroup_char(lam, mu))}
+
+
 # ---------------------------------------------------------------------------
 # sparse symmetric functions
 
@@ -165,17 +171,25 @@ class _SymFunc:
                 total = total + c * d
         return total
 
+    def _change(self, basis: str, table):
+        """This function in ``basis``, each index expanded by ``_expand``
+        through the per-partition transition ``table``."""
+        out: dict = {}
+        for k, c in self.coeffs.items():
+            for key, f in self._expand(k, table):
+                _acc(out, key, c * f)
+        return type(self)(basis, out, self.vars)
+
     def __repr__(self):
         parts = ", ".join(f"{k}: {c.text()}" for k, c in sorted(self.coeffs.items()))
         return f"{type(self).__name__}[{self.basis}]({parts})"
 
 
 class SymFunc1(_SymFunc):
-    """Symmetric function in one alphabet, indexed by partitions; "h" is a
-    source basis only."""
+    """Symmetric function in one alphabet, indexed by partitions."""
 
     __slots__ = ()
-    BASES = ("s", "p", "h")
+    BASES = ("s", "p")
     SCHUR = "s"
     EMPTY = ()
 
@@ -186,27 +200,13 @@ class SymFunc1(_SymFunc):
     def to_basis(self, basis: str) -> "SymFunc1":
         if basis == self.basis:
             return self
-        if basis not in ("s", "p"):
+        if basis not in self.BASES:
             raise ValueError(f"cannot convert to basis {basis!r}")
-        p = self if self.basis == "p" else self._to_power()
-        return p if basis == "p" else p._power_to_schur()
+        return self._change(basis, schur_to_power if basis == "p" else _power_to_schur)
 
-    def _to_power(self) -> "SymFunc1":
-        table = schur_to_power if self.basis == "s" else _hmono_to_power
-        out: dict[Partition, RatFun] = {}
-        for k, c in self.coeffs.items():
-            for mu, f in table(k).items():
-                _acc(out, mu, c * f)
-        return SymFunc1("p", out, self.vars)
-
-    def _power_to_schur(self) -> "SymFunc1":
-        out: dict[Partition, RatFun] = {}
-        for mu, c in self.coeffs.items():
-            for lam in partition_list(sum(mu)):
-                chi = symgroup_char(lam, mu)
-                if chi:
-                    _acc(out, lam, c * chi)
-        return SymFunc1("s", out, self.vars)
+    @staticmethod
+    def _expand(lam: Partition, table):
+        return table(lam).items()
 
     def scalar_plethysm(self, c: RatFun) -> "SymFunc1":
         """u(Z) -> u[c Z]: multiply p_mu by prod over parts r of c(x^r, y^r)."""
@@ -262,37 +262,20 @@ class SymFunc2(_SymFunc):
             return self
         if basis not in ("s2", "p2"):
             raise ValueError(f"cannot convert to basis {basis!r}")
-        if self.basis == "s2":
-            p = self._s2_to_p2()
-        elif self.basis == "wp":
+        f = self
+        if self.basis == "wp":
             # p_r(x0) + p_r(x1) in the first slot, p_r(x0) - p_r(x1) in the second
-            p = self._expand_p2(lambda slot, r: (1, 1) if slot == 0 else (1, -1))
-        else:
-            p = self
-        return p if basis == "p2" else p._p2_to_s2()
+            f = self._expand_p2(lambda slot, r: (1, 1) if slot == 0 else (1, -1))
+            if basis == "p2":
+                return f
+        return f._change(basis, schur_to_power if basis == "p2" else _power_to_schur)
 
-    def _s2_to_p2(self) -> "SymFunc2":
-        out: dict[BiPartition, RatFun] = {}
-        for (l0, l1), c in self.coeffs.items():
-            t0 = schur_to_power(l0)
-            t1 = schur_to_power(l1)
-            for m0, f0 in t0.items():
-                for m1, f1 in t1.items():
-                    _acc(out, (m0, m1), c * (f0 * f1))
-        return SymFunc2("p2", out, self.vars)
-
-    def _p2_to_s2(self) -> "SymFunc2":
-        out: dict[BiPartition, RatFun] = {}
-        for (m0, m1), c in self.coeffs.items():
-            for l0 in partition_list(sum(m0)):
-                chi0 = symgroup_char(l0, m0)
-                if not chi0:
-                    continue
-                for l1 in partition_list(sum(m1)):
-                    chi1 = symgroup_char(l1, m1)
-                    if chi1:
-                        _acc(out, (l0, l1), c * (chi0 * chi1))
-        return SymFunc2("s2", out, self.vars)
+    @staticmethod
+    def _expand(bp: BiPartition, table):
+        """The table applied to each alphabet: the tensor product of the two
+        expansions."""
+        t0, t1 = table(bp[0]), table(bp[1])
+        return (((k0, k1), f0 * f1) for k0, f0 in t0.items() for k1, f1 in t1.items())
 
     def _expand_p2(self, row) -> "SymFunc2":
         """Replace each part r in slot i of an index by
@@ -328,17 +311,6 @@ def _insert_part(expansion, r: int, c0, c1):
 
 # ---------------------------------------------------------------------------
 # named constructors and derived quantities
-
-
-def complete2(bp: BiPartition, vars=QT) -> SymFunc2:
-    """h_{bp}(x) = h_{bp0}(x0) h_{bp1}(x1) expanded in the Schur basis."""
-    out: dict[BiPartition, RatFun] = {}
-    s0 = SymFunc1.basis_elem("h", bp[0], vars).to_basis("s")
-    s1 = SymFunc1.basis_elem("h", bp[1], vars).to_basis("s")
-    for l0, c0 in s0.coeffs.items():
-        for l1, c1 in s1.coeffs.items():
-            out[(l0, l1)] = c0 * c1
-    return SymFunc2("s2", out, vars)
 
 
 def embed_diagonal(f: SymFunc1) -> SymFunc2:

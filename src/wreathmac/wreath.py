@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import RatFun
-from .linsolve import solve_unique
+from .macdonald import triangular_family
 from .partitions import (
     PAIRING_QT,
     BiPartition,
@@ -61,15 +61,13 @@ def qt_inner2(f: SymFunc2, g: SymFunc2) -> RatFun:
 @lru_cache(maxsize=None)
 def _triangularity_tables(n: int):
     """Schur expansions of s_beta([[1,-q],[-q,1]] X) and the t-twin."""
-    q = RatFun.var(0)
-    t = RatFun.var(1)
-    tq = {}
-    tt = {}
-    for bp in bipartition_list(n):
-        s = SymFunc2.basis_elem("s2", bp)
-        tq[bp] = s.alphabet_substitute(_subst_matrix(q)).to_basis("s2").coeffs
-        tt[bp] = s.alphabet_substitute(_subst_matrix(t)).to_basis("s2").coeffs
-    return tq, tt
+    return tuple(
+        {
+            bp: SymFunc2.basis_elem("s2", bp).alphabet_substitute(m).to_basis("s2").coeffs
+            for bp in bipartition_list(n)
+        }
+        for m in (_subst_matrix(RatFun.var(0)), _subst_matrix(RatFun.var(1)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -80,27 +78,14 @@ def wreath_H(alpha: BiPartition, core: int) -> SymFunc2:
     if core not in (0, 1):
         raise ValueError("core must be 0 or 1")
     n = size2(alpha)
-    basis = bipartition_list(n)
-    tq, tt = _triangularity_tables(n)
     alpha_d = dual2(alpha)
-    zero = RatFun.zero()
-    top = ((n,) if n else (), ())
-
-    rows: list[list[RatFun]] = []
-    rhs: list[RatFun] = []
-    for gamma in basis:
-        if not induced_dominance_geq(gamma, alpha, core):
-            rows.append([tq[bp].get(gamma, zero) for bp in basis])
-            rhs.append(zero)
-    for gamma in basis:
-        if not induced_dominance_geq(gamma, alpha_d, core):
-            rows.append([tt[bp].get(gamma, zero) for bp in basis])
-            rhs.append(zero)
-    rows.append([RatFun.one() if bp == top else zero for bp in basis])
-    rhs.append(RatFun.one())
-
-    sol = solve_unique(rows, rhs)
-    coeffs = {bp: c for bp, c in zip(basis, sol) if not c.is_zero()}
+    coeffs = triangular_family(
+        bipartition_list(n),
+        _triangularity_tables(n),
+        lambda gamma: induced_dominance_geq(gamma, alpha, core),
+        lambda gamma: induced_dominance_geq(gamma, alpha_d, core),
+        ((n,) if n else (), ()),
+    )
     return SymFunc2("s2", coeffs)
 
 

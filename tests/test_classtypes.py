@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from wreathmac.algebra import RatFun
 from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
+from wreathmac.partitions import partition_list, z_stat
+from wreathmac.symfunc import SymFunc2
 
 one = RatFun.one()
 
@@ -27,3 +31,26 @@ def test_h_of_type():
     # empty type
     f = h_of_type(SimpleType(0, 0, ()))
     assert f.coeffs == {((), ()): one}
+
+
+def _h_in_power_sums(basis, m):
+    """h_m = sum over mu of p_mu / z_mu, in the first slot of a two-alphabet
+    power basis."""
+    return SymFunc2(
+        basis, {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
+    )
+
+
+def test_h_of_type_matches_power_sum_expansion():
+    # h_(m_plus) and h_(m_minus) in the first alphabet (p2), and for each
+    # generic multiplicity m the diagonal h_m (first slot of wp)
+    for n in range(5):
+        for m_plus in range(n + 1):
+            for m_minus in range(n + 1 - m_plus):
+                for star in partition_list(n - m_plus - m_minus):
+                    beta = SimpleType(m_plus, m_minus, star)
+                    want = _h_in_power_sums("p2", m_plus) * _h_in_power_sums("p2", m_minus)
+                    for m in star:
+                        want = want * _h_in_power_sums("wp", m)
+                    got = h_of_type(beta)
+                    assert got.basis == "s2" and got == want, beta

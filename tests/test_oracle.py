@@ -46,14 +46,21 @@ def test_rank_two_count_q13_both_orbits():
 
 def test_twisted_orbit_sizes():
     G = _gl2(7)
-    assert len(twisted_class(G, 1).members) == 6  # |GL2|/|SL2| = q - 1
-    assert len(twisted_class(G, 2).members) == G.size // 6
-    G13 = _gl2(13)
-    both = twisted_class(G13, 5)
-    assert both.orbits == "both"
-    assert len(both.members) == 13**2 * 12
-    single = twisted_class(G13, 5, "single")
-    assert len(single.members) == G13.size // 24  # split orthogonal centralizer
+    assert len(twisted_class(G, 1)) == 6  # |GL2|/|SL2| = q - 1
+    assert len(twisted_class(G, 2)) == G.size // 6
+    # a^2 = -1: both rational orbits, the matrices of trace 0
+    assert len(twisted_class(_gl2(13), 5)) == 13**2 * 12
+
+
+def test_class_data_match_the_elementwise_reference():
+    # each class is represented by its first member in the enumeration, and
+    # class_index reads back the class of every matrix
+    G = _gl2(7)
+    first = {}
+    for idx, ci in enumerate(G.class_of):
+        first.setdefault(int(ci), idx)
+    assert [first[ci] for ci in range(G.nclasses)] == list(G.class_rep)
+    assert (G.class_index(G.all_matrices()) == G.class_of).all()
 
 
 def test_frobenius_dihedral():

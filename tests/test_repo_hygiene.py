@@ -1,7 +1,7 @@
 """The repository tracks no file that its .gitignore excludes (build
 outputs, generated sources, test logs), the package defines no public name
-that only its tests use, and no module of it reads another's private
-names."""
+that only its tests use and no defaulted parameter that no call of it
+passes, and no module of it reads another's private names."""
 
 import ast
 import shutil
@@ -143,6 +143,86 @@ def test_a_same_named_attribute_is_not_a_use():
     sources = _package_sources()
     sources["partitions"] += "\n\ndef size(lam):\n    return sum(lam)\n"
     assert _unused_public_names(sources) == ["partitions.size"]
+
+
+def _defaulted_parameters(module: str, tree):
+    """(label, params, bound, defaulted) for each function or method of a
+    module: ``params`` are its positional parameter names, ``bound``
+    whether the first is ``self``/``cls``, and ``defaulted`` its parameters
+    with a default value."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = params[len(params) - len(a.defaults) :]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                bound = bool(params) and params[0] in ("self", "cls")
+                out.append((f"{prefix}{child.name}", params, bound, defaulted))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, f"{module}.")
+    return out
+
+
+def _unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """``M.f(p)`` for each defaulted parameter p of a function or method f of
+    the package that no call in the package passes.  A call passes p by
+    keyword, or by position to a callee spelled ``f`` or ``x.f`` (for the
+    bound ``x.f`` of a method, ``self``/``cls`` is not counted); ``*args``
+    and ``**kwargs`` pass every parameter.  Dunder methods and the entry
+    points are exempt."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = [
+        node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+    unpassed = []
+    for module, tree in trees.items():
+        for label, params, bound, defaulted in _defaulted_parameters(module, tree):
+            name = label.rpartition(".")[2]
+            if (name.startswith("__") and name.endswith("__")) or (module, name) in ENTRY_POINTS:
+                continue
+            passed = set()
+            for call in calls:
+                func = call.func
+                attr = isinstance(func, ast.Attribute)
+                if (func.attr if attr else getattr(func, "id", None)) != name:
+                    continue
+                if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                    kw.arg is None for kw in call.keywords
+                ):
+                    passed |= set(defaulted)
+                skip = 1 if attr and bound else 0
+                passed |= set(params[skip : skip + len(call.args)])
+                passed |= {kw.arg for kw in call.keywords}
+            unpassed += [f"{label}({p})" for p in defaulted if p not in passed]
+    return unpassed
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that no caller overrides is a constant dressed as a knob:
+    # the parameter and whatever branch it selects should go
+    unpassed = _unpassed_defaults(_package_sources())
+    assert not unpassed, f"defaulted parameters no call in src/wreathmac passes: {unpassed}"
+
+
+def test_an_unpassed_default_is_reported():
+    # a planted method whose bound calls pass `start` by position (self not
+    # counted) but never `scale`
+    sources = _package_sources()
+    sources["partitions"] += (
+        "\n\nclass _Ruler:\n"
+        "    def span(self, lam, start=0, scale=1):\n"
+        "        return scale * sum(lam, start)\n"
+        "\n\n_SPAN = _Ruler().span((1,), 2)\n"
+    )
+    assert _unpassed_defaults(sources) == ["partitions._Ruler.span(scale)"]
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -5,7 +5,6 @@ from wreathmac.partitions import bipartition_list, dual2, partition_list, z_stat
 from wreathmac.symfunc import (
     SymFunc1,
     SymFunc2,
-    complete2,
     embed_diagonal,
     wreath_char,
 )
@@ -25,12 +24,6 @@ def z_stat2(bp):
     return (1 << length2(bp)) * z_stat(bp[0]) * z_stat(bp[1])
 
 
-def test_complete_to_schur_examples():
-    assert SymFunc1.basis_elem("h", (2,)).to_basis("s").coeffs == {(2,): one}
-    h1sq = SymFunc1.basis_elem("h", (1, 1)).to_basis("s")
-    assert h1sq.coeffs == {(2,): one, (1, 1): one}
-
-
 def test_wreath_power_expansion():
     f = SymFunc2.basis_elem("wp", ((1,), ())).to_basis("s2")
     assert f.coeffs == {((1,), ()): one, ((), (1,)): one}
@@ -38,18 +31,17 @@ def test_wreath_power_expansion():
     assert f.coeffs == {((1,), ()): one, ((), (1,)): RatFun.const(-1)}
 
 
-# "h" and "wp" are source bases only: nothing converts to them
-@pytest.mark.parametrize("basis", ["s", "p", "h"])
+@pytest.mark.parametrize("basis", ["s", "p"])
 @pytest.mark.parametrize("target", ["s", "p"])
 def test_one_alphabet_round_trips(basis, target, rng):
     coeffs = {lam: RatFun.const(rng.randrange(-3, 4)) for lam in partition_list(4)}
     f = SymFunc1(basis, coeffs)
     g = f.to_basis(target)
     assert g.basis == target and g == f
-    if basis in ("s", "p"):
-        assert g.to_basis(basis).coeffs == f.coeffs
+    assert g.to_basis(basis).coeffs == f.coeffs
 
 
+# "wp" is a source basis only: nothing converts to it
 @pytest.mark.parametrize("basis", ["s2", "p2", "wp"])
 @pytest.mark.parametrize("target", ["s2", "p2"])
 def test_two_alphabet_round_trips(basis, target, rng):
@@ -69,7 +61,7 @@ def test_only_schur_and_power_targets():
 
 
 def test_embed_diagonal():
-    e = embed_diagonal(SymFunc1.basis_elem("h", (1,))).to_basis("s2")
+    e = embed_diagonal(SymFunc1.basis_elem("s", (1,))).to_basis("s2")
     assert e.coeffs == {((1,), ()): one, ((), (1,)): one}
     e = embed_diagonal(SymFunc1.basis_elem("p", (2,))).to_basis("s2")
     assert e.coeffs == {
@@ -124,7 +116,7 @@ def test_substitute_complete_by_inverse_matrix():
     # h_((1),()) (P X) = (p1(x0) + q p1(x1)) / (1 - q^2) in degree 1
     c = (one - q * q).inverse()
     P = [[c, c * q], [c * q, c]]
-    g = complete2(((1,), ())).alphabet_substitute(P).to_basis("s2")
+    g = SymFunc2.basis_elem("s2", ((1,), ())).alphabet_substitute(P).to_basis("s2")
     assert g.coeffs == {((1,), ()): c, ((), (1,)): q * c}
 
 
@@ -179,9 +171,7 @@ def test_scalar_plethysm_examples():
     f = s1.scalar_plethysm(one - q).to_basis("s")
     assert f.coeffs == {(1,): one - q}
     assert s1.scalar_plethysm(one) == s1
-    # s_(2)[Z/(1-q)] paired against h_2 is 1/((1-q)(1-q^2))
+    # s_(2)[Z/(1-q)] paired against h_2 = s_(2) is 1/((1-q)(1-q^2))
     s2_ = SymFunc1.basis_elem("s", (2,))
-    val = s2_.scalar_plethysm((one - q).inverse()).hall_inner(
-        SymFunc1.basis_elem("h", (2,))
-    )
+    val = s2_.scalar_plethysm((one - q).inverse()).hall_inner(s2_)
     assert val == ((one - q) * (one - q * q)).inverse()
