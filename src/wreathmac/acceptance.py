@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .algebra import ZW, RatFun, half_specialize, poly_from_json
@@ -42,12 +42,9 @@ from .symfunc import SymFunc1, SymFunc2, wreath_char
 from .wreath import wreath_H, wreath_N
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CriterionResult(namedtuple("CriterionResult", "name passed detail elapsed")):
+    # name: str; passed: bool; detail: str; elapsed: seconds (float)
+    __slots__ = ()
 
 
 def _fixture(name: str) -> dict:

@@ -5,26 +5,23 @@ functions (h_m = s_(m)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import QT
 from .symfunc import SymFunc1, SymFunc2, embed_diagonal
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "m_plus m_minus star")):
     """Multiplicities of the eigenvalues of a semisimple twisted class:
     m_plus for eigenvalue 1, m_minus for the square root of -1, and one
-    entry of star per generic eigenvalue orbit."""
+    entry of star per generic eigenvalue orbit (kept in descending order)."""
 
-    m_plus: int
-    m_minus: int
-    star: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m_plus < 0 or self.m_minus < 0 or any(m <= 0 for m in self.star):
-            raise ValueError(f"invalid simple type {self}")
-        object.__setattr__(self, "star", tuple(sorted(self.star, reverse=True)))
+    def __new__(cls, m_plus: int, m_minus: int, star: tuple[int, ...]):
+        if m_plus < 0 or m_minus < 0 or any(m <= 0 for m in star):
+            raise ValueError(f"invalid simple type {m_plus},{m_minus}:{' '.join(map(str, star))}")
+        return super().__new__(cls, m_plus, m_minus, tuple(sorted(star, reverse=True)))
 
     @property
     def size(self) -> int:

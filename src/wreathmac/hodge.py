@@ -18,7 +18,7 @@ Property-check failures are recorded in the result, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import QT, ZW, LaurentPoly, RatFun, substitute_powers
@@ -33,27 +33,21 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Genus, puncture-pair count, rank, and the 2k twisted class types."""
+class ProblemSpec(namedtuple("ProblemSpec", "g k n classes")):
+    """Genus, puncture-pair count, rank, and the 2k twisted class types (a
+    tuple of ``SimpleType``)."""
 
-    g: int
-    k: int
-    n: int
-    classes: tuple[SimpleType, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 0 or self.k < 1 or self.n < 1:
+    def __new__(cls, g: int, k: int, n: int, classes: tuple[SimpleType, ...]):
+        if g < 0 or k < 1 or n < 1:
             raise ValueError("need g >= 0, k >= 1, n >= 1")
-        if len(self.classes) != 2 * self.k:
-            raise ValueError(
-                f"expected {2 * self.k} classes, got {len(self.classes)}"
-            )
-        for beta in self.classes:
-            if beta.size != self.half_rank:
-                raise ValueError(
-                    f"class {beta} has size {beta.size}, expected {self.half_rank}"
-                )
+        if len(classes) != 2 * k:
+            raise ValueError(f"expected {2 * k} classes, got {len(classes)}")
+        for beta in classes:
+            if beta.size != n // 2:
+                raise ValueError(f"class {beta} has size {beta.size}, expected {n // 2}")
+        return super().__new__(cls, g, k, n, classes)
 
     @property
     def half_rank(self) -> int:
@@ -66,13 +60,12 @@ class ProblemSpec:
         return all(beta.m_minus == 0 for beta in self.classes)
 
 
-@dataclass
-class HodgeResult:
-    spec: ProblemSpec
-    zw: RatFun  # the two-variable rational function (conjecturally polynomial)
-    d: int
-    checks: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+class HodgeResult(namedtuple("HodgeResult", "spec zw d checks warnings")):
+    # spec: ProblemSpec
+    # zw: RatFun, the two-variable rational function (conjecturally polynomial)
+    # d: the variety dimension
+    # checks: dict of property checks by name; warnings: list of strings
+    __slots__ = ()
 
 
 def centralizer_dim(n: int, beta: SimpleType) -> int:

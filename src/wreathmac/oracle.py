@@ -18,7 +18,7 @@ symmetric-function route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -366,17 +366,17 @@ def _count_points_rank1(g: int, q: int, twok: int) -> int:
 # counting from a character table of an index-2 extension
 
 
-@dataclass
-class CharTable:
+class CharTable(namedtuple("CharTable", "nsub_order class_sizes char_degrees char_values")):
     """Character data of a finite group H with an index-2 normal subgroup:
     sizes of the H-stable classes in the nonidentity coset and, for every
     fixed irreducible character of the subgroup, its degree and the values
     of a chosen extension on those classes."""
 
-    nsub_order: int
-    class_sizes: dict[object, int]
-    char_degrees: list[int]
-    char_values: list[dict[object, Fraction]]  # values on the listed classes
+    # nsub_order: int
+    # class_sizes: dict, class id -> size
+    # char_degrees: list of int
+    # char_values: list of dicts, class id -> Fraction, on the listed classes
+    __slots__ = ()
 
 
 def frobenius_count(table: CharTable, g: int, class_ids: list[object]) -> int:

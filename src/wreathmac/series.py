@@ -14,7 +14,7 @@ Term generation is independent per index; lists are ordered by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -34,12 +34,12 @@ from .symfunc import SymFunc1, SymFunc2, embed_diagonal
 from .wreath import wreath_H, wreath_N
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
-    index: object  # BiPartition | Partition | tuple of Partitions (multiset)
-    size: int
-    coeff: RatFun
-    factor: SymFunc2  # Schur basis, same alphabet pair for every puncture
+class SeriesTerm(namedtuple("SeriesTerm", "index size coeff factor")):
+    # index: BiPartition | Partition | tuple of Partitions (multiset)
+    # size: the degree of the term
+    # coeff: RatFun
+    # factor: SymFunc2 in the Schur basis, same alphabet pair for every puncture
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

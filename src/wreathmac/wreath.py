@@ -17,7 +17,7 @@ even-hook cotangent product and kept as a rational function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import RatFun
@@ -35,11 +35,11 @@ from .partitions import (
 from .symfunc import SymFunc2
 
 
-@dataclass(frozen=True)
-class PairingData:
-    total: RatFun  # <H, H> under the (q, t) inner product
-    cot_at_one: RatFun  # even-hook product at u = 1
-    nabla: RatFun  # total / cot_at_one, exact quotient
+class PairingData(namedtuple("PairingData", "total cot_at_one nabla")):
+    # total: <H, H> under the (q, t) inner product
+    # cot_at_one: even-hook product at u = 1
+    # nabla: total / cot_at_one, exact quotient
+    __slots__ = ()
 
 
 def _subst_matrix(v: RatFun) -> list[list[RatFun]]:

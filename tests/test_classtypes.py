@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathmac.algebra import RatFun
 from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
@@ -19,6 +21,30 @@ def test_parse_simple_type():
         parse_simple_type("2:1")
     with pytest.raises(ValueError):
         parse_simple_type("-1,0:")
+
+
+# arbitrary text, and text over the class syntax's own characters so that
+# a good share of the draws parse
+class_texts = st.text() | st.text(alphabet="0123456789,: -", max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_texts, st.randoms(use_true_random=False))
+def test_parse_simple_type_on_arbitrary_text(text, rnd):
+    # a rejected text raises ValueError and nothing else; an accepted one is
+    # in normal form, round-trips through str, and is equal and hash-equal
+    # to the type with its star permuted (hodge._class_column is an
+    # lru_cache keyed on it)
+    try:
+        beta = parse_simple_type(text)
+    except ValueError:
+        return
+    assert list(beta.star) == sorted(beta.star, reverse=True)
+    assert parse_simple_type(str(beta)) == beta
+    star = list(beta.star)
+    rnd.shuffle(star)
+    permuted = SimpleType(beta.m_plus, beta.m_minus, tuple(star))
+    assert permuted == beta and hash(permuted) == hash(beta)
 
 
 def test_h_of_type():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wreathmac.classtypes import parse_simple_type
 from wreathmac.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -222,15 +227,46 @@ def test_help_exits_0(capsys):
         assert "usage: wreathmac" in capsys.readouterr().out
 
 
-def test_cli_import_does_not_load_numpy():
-    # only the oracle and the acceptance suite need numpy; `compute` pays
-    # for its import in every process when the CLI module loads it
+def _rejected(text):
+    try:
+        parse_simple_type(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given((st.text() | st.text(alphabet="0123456789,: -", max_size=12)).filter(_rejected))
+def test_rejected_class_text_exits_3(text):
+    # a --class that does not parse is bad input: exit 3, nothing on stdout,
+    # no traceback.  Text that argparse reads as an option ("-h", "-1,0:")
+    # is a usage error, which leaves main as SystemExit(3) (as in
+    # test_usage_errors_exit_3)
+    argv = ["compute", "--g", "0", "--k", "1", "--n", "2", "--class", text, "--class", "0,0:1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert (code, out.getvalue()) == (3, "")
+    assert "error: " in err.getvalue()
+
+
+def test_cli_import_loads_no_startup_heavy_module():
+    # every `compute` process pays for what `import wreathmac.cli` loads:
+    # numpy is the oracle's, and dataclasses (with inspect) or typing cost
+    # more start-up than the records and annotations they would serve
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, wreathmac.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys; before = set(sys.modules); import wreathmac.cli; "
+        "heavy = ('numpy', 'dataclasses', 'inspect', 'typing'); "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in heavy))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

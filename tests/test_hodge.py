@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -34,12 +35,16 @@ def spec_of(entry):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ProblemSpec(0, 1, 2, (pt("0,0:1"),))  # wrong class count
-    with pytest.raises(ValueError):
-        ProblemSpec(0, 1, 4, (pt("0,0:1"), pt("0,0:1")))  # wrong size
-    with pytest.raises(ValueError):
-        ProblemSpec(0, 0, 1, ())
+    # `compute` prints these messages on stderr, so they are matched exactly
+    cases = (
+        ((0, 1, 2, (pt("0,0:1"),)), "expected 2 classes, got 1"),  # wrong class count
+        ((0, 1, 4, (pt("0,0:1"), pt("0,0:1"))), "class 0,0:1 has size 1, expected 2"),
+        ((0, 0, 1, ()), "need g >= 0, k >= 1, n >= 1"),
+        ((-1, 1, 2, (pt("0,0:1"), pt("1,0:"))), "need g >= 0, k >= 1, n >= 1"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemSpec(*args)
     spec = ProblemSpec(0, 1, 2, (pt("0,1:"), pt("0,0:1")))
     assert not spec.ccl_ok
 

@@ -1,7 +1,8 @@
 """The repository tracks no file that its .gitignore excludes (build
 outputs, generated sources, test logs), the package defines no public name
 that only its tests use and no defaulted parameter that no call of it
-passes, and no module of it reads another's private names."""
+passes, no module of it reads another's private names, and none imports
+``dataclasses``."""
 
 import ast
 import shutil
@@ -237,3 +238,16 @@ def test_no_module_imports_a_private_name_of_another():
         if name.startswith("_")
     )
     assert not private, f"private names read across modules: {private}"
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples: dataclasses brings inspect, ast and dis into
+    # the start-up of every process that imports the package
+    importers = sorted(
+        module
+        for module, text in _package_sources().items()
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    )
+    assert not importers, f"modules importing dataclasses: {importers}"
