@@ -369,9 +369,6 @@ class RatFun:
             raise ValueError(f"not a polynomial: denominator {self.den.text()}")
         return self.num
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def constant_value(self) -> Fraction:
         return Fraction(self.num.constant_value(), self.den.constant_value())
 
@@ -545,6 +542,16 @@ def _signed(num: LaurentPoly, den: LaurentPoly) -> RatFun:
     r = object.__new__(RatFun)
     r.num, r.den = num, den
     return r
+
+
+def common_denominator(values) -> tuple[list[LaurentPoly], LaurentPoly]:
+    """``(numerators, E)`` with E the lcm of the denominators of the
+    ``RatFun`` values over (q, t), so that each value is its numerator / E."""
+    lcm = LaurentPoly.const(1)
+    for v in values:
+        # times v.den / gcd(lcm, v.den), the gcd's second cofactor
+        lcm = lcm * lcm.gcd(v.den)[2]
+    return [v.num * lcm.divexact(v.den) for v in values], lcm
 
 
 # ---------------------------------------------------------------------------

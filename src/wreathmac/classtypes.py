@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import QT
 from .symfunc import SymFunc1, SymFunc2, embed_diagonal
 
 
@@ -42,14 +41,14 @@ def parse_simple_type(s: str) -> SimpleType:
         raise ValueError(f"malformed class {s!r} (expected 'm+,m-:m1 m2 ...')") from exc
 
 
-def h_of_type(beta: SimpleType, vars=QT) -> SymFunc2:
+def h_of_type(beta: SimpleType) -> SymFunc2:
     """Product of the complete symmetric functions dual to a simple type:
     h_(m_plus) and h_(m_minus) of the first alphabet, and the
     diagonal-alphabet h_(m) of each generic multiplicity m."""
     def first_alphabet(m):
-        return SymFunc2.basis_elem("s2", ((m,) if m else (), ()), vars)
+        return SymFunc2.basis_elem("s2", ((m,) if m else (), ()))
 
     out = first_alphabet(beta.m_plus) * first_alphabet(beta.m_minus)
     for m in beta.star:
-        out = out * embed_diagonal(SymFunc1.basis_elem("s", (m,), vars))
+        out = out * embed_diagonal(SymFunc1.basis_elem("s", (m,)))
     return out.to_basis("s2")

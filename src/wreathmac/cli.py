@@ -19,17 +19,9 @@ import sys
 from functools import lru_cache
 
 from .classtypes import parse_simple_type
-from .hodge import ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
+from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
 from .partitions import bipartition_list, bipartition_str
 from .wreath import wreath_H, wreath_N
-
-CHECK_KEYS = (
-    "is_polynomial",
-    "degree_le_d",
-    "even_total_degree",
-    "neg_z_nonnegative",
-    "zw_symmetric",
-)
 
 
 def _dump(payload: dict) -> str:
@@ -307,7 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse reads a token that starts with "-" as an option, so a class
+    # text such as "-1,0:" is joined to its flag and reaches
+    # parse_simple_type; "--" stays argparse's end-of-options marker
+    if argv is None:
+        argv = sys.argv[1:]
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--class" and arg.startswith("-") and arg != "--":
+            joined[-1] = f"--class={arg}"
+        else:
+            joined.append(arg)
+    args = build_parser().parse_args(joined)
     return args.func(args)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import QT, ZW, LaurentPoly, RatFun, substitute_powers
+from .algebra import QT, ZW, LaurentPoly, RatFun, common_denominator, substitute_powers
 from .classtypes import SimpleType, h_of_type
 from .series import (
     SeriesTerm,
@@ -48,10 +48,6 @@ class ProblemSpec(namedtuple("ProblemSpec", "g k n classes")):
             if beta.size != n // 2:
                 raise ValueError(f"class {beta} has size {beta.size}, expected {n // 2}")
         return super().__new__(cls, g, k, n, classes)
-
-    @property
-    def half_rank(self) -> int:
-        return self.n // 2
 
     @property
     def ccl_ok(self) -> bool:
@@ -124,14 +120,16 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
     """Hall pairing of every row of ``_pairing_rows`` (in the order of its
     groups) against the complete function dual to the class type, as
     ``(numerators, E)``: the values are ``numerator / E`` over the lcm ``E``
-    of their denominators."""
-    h = h_of_type(beta, route)
-    values = [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
-    lcm = LaurentPoly.const(1, route)
-    for v in values:
-        # times v.den / gcd(lcm, v.den), the gcd's second cofactor
-        lcm = lcm * lcm.gcd(v.den)[2]
-    return tuple(v.num * lcm.divexact(v.den) for v in values), lcm
+    of their denominators.  The pairings are taken over (q, t); route ZW
+    then reads the numerators and the lcm at q = z^2, t = w^2."""
+    h = h_of_type(beta)
+    nums, lcm = common_denominator(
+        [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
+    )
+    if route == ZW:
+        nums = [v.monomial_map((2, 0, 0, 2), ZW) for v in nums]
+        lcm = lcm.monomial_map((2, 0, 0, 2), ZW)
+    return tuple(nums), lcm
 
 
 def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
@@ -178,6 +176,16 @@ def _triples(first, second, inverted, target: int):
                 for b in by_size_b.get(sb, ()):
                     for s in by_size_s.get(ss, ()):
                         yield a, b, s
+
+
+# the checks of ``compute_hodge`` that the polynomiality conjecture asserts
+CHECK_KEYS = (
+    "is_polynomial",
+    "degree_le_d",
+    "even_total_degree",
+    "neg_z_nonnegative",
+    "zw_symmetric",
+)
 
 
 def compute_hodge(spec: ProblemSpec) -> HodgeResult:

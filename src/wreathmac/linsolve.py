@@ -8,7 +8,7 @@ consistency of redundant rows; both failure modes raise.
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly, RatFun
+from .algebra import LaurentPoly, RatFun, common_denominator
 
 
 class LinearSolveError(ArithmeticError):
@@ -20,18 +20,10 @@ def solve_unique(rows: list[list[RatFun]], rhs: list[RatFun]) -> list[RatFun]:
     if not rows:
         raise LinearSolveError("empty system")
     ncols = len(rows[0])
-    vars = rows[0][0].vars
-    one = LaurentPoly.const(1, vars)
+    one = LaurentPoly.const(1)
 
     # clear denominators row by row
-    mat: list[list[LaurentPoly]] = []
-    for row, b in zip(rows, rhs):
-        den = one
-        for entry in row + [b]:
-            # times entry.den / gcd(den, entry.den), the gcd's second cofactor
-            den = den * den.gcd(entry.den)[2]
-        cleared = [entry.num * den.divexact(entry.den) for entry in row + [b]]
-        mat.append(cleared)
+    mat = [common_denominator(row + [b])[0] for row, b in zip(rows, rhs)]
 
     nrows = len(mat)
     prev = one

@@ -72,6 +72,6 @@ def macdonald_H(lam: Partition) -> SymFunc1:
 
 def qt_inner1(f: SymFunc1, g: SymFunc1) -> RatFun:
     """Hall pairing of f against g[(q-1)(1-t)Z]."""
-    q = RatFun.var(0, f.vars)
-    t = RatFun.var(1, f.vars)
+    q = RatFun.var(0)
+    t = RatFun.var(1)
     return f.hall_inner(g.scalar_plethysm((q - 1) * (1 - t)))

@@ -2,10 +2,11 @@
 two-variable polynomial and the one-parameter point-count series.
 
 Every term carries an index, a scalar coefficient, and the symmetric
-function inserted identically into each puncture alphabet.  Two-parameter
-terms live over (z, w): the coefficient substitutes u = z*w, q = z^2,
-t = w^2 into the (deformed) self-pairings; the factor is the (wreath)
-Macdonald polynomial with q = z^2, t = w^2 in its coefficients.  The
+function inserted identically into each puncture alphabet.  Every factor
+has its coefficients over (q, t).  A two-parameter term's coefficient lives
+over (z, w): it substitutes u = z*w, q = z^2, t = w^2 into the (deformed)
+self-pairings; its factor is the (wreath) Macdonald polynomial itself, and
+the pairing against the classes reads q = z^2, t = w^2 afterwards.  The
 one-parameter terms over q use hook-polynomial coefficients and plethystic
 Schur factors.
 
@@ -18,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .algebra import ZW, RatFun, double_to_zw
+from .algebra import RatFun, double_to_zw
 from .macdonald import macdonald_H
 from .partitions import (
     DEFORMED_ZW,
@@ -38,7 +39,7 @@ class SeriesTerm(namedtuple("SeriesTerm", "index size coeff factor")):
     # index: BiPartition | Partition | tuple of Partitions (multiset)
     # size: the degree of the term
     # coeff: RatFun
-    # factor: SymFunc2 in the Schur basis, same alphabet pair for every puncture
+    # factor: SymFunc2 in the Schur basis over (q, t), the same for every puncture
     __slots__ = ()
 
 
@@ -50,7 +51,7 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
     """Terms indexed by 2-partitions: coefficient
     N_{brace}(zw, z^2, w^2)^(g+k-1) / (Ntilde(z^2, w^2) *
     Ntilde(zw, z^2, w^2)^(k-1)), factor the wreath Macdonald polynomial of
-    the given core at q = z^2, t = w^2."""
+    the given core."""
     if k < 1:
         raise ValueError("at least one puncture pair is required")
     out = []
@@ -63,16 +64,14 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             cot = hook_product(lam, DEFORMED_ZW, even_only=True)
             den_deformed = double_to_zw(pairing.nabla) * cot
             coeff = num / (den_plain * den_deformed ** (k - 1))
-            f2 = wreath_H(bp, core)
-            factor = SymFunc2(f2.basis, {key: double_to_zw(c) for key, c in f2.coeffs.items()}, ZW)
-            out.append(SeriesTerm(bp, n, coeff, factor))
+            out.append(SeriesTerm(bp, n, coeff, wreath_H(bp, core)))
     return out
 
 
 def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
     """Terms indexed by partitions: coefficient
     N(zw, z^2, w^2)^(2g+k-1) / N(z^2, w^2), factor the Macdonald polynomial
-    on the merged alphabet x0 + x1 at q = z^2, t = w^2."""
+    on the merged alphabet x0 + x1."""
     if k < 1:
         raise ValueError("at least one puncture pair is required")
     out = []
@@ -80,9 +79,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
             coeff = num / double_to_zw(hook_product(lam, PAIRING_QT))
-            f1 = macdonald_H(lam)
-            f1 = SymFunc1(f1.basis, {p: double_to_zw(c) for p, c in f1.coeffs.items()}, ZW)
-            factor = embed_diagonal(f1).to_basis("s2")
+            factor = embed_diagonal(macdonald_H(lam)).to_basis("s2")
             out.append(SeriesTerm(lam, n, coeff, factor))
     return out
 
@@ -97,9 +94,7 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
     """
     nonempty = [t for t in terms if t.size > 0 and t.size <= maxdeg]
     vars = terms[0].coeff.vars
-    out = [
-        SeriesTerm((), 0, RatFun.one(vars), SymFunc2.one(vars))
-    ]
+    out = [SeriesTerm((), 0, RatFun.one(vars), SymFunc2.one())]
 
     def extend(start: int, total: int, chosen: list[SeriesTerm]):
         for i in range(start, len(nonempty)):
@@ -115,7 +110,7 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
         ell = len(chosen)
         mult: dict[object, int] = {}
         coeff = RatFun.const(Fraction((-1) ** ell * factorial(ell)), vars)
-        factor = SymFunc2.one(vars)
+        factor = SymFunc2.one()
         for t in chosen:
             mult[t.index] = mult.get(t.index, 0) + 1
             coeff = coeff * t.coeff

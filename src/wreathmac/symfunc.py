@@ -1,20 +1,19 @@
 """Symmetric functions in one alphabet and in a pair of alphabets.
 
 One-alphabet bases, indexed by partitions: schur "s" and power "p".
-Two-alphabet bases, indexed by 2-partitions:
-
-* "s2": products s_{a}(x0) s_{b}(x1);
-* "p2": products of per-alphabet power sums p_{a}(x0) p_{b}(x1);
-* "wp": wreath power sums, products of p_r(x0) + p_r(x1) (first slot) and
-  p_r(x0) - p_r(x1) (second slot); a source basis only.
+Two-alphabet bases, indexed by 2-partitions: "s2", products
+s_{a}(x0) s_{b}(x1), and "p2", products of per-alphabet power sums
+p_{a}(x0) p_{b}(x1).  The wreath power sums, p_r(x0) + p_r(x1) in the first
+slot and p_r(x0) - p_r(x1) in the second, are the image of p2 under the
+alphabet substitution by [[1, 1], [1, -1]].
 
 A function converts to the Schur and power bases of its alphabet through
 one memoized table per partition, applied to each alphabet.  Schur-to-power
 tables come from the Jacobi-Trudi determinant combined with the Newton
 expansion of the complete functions; symmetric-group character values, and
 with them the power-to-Schur tables, are read off from those tables.
-Coefficients are ``RatFun`` over a fixed variable pair; all values are
-immutable and operations pure.
+Coefficients are ``RatFun`` over (q, t); all values are immutable and
+operations pure.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import QT, RatFun
+from .algebra import RatFun
 from .partitions import BiPartition, Partition, partition_list, z_stat
 
 
@@ -135,26 +134,25 @@ def _acc(out: dict, key, value: RatFun) -> None:
 
 
 class _SymFunc:
-    """Sparse symmetric function with RatFun coefficients over a fixed
-    variable pair, stored in one of the subclass's ``BASES``; equality and
-    the Hall inner product are read in its Schur basis ``SCHUR``."""
+    """Sparse symmetric function with RatFun coefficients over (q, t),
+    stored in one of the subclass's ``BASES``; equality and the Hall inner
+    product are read in its Schur basis ``SCHUR``."""
 
-    __slots__ = ("basis", "coeffs", "vars")
+    __slots__ = ("basis", "coeffs")
 
     BASES: tuple[str, ...]
     SCHUR: str
     EMPTY: tuple  # the index of the empty product
 
-    def __init__(self, basis: str, coeffs: dict, vars=QT):
+    def __init__(self, basis: str, coeffs: dict):
         if basis not in self.BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        self.vars = vars
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
 
     @classmethod
-    def one(cls, vars=QT):
-        return cls(cls.SCHUR, {cls.EMPTY: RatFun.one(vars)}, vars)
+    def one(cls):
+        return cls(cls.SCHUR, {cls.EMPTY: RatFun.one()})
 
     def __eq__(self, other):
         a, b = self.to_basis(self.SCHUR), other.to_basis(self.SCHUR)
@@ -164,21 +162,26 @@ class _SymFunc:
         a, b = self.to_basis(self.SCHUR), other.to_basis(self.SCHUR)
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
-        total = RatFun.zero(self.vars)
+        total = RatFun.zero()
         for k, c in a.coeffs.items():
             d = b.coeffs.get(k)
             if d is not None:
                 total = total + c * d
         return total
 
-    def _change(self, basis: str, table):
-        """This function in ``basis``, each index expanded by ``_expand``
-        through the per-partition transition ``table``."""
+    def to_basis(self, basis: str):
+        """This function in ``basis``, one of ``BASES``: each index expanded
+        by ``_expand`` through the per-partition transition table."""
+        if basis == self.basis:
+            return self
+        if basis not in self.BASES:
+            raise ValueError(f"cannot convert to basis {basis!r}")
+        table = _power_to_schur if basis == self.SCHUR else schur_to_power
         out: dict = {}
         for k, c in self.coeffs.items():
             for key, f in self._expand(k, table):
                 _acc(out, key, c * f)
-        return type(self)(basis, out, self.vars)
+        return type(self)(basis, out)
 
     def __repr__(self):
         parts = ", ".join(f"{k}: {c.text()}" for k, c in sorted(self.coeffs.items()))
@@ -194,15 +197,8 @@ class SymFunc1(_SymFunc):
     EMPTY = ()
 
     @classmethod
-    def basis_elem(cls, basis: str, lam: Partition, vars=QT):
-        return cls(basis, {tuple(lam): RatFun.one(vars)}, vars)
-
-    def to_basis(self, basis: str) -> "SymFunc1":
-        if basis == self.basis:
-            return self
-        if basis not in self.BASES:
-            raise ValueError(f"cannot convert to basis {basis!r}")
-        return self._change(basis, schur_to_power if basis == "p" else _power_to_schur)
+    def basis_elem(cls, basis: str, lam: Partition):
+        return cls(basis, {tuple(lam): RatFun.one()})
 
     @staticmethod
     def _expand(lam: Partition, table):
@@ -217,7 +213,7 @@ class SymFunc1(_SymFunc):
             for r in mu:
                 f = f * c.scale_powers(r)
             out[mu] = f
-        return SymFunc1("p", out, self.vars)
+        return SymFunc1("p", out)
 
     def evaluate_scalar(self) -> RatFun:
         """Value of the plethystic evaluation with every p_r set to 1.
@@ -226,7 +222,7 @@ class SymFunc1(_SymFunc):
         alphabet c, e.g. s_lam[1/(1-q)].
         """
         p = self.to_basis("p")
-        total = RatFun.zero(self.vars)
+        total = RatFun.zero()
         for _, c in p.coeffs.items():
             total = total + c
         return total
@@ -234,16 +230,16 @@ class SymFunc1(_SymFunc):
 
 class SymFunc2(_SymFunc):
     """Symmetric function in the alphabet pair (x0, x1), indexed by
-    2-partitions; "wp" is a source basis only."""
+    2-partitions."""
 
     __slots__ = ()
-    BASES = ("s2", "p2", "wp")
+    BASES = ("s2", "p2")
     SCHUR = "s2"
     EMPTY = ((), ())
 
     @classmethod
-    def basis_elem(cls, basis: str, bp: BiPartition, vars=QT):
-        return cls(basis, {(tuple(bp[0]), tuple(bp[1])): RatFun.one(vars)}, vars)
+    def basis_elem(cls, basis: str, bp: BiPartition):
+        return cls(basis, {(tuple(bp[0]), tuple(bp[1])): RatFun.one()})
 
     def __mul__(self, other: "SymFunc2") -> "SymFunc2":
         a, b = self.to_basis("p2"), other.to_basis("p2")
@@ -255,20 +251,7 @@ class SymFunc2(_SymFunc):
                     tuple(sorted(a1 + b1, reverse=True)),
                 )
                 _acc(out, key, ca * cb)
-        return SymFunc2("p2", out, self.vars)
-
-    def to_basis(self, basis: str) -> "SymFunc2":
-        if basis == self.basis:
-            return self
-        if basis not in ("s2", "p2"):
-            raise ValueError(f"cannot convert to basis {basis!r}")
-        f = self
-        if self.basis == "wp":
-            # p_r(x0) + p_r(x1) in the first slot, p_r(x0) - p_r(x1) in the second
-            f = self._expand_p2(lambda slot, r: (1, 1) if slot == 0 else (1, -1))
-            if basis == "p2":
-                return f
-        return f._change(basis, schur_to_power if basis == "p2" else _power_to_schur)
+        return SymFunc2("p2", out)
 
     @staticmethod
     def _expand(bp: BiPartition, table):
@@ -277,27 +260,22 @@ class SymFunc2(_SymFunc):
         t0, t1 = table(bp[0]), table(bp[1])
         return (((k0, k1), f0 * f1) for k0, f0 in t0.items() for k1, f1 in t1.items())
 
-    def _expand_p2(self, row) -> "SymFunc2":
-        """Replace each part r in slot i of an index by
-        row(i, r)[0] p_r(x0) + row(i, r)[1] p_r(x1), expanded in p2."""
-        out: dict[BiPartition, RatFun] = {}
-        for (l0, l1), c in self.coeffs.items():
-            expansion = {((), ()): c}
-            for slot, parts in enumerate((l0, l1)):
-                for r in parts:
-                    expansion = _insert_part(expansion, r, *row(slot, r))
-            for key, v in expansion.items():
-                _acc(out, key, v)
-        return SymFunc2("p2", out, self.vars)
-
     def alphabet_substitute(self, M) -> "SymFunc2":
         """u(X) -> u(M X) for a 2x2 matrix M of RatFun entries.
 
-        In the p2 basis p_r(x_i) maps to sum_j M[i][j](vars^r) p_r(x_j).
+        In the p2 basis p_r(x_i) maps to sum_j M[i][j](q^r, t^r) p_r(x_j).
         """
-        return self.to_basis("p2")._expand_p2(
-            lambda i, r: (M[i][0].scale_powers(r), M[i][1].scale_powers(r))
-        )
+        out: dict[BiPartition, RatFun] = {}
+        for (l0, l1), c in self.to_basis("p2").coeffs.items():
+            expansion = {((), ()): c}
+            for row, parts in zip(M, (l0, l1)):
+                for r in parts:
+                    expansion = _insert_part(
+                        expansion, r, row[0].scale_powers(r), row[1].scale_powers(r)
+                    )
+            for key, v in expansion.items():
+                _acc(out, key, v)
+        return SymFunc2("p2", out)
 
 
 def _insert_part(expansion, r: int, c0, c1):
@@ -313,17 +291,24 @@ def _insert_part(expansion, r: int, c0, c1):
 # named constructors and derived quantities
 
 
+# p_r(x0) -> p_r(x0) + p_r(x1) and p_r(x1) -> p_r(x0) - p_r(x1): the image
+# of a p2 index is the product of the wreath power sums of its parts
+_WREATH_POWER = [[RatFun.one(), RatFun.one()], [RatFun.one(), -RatFun.one()]]
+
+
 def embed_diagonal(f: SymFunc1) -> SymFunc2:
     """u(z) -> u[x0 + x1]: power sums map to first-slot wreath power sums."""
     p = f.to_basis("p")
-    return SymFunc2("wp", {(mu, ()): c for mu, c in p.coeffs.items()}, f.vars)
+    return SymFunc2("p2", {(mu, ()): c for mu, c in p.coeffs.items()}).alphabet_substitute(
+        _WREATH_POWER
+    )
 
 
 def wreath_char(alpha: BiPartition, beta: BiPartition) -> int:
     """Character value of the size-m wreath product (Z/2 wr S_m)."""
     if sum(alpha[0]) + sum(alpha[1]) != sum(beta[0]) + sum(beta[1]):
         raise ValueError("wreath character needs equal sizes")
-    p_beta = SymFunc2.basis_elem("wp", beta).to_basis("s2")
+    p_beta = SymFunc2.basis_elem("p2", beta).alphabet_substitute(_WREATH_POWER).to_basis("s2")
     c = p_beta.coeffs.get((tuple(alpha[0]), tuple(alpha[1])))
     if c is None:
         return 0
@@ -331,4 +316,3 @@ def wreath_char(alpha: BiPartition, beta: BiPartition) -> int:
     if v.denominator != 1:
         raise AssertionError("non-integral wreath character value")
     return v.numerator
-

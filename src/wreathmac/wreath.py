@@ -43,16 +43,16 @@ class PairingData(namedtuple("PairingData", "total cot_at_one nabla")):
 
 
 def _subst_matrix(v: RatFun) -> list[list[RatFun]]:
-    one = RatFun.one(v.vars)
+    one = RatFun.one()
     return [[one, -v], [-v, one]]
 
 
 def qt_inner2(f: SymFunc2, g: SymFunc2) -> RatFun:
     """Hall pairing of f against g twisted by [[0,-1],[-1,0]] [[1,-q],[-q,1]]
     [[1,-t],[-t,1]]; symmetric in f and g."""
-    q = RatFun.var(0, f.vars)
-    t = RatFun.var(1, f.vars)
-    one = RatFun.one(f.vars)
+    q = RatFun.var(0)
+    t = RatFun.var(1)
+    one = RatFun.one()
     # product of the three substitution matrices
     m = [[q + t, -(one + q * t)], [-(one + q * t), q + t]]
     return f.hall_inner(g.alphabet_substitute(m))

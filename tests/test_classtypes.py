@@ -59,24 +59,28 @@ def test_h_of_type():
     assert f.coeffs == {((), ()): one}
 
 
-def _h_in_power_sums(basis, m):
-    """h_m = sum over mu of p_mu / z_mu, in the first slot of a two-alphabet
-    power basis."""
+def _h_in_power_sums(m):
+    """h_m = sum over mu of p_mu / z_mu, in the first slot of p2."""
     return SymFunc2(
-        basis, {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
+        "p2", {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
     )
+
+
+# p_r(x0) -> p_r(x0) + p_r(x1): the first slot of p2 becomes the diagonal
+# (first-slot wreath) power sums
+WREATH_POWER = [[one, one], [one, -one]]
 
 
 def test_h_of_type_matches_power_sum_expansion():
     # h_(m_plus) and h_(m_minus) in the first alphabet (p2), and for each
-    # generic multiplicity m the diagonal h_m (first slot of wp)
+    # generic multiplicity m the diagonal h_m
     for n in range(5):
         for m_plus in range(n + 1):
             for m_minus in range(n + 1 - m_plus):
                 for star in partition_list(n - m_plus - m_minus):
                     beta = SimpleType(m_plus, m_minus, star)
-                    want = _h_in_power_sums("p2", m_plus) * _h_in_power_sums("p2", m_minus)
+                    want = _h_in_power_sums(m_plus) * _h_in_power_sums(m_minus)
                     for m in star:
-                        want = want * _h_in_power_sums("wp", m)
+                        want = want * _h_in_power_sums(m).alphabet_substitute(WREATH_POWER)
                     got = h_of_type(beta)
                     assert got.basis == "s2" and got == want, beta

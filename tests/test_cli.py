@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreathmac.classtypes import parse_simple_type
@@ -205,6 +205,7 @@ def test_usage_errors_exit_3(capsys):
     cases = (
         (["compute", "--g", "0", "--k", "1"], "required: --n, --class"),
         (["compute", "--g", "x", "--k", "1", "--n", "2", "--class", "0,0:"], "invalid int"),
+        (["compute", "--g", "0", "--k", "1", "--n", "2", "--class", "--"], "expected one argument"),
         (["oracle", "--q", "x", "--n", "1", "--g", "1"], "argument --q: invalid int"),
         (["wreath-mac", "--size", "1"], "required: --core"),
         (["selftest", "--seed", "1"], "unrecognized arguments: --seed 1"),
@@ -236,21 +237,27 @@ def _rejected(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given((st.text() | st.text(alphabet="0123456789,: -", max_size=12)).filter(_rejected))
+# "--" is argparse's end-of-options marker (test_usage_errors_exit_3)
+@given(
+    (st.text() | st.text(alphabet="0123456789,: -", max_size=12)).filter(
+        lambda text: text != "--" and _rejected(text)
+    )
+)
+# text that argparse alone would read as an option
+@example("-1,0:")
+@example("-h")
+@example("-x=1")
+@example("--json")
 def test_rejected_class_text_exits_3(text):
-    # a --class that does not parse is bad input: exit 3, nothing on stdout,
-    # no traceback.  Text that argparse reads as an option ("-h", "-1,0:")
-    # is a usage error, which leaves main as SystemExit(3) (as in
-    # test_usage_errors_exit_3)
+    # a --class that does not parse is bad input: main returns 3 with the
+    # class parser's message, nothing on stdout, no traceback, also when
+    # the text starts with "-"
     argv = ["compute", "--g", "0", "--k", "1", "--n", "2", "--class", text, "--class", "0,0:1"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert (code, out.getvalue()) == (3, "")
-    assert "error: " in err.getvalue()
+    assert err.getvalue().startswith("error: malformed class "), err.getvalue()
 
 
 def test_cli_import_loads_no_startup_heavy_module():

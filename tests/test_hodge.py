@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from wreathmac import cli, hodge
-from wreathmac.algebra import QT, RatFun, ZW, poly_from_json
+from wreathmac.algebra import QT, RatFun, ZW, double_to_zw, poly_from_json
 from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
 from wreathmac.hodge import (
     ProblemSpec,
@@ -244,22 +244,24 @@ SIZE_TWO_TYPES = ("2,0:", "0,2:", "1,1:", "1,0:1", "0,1:1", "0,0:2", "0,0:1 1")
 def reference_pairing(spec, route):
     """The pairing sum as the formula reads: over every index triple, the
     triple's coefficient times the Hall pairings of its Schur factor against
-    each class function, folded with plain ``RatFun`` addition."""
+    each class function, folded with plain ``RatFun`` addition.  The
+    pairings are over (q, t); route ZW reads them at q = z^2, t = w^2."""
     if route == ZW:
         wreath_terms, star_terms = hodge.wreath_series_terms, hodge.star_series_terms
     else:
         wreath_terms, star_terms = hodge.one_param_wreath_terms, hodge.one_param_star_terms
-    g, k, N = spec.g, spec.k, spec.half_rank
+    g, k, N = spec.g, spec.k, spec.n // 2
     first = wreath_terms(spec.n % 2, g, k, N)
     second = wreath_terms(0, g, k, N)
     inverted = hodge.invert_series(star_terms(g, k, N), N)
-    hs = [h_of_type(beta, route) for beta in spec.classes]
+    hs = [h_of_type(beta) for beta in spec.classes]
+    at_route = double_to_zw if route == ZW else (lambda v: v)
     total = RatFun.zero(route)
     for a, b, s in hodge._triples(first, second, inverted, N):
         phi = (a.factor * b.factor * s.factor).to_basis("s2")
         value = a.coeff * b.coeff * s.coeff
         for h in hs:
-            value = value * phi.hall_inner(h)
+            value = value * at_route(phi.hall_inner(h))
         total = total + value
     return total
 

@@ -1,10 +1,11 @@
 """The repository tracks no file that its .gitignore excludes (build
 outputs, generated sources, test logs), the package defines no public name
-that only its tests use and no defaulted parameter that no call of it
-passes, no module of it reads another's private names, and none imports
-``dataclasses``."""
+that only its tests use, no method that nothing reads and no defaulted
+parameter that no call of it passes, no module of it reads another's
+private names, and none imports ``dataclasses``."""
 
 import ast
+import importlib
 import shutil
 import subprocess
 from pathlib import Path
@@ -144,6 +145,82 @@ def test_a_same_named_attribute_is_not_a_use():
     sources = _package_sources()
     sources["partitions"] += "\n\ndef size(lam):\n    return sum(lam)\n"
     assert _unused_public_names(sources) == ["partitions.size"]
+
+
+def _outside_base_names(cls: ast.ClassDef, tree) -> set[str]:
+    """The attribute names of each base ``m.C`` of a class whose module ``m``
+    comes from outside the package by ``import m`` (the package imports its
+    own modules relatively); a method of such a name overrides the base's."""
+    modules = {
+        a.asname or a.name: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+    }
+    names = set()
+    for base in cls.bases:
+        if (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and base.value.id in modules
+        ):
+            names |= set(dir(getattr(importlib.import_module(modules[base.value.id]), base.attr)))
+    return names
+
+
+def _unread_methods(sources: dict[str, str]) -> list[str]:
+    """``M.C.f`` for each method or property f of a class C of the package
+    whose name no attribute read in the package spells (``x.f``).  Dunder
+    methods and overrides of a base class from outside the package are
+    exempt."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            inherited = _outside_base_names(cls, tree)
+            unread += [
+                f"{module}.{cls.name}.{f.name}"
+                for f in cls.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (f.name.startswith("__") and f.name.endswith("__"))
+                and f.name not in inherited
+                and f.name not in read
+            ]
+    return unread
+
+
+def test_every_method_is_read():
+    # a method or property that nothing calls or reads is dead code, also
+    # when a test still exercises it
+    unread = _unread_methods(_package_sources())
+    assert not unread, f"methods nothing in src/wreathmac reads: {unread}"
+
+
+def test_an_unread_method_is_reported():
+    # a planted property that nothing reads; the property it reads and the
+    # override of an outside base class's method are not reported
+    sources = _package_sources()
+    sources["partitions"] += (
+        "\n\nimport argparse\n"
+        "\n\nclass _Box(argparse.Namespace):\n"
+        "    def _get_kwargs(self):\n"
+        "        return []\n"
+        "\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return 1\n"
+        "\n"
+        "    @property\n"
+        "    def depth(self):\n"
+        "        return self.width\n"
+    )
+    assert _unread_methods(sources) == ["partitions._Box.depth"]
 
 
 def _defaulted_parameters(module: str, tree):

@@ -1,4 +1,5 @@
-from wreathmac.algebra import RatFun, ZW
+from wreathmac.algebra import QT, RatFun, ZW, double_to_zw
+from wreathmac.macdonald import macdonald_H
 from wreathmac.series import (
     invert_series,
     one_param_star_terms,
@@ -7,6 +8,7 @@ from wreathmac.series import (
     wreath_series_terms,
 )
 from wreathmac.symfunc import SymFunc1, embed_diagonal
+from wreathmac.wreath import wreath_H
 
 z = RatFun.var(0, ZW)
 w = RatFun.var(1, ZW)
@@ -55,7 +57,8 @@ def test_inverse_coefficients():
 
 
 def test_product_with_inverse_is_one():
-    # track the product in the tensor square of the Schur basis (2k = 2)
+    # track the product in the tensor square of the Schur basis (2k = 2);
+    # the factors' coefficients are read at q = z^2, t = w^2
     for g, k in ((0, 1), (1, 1)):
         maxdeg = 2
         terms = star_series_terms(g, k, maxdeg)
@@ -67,8 +70,9 @@ def test_product_with_inverse_is_one():
                     continue
                 c = a.coeff * s.coeff
                 f = (a.factor * s.factor).to_basis("s2")
-                for k1, c1 in f.coeffs.items():
-                    for k2, c2 in f.coeffs.items():
+                zw = {key: double_to_zw(v) for key, v in f.coeffs.items()}
+                for k1, c1 in zw.items():
+                    for k2, c2 in zw.items():
                         key = (k1, k2)
                         v = tensor.get(key, RatFun.zero(ZW)) + c * c1 * c2
                         tensor[key] = v
@@ -78,6 +82,18 @@ def test_product_with_inverse_is_one():
                 assert v == RatFun.one(ZW)
             else:
                 assert v.is_zero(), (k1, k2, v.text())
+
+
+def test_two_parameter_factors_are_the_solved_families():
+    # a factor over (q, t) is the memoised family object itself, not a copy
+    # of its coefficients in other variables
+    for core in (0, 1):
+        for t in wreath_series_terms(core, 1, 1, 3):
+            assert t.factor is wreath_H(t.index, core), t.index
+    for t in star_series_terms(1, 1, 3):
+        expect = embed_diagonal(macdonald_H(t.index)).to_basis("s2")
+        assert t.factor.coeffs == expect.coeffs, t.index
+        assert all(c.vars == QT for c in t.factor.coeffs.values())
 
 
 def test_one_param_empty_coefficients():
