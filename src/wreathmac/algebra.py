@@ -2,10 +2,11 @@
 field, with the power substitutions used by the polynomial specializations.
 
 A ``LaurentPoly`` is a sparse map from exponent pairs ``(a, b)`` (possibly
-negative) to nonzero integer coefficients, together with the pair of
-variable names; its operators, its gcd with cofactors and its exact
-division are the only polynomial arithmetic of the package.  A ``RatFun``
-is a reduced fraction of two such polynomials in canonical form:
+negative) to nonzero integer coefficients; its operators, its gcd with
+cofactors and its exact division are the only polynomial arithmetic of the
+package.  A value carries no variable names: where it is built fixes
+whether it is over (z, w) or (q, t), and only ``text`` names the pair.  A
+``RatFun`` is a reduced fraction of two such polynomials in canonical form:
 
 * numerator and denominator have integer coefficients and no negative
   exponents,
@@ -35,36 +36,34 @@ def _grlex_key(e: Expo):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in two named variables with integer
-    coefficients."""
+    """Sparse Laurent polynomial in two variables with integer coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars: tuple[str, str], terms: dict):
+    def __init__(self, terms: dict):
         # the polynomial owns ``terms``; it is copied only to drop zeros, so
         # the zero-free dicts the kernels return are stored as they are
         if 0 in terms.values():
             terms = {e: c for e, c in terms.items() if c}
-        self.vars = vars
         self.terms = terms
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars=QT):
-        return cls(vars, {})
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def const(cls, c, vars=QT):
-        return cls(vars, {(0, 0): c})
+    def const(cls, c):
+        return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, e: Expo, c=1, vars=QT):
-        return cls(vars, {e: c})
+    def monomial(cls, e: Expo):
+        return cls({e: 1})
 
     @classmethod
-    def var(cls, idx: int, vars=QT):
-        return cls(vars, {((1, 0) if idx == 0 else (0, 1)): 1})
+    def var(cls, idx: int):
+        return cls({((1, 0) if idx == 0 else (0, 1)): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -99,33 +98,26 @@ class LaurentPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "LaurentPoly"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
     def __add__(self, other):
-        self._check(other)
-        return LaurentPoly(self.vars, kernels.padd(self.terms, other.terms))
+        return LaurentPoly(kernels.padd(self.terms, other.terms))
 
     def __sub__(self, other):
-        self._check(other)
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.vars, kernels.pscale(self.terms, other))
-        self._check(other)
-        return LaurentPoly(self.vars, kernels.pmul(self.terms, other.terms))
+            return LaurentPoly(kernels.pscale(self.terms, other))
+        return LaurentPoly(kernels.pmul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a LaurentPoly; use RatFun")
-        out = LaurentPoly.const(1, self.vars)
+        out = LaurentPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -135,20 +127,15 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
+        return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def gcd(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly", "LaurentPoly"]:
         """``(g, self/g, other/g)`` with g the gcd in Z[x, y] of two ordinary
-        polynomials in the same variables, integer content included, as
-        ``kernels.bgcd`` computes it; when g is 1 the cofactors are the
-        operands themselves."""
+        polynomials, integer content included, as ``kernels.bgcd`` computes
+        it; when g is 1 the cofactors are the operands themselves."""
         if len(other.terms) == 1 and self.terms:
             g, qb, qa = other._monomial_gcd(self)
             return g, qa, qb
@@ -156,12 +143,12 @@ class LaurentPoly:
             return self._monomial_gcd(other)
         G = kernels.bgcd(_to_rec(self.terms), _to_rec(other.terms))
         if G == [[1]]:
-            return LaurentPoly.const(1, self.vars), self, other
+            return LaurentPoly.const(1), self, other
         qa, qb = G.quotients
         return (
-            LaurentPoly(self.vars, _from_rec(G)),
-            LaurentPoly(self.vars, _from_rec(qa)),
-            LaurentPoly(self.vars, _from_rec(qb)),
+            LaurentPoly(_from_rec(G)),
+            LaurentPoly(_from_rec(qa)),
+            LaurentPoly(_from_rec(qb)),
         )
 
     def _monomial_gcd(self, p: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly", "LaurentPoly"]:
@@ -178,8 +165,8 @@ class LaurentPoly:
             if y < j:
                 j = y
         if g == 1 and i == j == 0:
-            return LaurentPoly.const(1, self.vars), self, p
-        g = LaurentPoly(self.vars, {(i, j): g})
+            return LaurentPoly.const(1), self, p
+        g = LaurentPoly({(i, j): g})
         return g, self.divexact(g), p.divexact(g)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -196,32 +183,28 @@ class LaurentPoly:
                 if rv or x < i or y < j:
                     raise ArithmeticError("non-exact division by a monomial")
                 out[(x - i, y - j)] = qv
-            return LaurentPoly(self.vars, out)
-        return LaurentPoly(
-            self.vars, _from_rec(kernels.bdivexact(_to_rec(self.terms), _to_rec(other.terms)))
-        )
+            return LaurentPoly(out)
+        return LaurentPoly(_from_rec(kernels.bdivexact(_to_rec(self.terms), _to_rec(other.terms))))
 
     # -- maps and evaluation ------------------------------------------------
 
     def shift(self, da: int, db: int) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {(a + da, b + db): c for (a, b), c in self.terms.items()})
+        return LaurentPoly({(a + da, b + db): c for (a, b), c in self.terms.items()})
 
-    def remap(self, f, vars: tuple[str, str]) -> "LaurentPoly":
-        """The polynomial in ``vars`` that sends each term c*x^a*y^b to
-        s*c times the monomial of exponent e, where ``(e, s) = f(a, b)`` and
-        s is 1 or -1; terms sent to one exponent add up."""
+    def remap(self, f) -> "LaurentPoly":
+        """The polynomial with each term c*x^a*y^b sent to s*c times the
+        monomial of exponent e, where ``(e, s) = f(a, b)`` and s is 1 or -1;
+        terms sent to one exponent add up."""
         out: dict[Expo, int] = {}
         for (a, b), c in self.terms.items():
             e, s = f(a, b)
             out[e] = out.get(e, 0) + s * c
-        return LaurentPoly(vars, out)
+        return LaurentPoly(out)
 
-    def monomial_map(self, m: tuple[int, int, int, int], vars=None) -> "LaurentPoly":
+    def monomial_map(self, m: tuple[int, int, int, int]) -> "LaurentPoly":
         """Exponent substitution x -> x'^m00 y'^m01, y -> x'^m10 y'^m11."""
         m00, m01, m10, m11 = m
-        return self.remap(
-            lambda a, b: ((a * m00 + b * m10, a * m01 + b * m11), 1), vars or self.vars
-        )
+        return self.remap(lambda a, b: ((a * m00 + b * m10, a * m01 + b * m11), 1))
 
     def eval_at(self, x, y):
         """The value at a point; x and y are Fractions when an exponent is
@@ -236,16 +219,18 @@ class LaurentPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
 
-    def text(self) -> str:
+    def text(self, names=QT) -> str:
+        """The polynomial printed in the variables ``names``."""
         if not self.terms:
             return "0"
+        x, y = names
         pieces = []
         for (a, b), c in reversed(self.sorted_terms()):
             mono = []
             if a:
-                mono.append(self.vars[0] if a == 1 else f"{self.vars[0]}^{a}")
+                mono.append(x if a == 1 else f"{x}^{a}")
             if b:
-                mono.append(self.vars[1] if b == 1 else f"{self.vars[1]}^{b}")
+                mono.append(y if b == 1 else f"{y}^{b}")
             ms = "*".join(mono)
             if not ms:
                 piece = str(c)
@@ -268,11 +253,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
 
-def poly_from_json(triples, vars=QT) -> LaurentPoly:
-    terms = {}
-    for a, b, c in triples:
-        terms[(int(a), int(b))] = int(c)
-    return LaurentPoly(vars, terms)
+def poly_from_json(triples) -> LaurentPoly:
+    return LaurentPoly({(int(a), int(b)): int(c) for a, b, c in triples})
 
 
 # ---------------------------------------------------------------------------
@@ -319,44 +301,36 @@ class RatFun:
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero():
             raise ZeroDivisionError("RatFun with zero denominator")
-        num._check(den)
         self.num, self.den = _normalize(num, den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: LaurentPoly):
-        return cls(p, LaurentPoly.const(1, p.vars))
+        return cls(p, LaurentPoly.const(1))
 
     @classmethod
-    def const(cls, c, vars=QT):
+    def const(cls, c):
         c = Fraction(c)
-        return cls(
-            LaurentPoly.const(c.numerator, vars),
-            LaurentPoly.const(c.denominator, vars),
-        )
+        return cls(LaurentPoly.const(c.numerator), LaurentPoly.const(c.denominator))
 
     @classmethod
-    def zero(cls, vars=QT):
-        return cls.const(0, vars)
+    def zero(cls):
+        return cls.const(0)
 
     @classmethod
-    def one(cls, vars=QT):
-        return cls.const(1, vars)
+    def one(cls):
+        return cls.const(1)
 
     @classmethod
-    def var(cls, idx: int, vars=QT):
-        return cls.from_poly(LaurentPoly.var(idx, vars))
+    def var(cls, idx: int):
+        return cls.from_poly(LaurentPoly.var(idx))
 
     @classmethod
-    def monomial(cls, e: Expo, c=1, vars=QT):
-        return cls(LaurentPoly.monomial(e, c, vars), LaurentPoly.const(1, vars))
+    def monomial(cls, e: Expo):
+        return cls(LaurentPoly.monomial(e), LaurentPoly.const(1))
 
     # -- predicates ---------------------------------------------------------
-
-    @property
-    def vars(self):
-        return self.num.vars
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -364,9 +338,11 @@ class RatFun:
     def is_polynomial(self) -> bool:
         return self.den.is_constant() and self.den.constant_value() == 1
 
-    def as_poly(self) -> LaurentPoly:
+    def as_poly(self, names=QT) -> LaurentPoly:
+        """The numerator of a polynomial; the error prints the denominator in
+        the variables ``names``."""
         if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: denominator {self.den.text()}")
+            raise ValueError(f"not a polynomial: denominator {self.den.text(names)}")
         return self.num
 
     def constant_value(self) -> Fraction:
@@ -376,12 +352,11 @@ class RatFun:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other, self.vars)
+            other = RatFun.const(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        self.num._check(other.num)
         # Henrici: with g = gcd(d1, d2), d1 = g*db and d2 = g*dd, the sum is
         # t/(g*db*dd) with t = n1*dd + n2*db, and no factor of db or dd
         # divides t, so gcd(t, g) is all that can cancel
@@ -393,7 +368,7 @@ class RatFun:
             cof = db * dd
             t = self.num * dd + other.num * db
         if t.is_zero():
-            return RatFun.zero(self.vars)
+            return RatFun.zero()
         _, t, g = t.gcd(g)
         return _signed(t, g if cof is None else g * cof)
 
@@ -401,7 +376,7 @@ class RatFun:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other, self.vars)
+            other = RatFun.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -418,8 +393,7 @@ class RatFun:
         if isinstance(other, Fraction):
             return self._scale(other.numerator, other.denominator)
         if self.is_zero() or other.is_zero():
-            return RatFun.zero(self.vars)
-        self.num._check(other.num)
+            return RatFun.zero()
         # Henrici: once the cross gcds (integer content included) are
         # cancelled, the product of two reduced fractions is reduced
         _, n1, d2 = self.num.gcd(other.den)
@@ -432,7 +406,7 @@ class RatFun:
         """Multiply by the rational p/q; polynomial coprimality is preserved,
         so only integer content and sign need renormalizing."""
         if p == 0:
-            return RatFun.zero(self.vars)
+            return RatFun.zero()
         if p == q:
             return self
         if p == -q:
@@ -445,7 +419,7 @@ class RatFun:
         if g != 1:
             nt = {e: c // g for e, c in nt.items()}
             dt = {e: c // g for e, c in dt.items()}
-        return _signed(LaurentPoly(self.vars, nt), LaurentPoly(self.vars, dt))
+        return _signed(LaurentPoly(nt), LaurentPoly(dt))
 
     def inverse(self):
         if self.is_zero():
@@ -471,7 +445,7 @@ class RatFun:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other, self.vars)
+            other = RatFun.const(other)
         return (
             isinstance(other, RatFun)
             and self.num == other.num
@@ -483,8 +457,8 @@ class RatFun:
 
     # -- maps and evaluation ------------------------------------------------
 
-    def monomial_map(self, m, vars=None) -> "RatFun":
-        return RatFun(self.num.monomial_map(m, vars), self.den.monomial_map(m, vars))
+    def monomial_map(self, m) -> "RatFun":
+        return RatFun(self.num.monomial_map(m), self.den.monomial_map(m))
 
     def scale_powers(self, r: int) -> "RatFun":
         """Raise both variables to the r-th power (x->x^r, y->y^r)."""
@@ -497,10 +471,10 @@ class RatFun:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval_at(x, y) / d
 
-    def text(self) -> str:
+    def text(self, names=QT) -> str:
         if self.is_polynomial():
-            return self.num.text()
-        return f"({self.num.text()}) / ({self.den.text()})"
+            return self.num.text(names)
+        return f"({self.num.text(names)}) / ({self.den.text(names)})"
 
     def to_json(self):
         if self.is_polynomial():
@@ -512,9 +486,8 @@ class RatFun:
 
 
 def _normalize(num: LaurentPoly, den: LaurentPoly):
-    vars = num.vars
     if num.is_zero():
-        return LaurentPoly.zero(vars), LaurentPoly.const(1, vars)
+        return LaurentPoly.zero(), LaurentPoly.const(1)
     # clear negative exponents jointly
     na, nb = num.min_exponents()
     da, db = den.min_exponents()
@@ -525,8 +498,8 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     # integer content
     cg = _igcd(_int_content(num.terms), _int_content(den.terms))
     if cg > 1:
-        num = LaurentPoly(vars, {e: c // cg for e, c in num.terms.items()})
-        den = LaurentPoly(vars, {e: c // cg for e, c in den.terms.items()})
+        num = LaurentPoly({e: c // cg for e, c in num.terms.items()})
+        den = LaurentPoly({e: c // cg for e, c in den.terms.items()})
     _, num, den = num.gcd(den)
     if den.leading_coeff() < 0:
         num, den = -num, -den
@@ -579,7 +552,7 @@ def substitute_powers(p: RatFun, mode: str, d: int) -> RatFun:
             return (qexp, 0), 1
         return (qexp, d + a), (-1 if a % 2 else 1)
 
-    return RatFun.from_poly(p.as_poly().remap(term, QT))
+    return RatFun.from_poly(p.as_poly(ZW).remap(term))
 
 
 def half_specialize(p: RatFun) -> RatFun:
@@ -597,7 +570,7 @@ def half_specialize(p: RatFun) -> RatFun:
         return parities.pop() if parities else 0
 
     if p.is_zero():
-        return RatFun.zero(QT)
+        return RatFun.zero()
     num, den = p.num, p.den
     if parity(num) != parity(den):
         raise ValueError("numerator and denominator parities differ")
@@ -606,11 +579,11 @@ def half_specialize(p: RatFun) -> RatFun:
         den = den.shift(1, 0)
 
     def spec(poly: LaurentPoly) -> LaurentPoly:
-        return poly.remap(lambda a, b: (((a - b) // 2, 0), 1), QT)
+        return poly.remap(lambda a, b: (((a - b) // 2, 0), 1))
 
     return RatFun(spec(num), spec(den))
 
 
 def double_to_zw(r: RatFun) -> RatFun:
     """Substitute q -> z^2, t -> w^2 (coefficients of the two-variable series)."""
-    return r.monomial_map((2, 0, 0, 2), ZW)
+    return r.scale_powers(2)

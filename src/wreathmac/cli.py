@@ -18,6 +18,7 @@ import json
 import sys
 from functools import lru_cache
 
+from .algebra import ZW
 from .classtypes import parse_simple_type
 from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
 from .partitions import bipartition_list, bipartition_str
@@ -57,7 +58,7 @@ def cmd_compute(args) -> int:
         print(_dump(payload))
     else:
         print(f"d = {result.d}")
-        print(f"hb = {result.zw.text()}")
+        print(f"hb = {result.zw.text(ZW)}")
         print(f"e_poly = {e_poly.text()}")
         print(f"mhp = {mhp.text()}")
         for key, val in sorted(checks.items()):

@@ -127,8 +127,8 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
         [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
     )
     if route == ZW:
-        nums = [v.monomial_map((2, 0, 0, 2), ZW) for v in nums]
-        lcm = lcm.monomial_map((2, 0, 0, 2), ZW)
+        nums = [v.monomial_map((2, 0, 0, 2)) for v in nums]
+        lcm = lcm.monomial_map((2, 0, 0, 2))
     return tuple(nums), lcm
 
 
@@ -143,10 +143,10 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
     (first, den), *rest = [_class_column(route, g, k, n, beta) for beta in spec.classes]
     for _, lcm in rest:
         den = den * lcm
-    total = RatFun.zero(route)
+    total = RatFun.zero()
     i = 0
     for d, rows in _pairing_rows(route, g, k, n):
-        group = LaurentPoly.zero(route)
+        group = LaurentPoly.zero()
         for num, _ in rows:
             # the class numerators first: they are small, and the series
             # numerator joins the product once
@@ -258,5 +258,5 @@ def mixed_hodge(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[R
 
 
 def _set_t_minus_one(r: RatFun) -> RatFun:
-    poly = r.as_poly().remap(lambda a, b: ((a, 0), -1 if b % 2 else 1), QT)
+    poly = r.as_poly().remap(lambda a, b: ((a, 0), -1 if b % 2 else 1))
     return RatFun.from_poly(poly)

@@ -7,9 +7,8 @@ it with the distributions of products of twisted-class elements, then
 divides by the group order, checking exactness.  No character theory of the
 general linear group enters.
 
-The module also provides the genericity test on explicit eigenvalue data,
-a counting routine driven by a user-supplied character table of an index-2
-extension, and wreath-product character values computed from the explicit
+The module also provides the genericity test on explicit eigenvalue data
+and wreath-product character values computed from the explicit
 signed-permutation group (Murnaghan-Nakayama for the symmetric-group
 factors plus an explicit induction sum), used to cross-validate the
 symmetric-function route.
@@ -18,8 +17,6 @@ symmetric-function route.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -360,40 +357,6 @@ def _count_points_rank1(g: int, q: int, twok: int) -> int:
     if r:
         raise ArithmeticError("rank-1 count not divisible by the group order")
     return count
-
-
-# ---------------------------------------------------------------------------
-# counting from a character table of an index-2 extension
-
-
-class CharTable(namedtuple("CharTable", "nsub_order class_sizes char_degrees char_values")):
-    """Character data of a finite group H with an index-2 normal subgroup:
-    sizes of the H-stable classes in the nonidentity coset and, for every
-    fixed irreducible character of the subgroup, its degree and the values
-    of a chosen extension on those classes."""
-
-    # nsub_order: int
-    # class_sizes: dict, class id -> size
-    # char_degrees: list of int
-    # char_values: list of dicts, class id -> Fraction, on the listed classes
-    __slots__ = ()
-
-
-def frobenius_count(table: CharTable, g: int, class_ids: list[object]) -> int:
-    """Solution count of the surface relation with all punctures in the
-    nonidentity coset, from the extended character values."""
-    if len(class_ids) % 2:
-        raise ValueError("need an even number of punctures")
-    total = Fraction(0)
-    for deg, values in zip(table.char_degrees, table.char_values):
-        term = Fraction(table.nsub_order, deg) ** (2 * g - 2)
-        for cid in class_ids:
-            term *= Fraction(table.class_sizes[cid]) * values[cid] / deg
-        total += term
-    total *= table.nsub_order
-    if total.denominator != 1:
-        raise ArithmeticError("inconsistent character table: non-integer count")
-    return int(total)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import QT, ZW, LaurentPoly, RatFun
+from .algebra import LaurentPoly, RatFun
 
 Partition = tuple[int, ...]
 BiPartition = tuple[Partition, Partition]
@@ -114,16 +114,16 @@ def hooks(lam: Partition) -> list[tuple[int, int, int]]:
 
 def hook_poly(lam: Partition) -> RatFun:
     """prod over boxes of (1 - q^hook), in the (q, t) coefficient field."""
-    out = LaurentPoly.const(1, QT)
+    out = LaurentPoly.const(1)
     for _, _, h in hooks(lam):
-        out = out * (LaurentPoly.const(1, QT) - LaurentPoly.monomial((h, 0), 1, QT))
+        out = out * (LaurentPoly.const(1) - LaurentPoly.monomial((h, 0)))
     return RatFun.from_poly(out)
 
 
-# variable maps for ``hook_product``: the variable pair of the result and the
-# exponent vectors of u, q and t in it
-PAIRING_QT = (QT, (0, 0), (1, 0), (0, 1))  # u = 1
-DEFORMED_ZW = (ZW, (1, 1), (2, 0), (0, 2))  # u = z*w, q = z^2, t = w^2
+# variable maps for ``hook_product``: the exponent vectors of u, q and t in
+# the two variables of the result, (q, t) or (z, w)
+PAIRING_QT = ((0, 0), (1, 0), (0, 1))  # u = 1
+DEFORMED_ZW = ((1, 1), (2, 0), (0, 2))  # u = z*w, q = z^2, t = w^2
 
 
 def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:
@@ -134,14 +134,14 @@ def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:
     At u = 1 this is the Macdonald self-pairing N_lam(q, t); at u = z*w,
     q = z^2, t = w^2 it is the deformed pairing of the two-variable series.
     """
-    vars, u, q, t = vmap
+    u, q, t = vmap
 
     def mono(i: int, j: int, k: int) -> LaurentPoly:
         """u^i q^j t^k"""
         e = (i * u[0] + j * q[0] + k * t[0], i * u[1] + j * q[1] + k * t[1])
-        return LaurentPoly.monomial(e, 1, vars)
+        return LaurentPoly.monomial(e)
 
-    out = LaurentPoly.const(1, vars)
+    out = LaurentPoly.const(1)
     for a, l, h in hooks(lam):
         if even_only and h % 2:
             continue

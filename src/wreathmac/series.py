@@ -16,7 +16,6 @@ Term generation is independent per index; lists are ordered by index.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import factorial
 
 from .algebra import RatFun, double_to_zw
@@ -93,8 +92,7 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
     quotient K/N of the statistics of the corresponding type.
     """
     nonempty = [t for t in terms if t.size > 0 and t.size <= maxdeg]
-    vars = terms[0].coeff.vars
-    out = [SeriesTerm((), 0, RatFun.one(vars), SymFunc2.one())]
+    out = [SeriesTerm((), 0, RatFun.one(), SymFunc2.one())]
 
     def extend(start: int, total: int, chosen: list[SeriesTerm]):
         for i in range(start, len(nonempty)):
@@ -109,7 +107,7 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
     def _emit(chosen: list[SeriesTerm]):
         ell = len(chosen)
         mult: dict[object, int] = {}
-        coeff = RatFun.const(Fraction((-1) ** ell * factorial(ell)), vars)
+        coeff = RatFun.const((-1) ** ell * factorial(ell))
         factor = SymFunc2.one()
         for t in chosen:
             mult[t.index] = mult.get(t.index, 0) + 1

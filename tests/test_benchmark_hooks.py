@@ -1,20 +1,29 @@
 """The names the benchmark's span tracer (``perfbench/tracer.py``) wraps and
-the kernel backend its worker reports exist in the package, and the values
-it reads have the shape it reads, so that a refactor which moves or reshapes
-one of them fails here and not only in a benchmark run."""
+the kernel backend its worker reports exist in the package, the values it
+reads have the shape it reads, and the recorded failures of its reference
+outputs still fail with the recorded text, so that a refactor which moves
+or reshapes one of them fails here and not only in a benchmark run."""
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def test_tracer_hooks_resolve():
@@ -47,3 +56,30 @@ def test_bgcd_returns_the_gcd_as_int_lists():
         before = tracer.counters["bgcd_useful"]
         tracer._post_bgcd((a, b), g)
         assert tracer.counters["bgcd_useful"] - before == useful
+
+
+def test_recorded_sweep_failures_keep_their_text():
+    # the benchmark digests a failing item's "<type>: <message>" (as
+    # perfbench/worker.py does) and compares it with refs.json
+    from wreathmac import cli
+
+    workloads = load_perfbench("workloads")
+    refs = json.loads((PERFBENCH / "refs.json").read_text())["sweep"]
+    failures = 0
+    for band in workloads.SWEEP_BANDS:
+        for classes in band:
+            ref = refs[workloads.config_key(*workloads.SWEEP_GKN, classes)]
+            if "error" not in ref:
+                continue
+            failures += 1
+            argv = workloads.compute_argv(*workloads.SWEEP_GKN, classes)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(argv)
+            except Exception as exc:
+                assert type(exc).__name__ == ref["error"], classes
+                text = f"{type(exc).__name__}: {exc}"
+                assert hashlib.sha256(text.encode()).hexdigest() == ref["digest"], text
+            else:
+                raise AssertionError(f"{classes} no longer fails")
+    assert failures == 6

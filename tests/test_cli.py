@@ -39,6 +39,21 @@ def test_compute_json_round_trip(capsys):
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == out.strip()
 
 
+def test_compute_text_output(capsys):
+    # the two-variable polynomial prints over (z, w), the specialisations
+    # over (q, t)
+    code, out = run_cli(
+        capsys,
+        "compute", "--g", "1", "--k", "1", "--n", "2",
+        "--class", "0,0:1", "--class", "1,0:",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "hb = 2*w^4 -4*z*w^3 +4*z^2*w^2 -4*z^3*w +2*z^4 +2*w^2 -4*z*w +2*z^2" in lines
+    assert "e_poly = 2*q^4 -2*q^3 -2*q +2" in lines
+    assert "mhp = 2*q^4*t^8 +4*q^3*t^7 +2*q^3*t^6 +4*q^2*t^6 +4*q^2*t^5 +4*q*t^5 +2*q*t^4 +2*t^4" in lines
+
+
 def test_compute_rank_one(capsys):
     code, out = run_cli(
         capsys,
@@ -164,6 +179,37 @@ def test_oracle_refuses_out_of_reach_input_at_once(capsys):
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: out of reach") and "Traceback" not in err, err
         assert elapsed < 1, (argv, elapsed)
+
+
+eig_text = st.one_of(
+    st.lists(st.integers(-60, 60), max_size=2).map(lambda xs: " ".join(map(str, xs))),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.sampled_from((1, 2)),
+    st.sampled_from((0, 1)),
+    st.sampled_from((2, 4)).flatmap(lambda twok: st.lists(eig_text, min_size=twok, max_size=twok)),
+    st.booleans(),
+)
+def test_oracle_eigs_end_in_an_exit_code(q, n, g, eigs, strong):
+    # whatever the --eigs text, the oracle answers with an exit code (a
+    # count, a computation error, a failed verdict or bad input), never an
+    # uncaught exception
+    argv = ["oracle", "--q", str(q), "--n", str(n), "--g", str(g)]
+    for e in eigs:
+        argv += ["--eigs", e]
+    if strong:
+        argv.append("--strong-check")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
 
 
 def test_selftest_filter(capsys):

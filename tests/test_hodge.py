@@ -18,8 +18,8 @@ from wreathmac.hodge import (
 
 q = RatFun.var(0)
 t = RatFun.var(1)
-z = RatFun.var(0, ZW)
-w = RatFun.var(1, ZW)
+z = RatFun.var(0)
+w = RatFun.var(1)
 pt = parse_simple_type
 
 
@@ -91,7 +91,7 @@ def test_reference_two_variable_polynomials(key):
     entry = goldens()[key]
     spec = spec_of(entry)
     res = compute_hodge(spec)
-    assert res.zw == RatFun.from_poly(poly_from_json(entry["zw"], ZW))
+    assert res.zw == RatFun.from_poly(poly_from_json(entry["zw"]))
     assert res.d == entry["d"]
     assert all(
         res.checks[key] is True
@@ -256,7 +256,7 @@ def reference_pairing(spec, route):
     inverted = hodge.invert_series(star_terms(g, k, N), N)
     hs = [h_of_type(beta) for beta in spec.classes]
     at_route = double_to_zw if route == ZW else (lambda v: v)
-    total = RatFun.zero(route)
+    total = RatFun.zero()
     for a, b, s in hodge._triples(first, second, inverted, N):
         phi = (a.factor * b.factor * s.factor).to_basis("s2")
         value = a.coeff * b.coeff * s.coeff

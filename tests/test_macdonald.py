@@ -82,7 +82,7 @@ def test_deformed_at_one():
     for n in range(6):
         for lam in partition_list(n):
             at_u1 = hook_product(lam, DEFORMED_ZW).monomial_map((1, 0, -1, 0))
-            expect = hook_product(lam, PAIRING_QT).monomial_map((2, 0, -2, 0), ("z", "w"))
+            expect = hook_product(lam, PAIRING_QT).monomial_map((2, 0, -2, 0))
             assert at_u1 == expect
 
 

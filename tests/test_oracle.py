@@ -1,11 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from wreathmac.oracle import (
-    CharTable,
     count_points,
-    frobenius_count,
     genericity_check,
     sym_char,
     twisted_class,
@@ -61,43 +57,6 @@ def test_class_data_match_the_elementwise_reference():
         first.setdefault(int(ci), idx)
     assert [first[ci] for ci in range(G.nclasses)] == list(G.class_rep)
     assert (G.class_index(G.all_matrices()) == G.class_of).all()
-
-
-def test_frobenius_dihedral():
-    for m in (3, 5, 7):
-        table = CharTable(
-            nsub_order=m,
-            class_sizes={"refl": m},
-            char_degrees=[1],
-            char_values=[{"refl": Fraction(1)}],
-        )
-        assert frobenius_count(table, 0, ["refl", "refl"]) == m
-        assert frobenius_count(table, 1, ["refl", "refl"]) == m**3
-
-
-def test_frobenius_trivial_subgroup():
-    table = CharTable(
-        nsub_order=1,
-        class_sizes={"s": 1},
-        char_degrees=[1],
-        char_values=[{"s": Fraction(1)}],
-    )
-    for g in range(3):
-        assert frobenius_count(table, g, ["s", "s"]) == 1
-    # flipping the extension on an even number of factors changes nothing
-    flipped = CharTable(
-        nsub_order=1,
-        class_sizes={"s": 1},
-        char_degrees=[1],
-        char_values=[{"s": Fraction(-1)}],
-    )
-    assert frobenius_count(flipped, 1, ["s", "s"]) == 1
-
-
-def test_frobenius_rejects_odd_puncture_count():
-    table = CharTable(1, {"s": 1}, [1], [{"s": Fraction(1)}])
-    with pytest.raises(ValueError):
-        frobenius_count(table, 0, ["s"])
 
 
 def test_murnaghan_nakayama_matches_transition_tables():

@@ -1,4 +1,4 @@
-from wreathmac.algebra import QT, RatFun, ZW, double_to_zw
+from wreathmac.algebra import RatFun, double_to_zw
 from wreathmac.macdonald import macdonald_H
 from wreathmac.series import (
     invert_series,
@@ -10,8 +10,8 @@ from wreathmac.series import (
 from wreathmac.symfunc import SymFunc1, embed_diagonal
 from wreathmac.wreath import wreath_H
 
-z = RatFun.var(0, ZW)
-w = RatFun.var(1, ZW)
+z = RatFun.var(0)
+w = RatFun.var(1)
 q = RatFun.var(0)
 
 
@@ -24,9 +24,9 @@ def test_empty_index_coefficients():
         t1 = wreath_series_terms(1, g, k, 0)
         assert coeff_of(t1, ((), ())) == (z - w) ** (2 * (g + k - 1))
         t0 = wreath_series_terms(0, g, k, 0)
-        assert coeff_of(t0, ((), ())) == RatFun.one(ZW)
+        assert coeff_of(t0, ((), ())) == RatFun.one()
         ts = star_series_terms(g, k, 0)
-        assert coeff_of(ts, ()) == RatFun.one(ZW)
+        assert coeff_of(ts, ()) == RatFun.one()
 
 
 def test_truncation_counts():
@@ -47,7 +47,7 @@ def test_inverse_coefficients():
     inv = invert_series(terms, 3)
     c1 = coeff_of(terms, (1,))
     c2 = coeff_of(terms, (2,))
-    assert coeff_of(inv, ()) == RatFun.one(ZW)
+    assert coeff_of(inv, ()) == RatFun.one()
     assert coeff_of(inv, ((1,),)) == -c1
     assert coeff_of(inv, ((1,), (1,))) == c1 * c1
     assert coeff_of(inv, ((2,),)) == -c2
@@ -74,12 +74,12 @@ def test_product_with_inverse_is_one():
                 for k1, c1 in zw.items():
                     for k2, c2 in zw.items():
                         key = (k1, k2)
-                        v = tensor.get(key, RatFun.zero(ZW)) + c * c1 * c2
+                        v = tensor.get(key, RatFun.zero()) + c * c1 * c2
                         tensor[key] = v
         empty = ((), ())
         for (k1, k2), v in tensor.items():
             if (k1, k2) == (empty, empty):
-                assert v == RatFun.one(ZW)
+                assert v == RatFun.one()
             else:
                 assert v.is_zero(), (k1, k2, v.text())
 
@@ -93,7 +93,6 @@ def test_two_parameter_factors_are_the_solved_families():
     for t in star_series_terms(1, 1, 3):
         expect = embed_diagonal(macdonald_H(t.index)).to_basis("s2")
         assert t.factor.coeffs == expect.coeffs, t.index
-        assert all(c.vars == QT for c in t.factor.coeffs.values())
 
 
 def test_one_param_empty_coefficients():
