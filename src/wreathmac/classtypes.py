@@ -1,6 +1,7 @@
 """Simple types of twisted conjugacy classes (eigenvalue multiplicity data)
-and the complete symmetric functions dual to them, built as one-row Schur
-functions (h_m = s_(m)).
+and the complete symmetric functions dual to them, built from one-row Schur
+functions (h_m = s_(m)) and held in power sums, the basis the Hall pairing
+reads.
 """
 
 from __future__ import annotations
@@ -51,4 +52,4 @@ def h_of_type(beta: SimpleType) -> SymFunc2:
     out = first_alphabet(beta.m_plus) * first_alphabet(beta.m_minus)
     for m in beta.star:
         out = out * embed_diagonal(SymFunc1.basis_elem("s", (m,)))
-    return out.to_basis("s2")
+    return out

@@ -88,9 +88,9 @@ def dimension(spec: ProblemSpec) -> int:
 def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     """The series side of the pairing, which depends on (g, k, n) only: for
     every index triple with a nonzero coefficient, the product of the three
-    coefficients and the Schur expansion of the product of the three
-    factors.  The rows are grouped by the coefficient's denominator ``d``,
-    as ``(d, ((numerator, factor), ...))``.  Route ZW pairs the two-variable
+    coefficients and the product of the three factors, in power sums.  The
+    rows are grouped by the coefficient's denominator ``d``, as
+    ``(d, ((numerator, factor), ...))``.  Route ZW pairs the two-variable
     series, route QT the one-parameter series."""
     if route == ZW:
         wreath_terms, star_terms = wreath_series_terms, star_series_terms
@@ -107,7 +107,7 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     for a, b, s in _triples(first, second, inverted, N):
         coeff = a.coeff * b.coeff * s.coeff
         if not coeff.is_zero():
-            phi = (a.factor * b.factor * s.factor).to_basis("s2")
+            phi = a.factor * b.factor * s.factor
             groups.setdefault(coeff.den, []).append((coeff.num, phi))
     # the groups in order of growing denominator degree: the partial sums of
     # ``_pair_against_classes`` then take the large denominators last
@@ -243,11 +243,9 @@ def e_polynomial(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[
     return route_a, checks
 
 
-def mixed_hodge(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[RatFun, dict]:
+def mixed_hodge(spec: ProblemSpec, result: HodgeResult) -> tuple[RatFun, dict]:
     """Conjectural mixed Hodge polynomial, its E-specialization consistency,
     and the curious Poincare duality check."""
-    if result is None:
-        result = compute_hodge(spec)
     d = result.d
     mhp = substitute_powers(result.zw, "MHP", d)
     # route A of the E-polynomial; ``e_polynomial`` checks it against route B

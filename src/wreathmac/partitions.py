@@ -238,12 +238,9 @@ def bipartition_str(bp: BiPartition) -> str:
 
 def parse_partition(s: str) -> Partition:
     s = s.strip()
-    if s.startswith("[") and s.endswith("]"):
-        body = s[1:-1].strip()
-        parts = [int(x) for x in body.split(",") if x.strip()] if body else []
-    else:
-        parts = [int(x) for x in s.split("+") if x.strip()] if s else []
-    return check_partition(parts)
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ValueError(f"malformed partition {s!r}")
+    return check_partition([int(x) for x in s[1:-1].split(",") if x.strip()])
 
 
 def parse_bipartition(s: str) -> BiPartition:

@@ -3,19 +3,20 @@ two-variable polynomial and the one-parameter point-count series.
 
 Every term carries an index, a scalar coefficient, and the symmetric
 function inserted identically into each puncture alphabet.  Every factor
-has its coefficients over (q, t).  A two-parameter term's coefficient lives
-over (z, w): it substitutes u = z*w, q = z^2, t = w^2 into the (deformed)
-self-pairings; its factor is the (wreath) Macdonald polynomial itself, and
-the pairing against the classes reads q = z^2, t = w^2 afterwards.  The
-one-parameter terms over q use hook-polynomial coefficients and plethystic
-Schur factors.
+is held in power sums, with its coefficients over (q, t).  A two-parameter
+term's coefficient lives over (z, w): it substitutes u = z*w, q = z^2,
+t = w^2 into the (deformed) self-pairings; its factor is the (wreath)
+Macdonald polynomial, and the pairing against the classes reads q = z^2,
+t = w^2 afterwards.  The one-parameter terms over q use hook-polynomial
+coefficients and plethystic Schur factors.
 
 Term generation is independent per index; lists are ordered by index.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .algebra import RatFun, double_to_zw
@@ -38,7 +39,7 @@ class SeriesTerm(namedtuple("SeriesTerm", "index size coeff factor")):
     # index: BiPartition | Partition | tuple of Partitions (multiset)
     # size: the degree of the term
     # coeff: RatFun
-    # factor: SymFunc2 in the Schur basis over (q, t), the same for every puncture
+    # factor: SymFunc2 in the power basis over (q, t), the same for every puncture
     __slots__ = ()
 
 
@@ -63,7 +64,7 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             cot = hook_product(lam, DEFORMED_ZW, even_only=True)
             den_deformed = double_to_zw(pairing.nabla) * cot
             coeff = num / (den_plain * den_deformed ** (k - 1))
-            out.append(SeriesTerm(bp, n, coeff, wreath_H(bp, core)))
+            out.append(SeriesTerm(bp, n, coeff, wreath_H(bp, core).to_basis("p2")))
     return out
 
 
@@ -78,8 +79,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
             coeff = num / double_to_zw(hook_product(lam, PAIRING_QT))
-            factor = embed_diagonal(macdonald_H(lam)).to_basis("s2")
-            out.append(SeriesTerm(lam, n, coeff, factor))
+            out.append(SeriesTerm(lam, n, coeff, embed_diagonal(macdonald_H(lam))))
     return out
 
 
@@ -91,35 +91,21 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
     with factor the product of the members' factors; the weight equals the
     quotient K/N of the statistics of the corresponding type.
     """
-    nonempty = [t for t in terms if t.size > 0 and t.size <= maxdeg]
+    nonempty = [t for t in terms if 0 < t.size <= maxdeg]
     out = [SeriesTerm((), 0, RatFun.one(), SymFunc2.one())]
-
-    def extend(start: int, total: int, chosen: list[SeriesTerm]):
-        for i in range(start, len(nonempty)):
-            t = nonempty[i]
-            if total + t.size > maxdeg:
+    for ell in range(1, maxdeg + 1):
+        for chosen in combinations_with_replacement(nonempty, ell):
+            size = sum(t.size for t in chosen)
+            if size > maxdeg:
                 continue
-            chosen.append(t)
-            _emit(chosen)
-            extend(i, total + t.size, chosen)
-            chosen.pop()
-
-    def _emit(chosen: list[SeriesTerm]):
-        ell = len(chosen)
-        mult: dict[object, int] = {}
-        coeff = RatFun.const((-1) ** ell * factorial(ell))
-        factor = SymFunc2.one()
-        for t in chosen:
-            mult[t.index] = mult.get(t.index, 0) + 1
-            coeff = coeff * t.coeff
-            factor = factor * t.factor
-        for m in mult.values():
-            coeff = coeff / factorial(m)
-        index = tuple(t.index for t in chosen)
-        size = sum(t.size for t in chosen)
-        out.append(SeriesTerm(index, size, coeff, factor.to_basis("s2")))
-
-    extend(0, 0, [])
+            coeff = RatFun.const((-1) ** ell * factorial(ell))
+            factor = SymFunc2.one()
+            for t in chosen:
+                coeff = coeff * t.coeff
+                factor = factor * t.factor
+            for m in Counter(t.index for t in chosen).values():
+                coeff = coeff / factorial(m)
+            out.append(SeriesTerm(tuple(t.index for t in chosen), size, coeff, factor))
     return out
 
 
@@ -149,7 +135,7 @@ def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[Serie
                 * q ** ((1 - g - k) * m)
                 * (hook_poly(lam) * q ** (-n_stat(lam))) ** (2 * g + 2 * k - 2)
             )
-            factor = SymFunc2.basis_elem("s2", bp).alphabet_substitute(P).to_basis("s2")
+            factor = SymFunc2.basis_elem("s2", bp).alphabet_substitute(P)
             out.append(SeriesTerm(bp, n, coeff, factor))
     return out
 
@@ -168,6 +154,5 @@ def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
             )
             # scalar plethysm commutes with the diagonal embedding
             s_lam = SymFunc1.basis_elem("s", lam).scalar_plethysm(inv1mq)
-            factor = embed_diagonal(s_lam).to_basis("s2")
-            out.append(SeriesTerm(lam, n, coeff, factor))
+            out.append(SeriesTerm(lam, n, coeff, embed_diagonal(s_lam)))
     return out

@@ -7,11 +7,14 @@ p_{a}(x0) p_{b}(x1).  The wreath power sums, p_r(x0) + p_r(x1) in the first
 slot and p_r(x0) - p_r(x1) in the second, are the image of p2 under the
 alphabet substitution by [[1, 1], [1, -1]].
 
+The power basis is the working basis: products, plethysms and alphabet
+substitutions are computed there, and equality and the Hall inner product,
+which is diagonal there (<p_mu, p_nu> = z_mu if mu = nu, else 0), read it.
 A function converts to the Schur and power bases of its alphabet through
 one memoized table per partition, applied to each alphabet.  Schur-to-power
-tables come from the Jacobi-Trudi determinant combined with the Newton
-expansion of the complete functions; symmetric-group character values, and
-with them the power-to-Schur tables, are read off from those tables.
+tables expand the Jacobi-Trudi determinant with each complete function read
+in power sums; symmetric-group character values, and with them the
+power-to-Schur tables, are read off from those tables.
 Coefficients are ``RatFun`` over (q, t); all values are immutable and
 operations pure.
 """
@@ -50,57 +53,31 @@ def _pmul(a: dict[Partition, Fraction], b: dict[Partition, Fraction]):
 
 
 @lru_cache(maxsize=None)
-def _hmono_to_power(mono: Partition) -> dict[Partition, Fraction]:
-    """Product h_{mono_1} h_{mono_2} ... expanded in power sums."""
-    out = {(): Fraction(1)}
-    for k in mono:
-        out = _pmul(out, _h_to_power(k))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _jacobi_trudi(lam: Partition) -> dict[Partition, int]:
-    """s_lam as an integer combination of h-monomials (Jacobi-Trudi)."""
-    ell = len(lam)
-    if ell == 0:
-        return {(): 1}
+def schur_to_power(lam: Partition) -> dict[Partition, Fraction]:
+    """s_lam = det(h_{lam_i - i + j}) (Jacobi-Trudi), expanded along its
+    columns with each entry h_k read in power sums."""
 
     @lru_cache(maxsize=None)
-    def minor(rows: tuple[int, ...], col: int) -> dict[Partition, int]:
+    def minor(rows: tuple[int, ...], col: int) -> dict[Partition, Fraction]:
         if not rows:
-            return {(): 1}
-        out: dict[Partition, int] = {}
+            return {(): Fraction(1)}
+        out: dict[Partition, Fraction] = {}
         for pos, i in enumerate(rows):
-            k = lam[i] - (i + 1) + (col + 1)
+            k = lam[i] - i + col
             if k < 0:
                 continue
-            rest = minor(tuple(r for r in rows if r != i), col + 1)
-            sign = -1 if pos % 2 else 1
-            for mono, c in rest.items():
-                key = tuple(sorted(mono + ((k,) if k else ()), reverse=True))
-                v = out.get(key, 0) + sign * c
+            rest = minor(rows[:pos] + rows[pos + 1 :], col + 1)
+            for mu, c in _pmul(_h_to_power(k), rest).items():
+                v = out.get(mu, 0) + (-c if pos % 2 else c)
                 if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                    out[mu] = v
+                elif mu in out:
+                    del out[mu]
         return out
 
-    result = minor(tuple(range(ell)), 0)
+    result = minor(tuple(range(len(lam))), 0)
     minor.cache_clear()
     return result
-
-
-@lru_cache(maxsize=None)
-def schur_to_power(lam: Partition) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-    for mono, c in _jacobi_trudi(lam).items():
-        for mu, d in _hmono_to_power(mono).items():
-            v = out.get(mu, 0) + c * d
-            if v:
-                out[mu] = v
-            elif mu in out:
-                del out[mu]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -136,12 +113,13 @@ def _acc(out: dict, key, value: RatFun) -> None:
 class _SymFunc:
     """Sparse symmetric function with RatFun coefficients over (q, t),
     stored in one of the subclass's ``BASES``; equality and the Hall inner
-    product are read in its Schur basis ``SCHUR``."""
+    product are read in its power basis ``POWER``, where ``_z`` gives the
+    self-pairing of each basis element."""
 
     __slots__ = ("basis", "coeffs")
 
     BASES: tuple[str, ...]
-    SCHUR: str
+    POWER: str
     EMPTY: tuple  # the index of the empty product
 
     def __init__(self, basis: str, coeffs: dict):
@@ -152,21 +130,23 @@ class _SymFunc:
 
     @classmethod
     def one(cls):
-        return cls(cls.SCHUR, {cls.EMPTY: RatFun.one()})
+        return cls(cls.POWER, {cls.EMPTY: RatFun.one()})
 
     def __eq__(self, other):
-        a, b = self.to_basis(self.SCHUR), other.to_basis(self.SCHUR)
+        a, b = self.to_basis(self.POWER), other.to_basis(self.POWER)
         return a.coeffs == b.coeffs
 
     def hall_inner(self, other) -> RatFun:
-        a, b = self.to_basis(self.SCHUR), other.to_basis(self.SCHUR)
+        """sum over mu of c_mu d_mu z_mu, for the power-basis coefficients
+        c and d of the two functions."""
+        a, b = self.to_basis(self.POWER), other.to_basis(self.POWER)
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
         total = RatFun.zero()
         for k, c in a.coeffs.items():
             d = b.coeffs.get(k)
             if d is not None:
-                total = total + c * d
+                total = total + c * d * self._z(k)
         return total
 
     def to_basis(self, basis: str):
@@ -176,7 +156,7 @@ class _SymFunc:
             return self
         if basis not in self.BASES:
             raise ValueError(f"cannot convert to basis {basis!r}")
-        table = _power_to_schur if basis == self.SCHUR else schur_to_power
+        table = schur_to_power if basis == self.POWER else _power_to_schur
         out: dict = {}
         for k, c in self.coeffs.items():
             for key, f in self._expand(k, table):
@@ -193,8 +173,9 @@ class SymFunc1(_SymFunc):
 
     __slots__ = ()
     BASES = ("s", "p")
-    SCHUR = "s"
+    POWER = "p"
     EMPTY = ()
+    _z = staticmethod(z_stat)
 
     @classmethod
     def basis_elem(cls, basis: str, lam: Partition):
@@ -234,8 +215,12 @@ class SymFunc2(_SymFunc):
 
     __slots__ = ()
     BASES = ("s2", "p2")
-    SCHUR = "s2"
+    POWER = "p2"
     EMPTY = ((), ())
+
+    @staticmethod
+    def _z(bp: BiPartition) -> int:
+        return z_stat(bp[0]) * z_stat(bp[1])
 
     @classmethod
     def basis_elem(cls, basis: str, bp: BiPartition):

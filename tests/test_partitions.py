@@ -87,7 +87,6 @@ def test_hook_poly_and_stats():
 
 
 def test_parsing():
-    assert parse_partition("3+1+1") == (3, 1, 1)
     assert parse_partition("[3,1,1]") == (3, 1, 1)
     assert parse_partition("[]") == ()
     assert parse_bipartition("([2],[1,1])") == ((2,), (1, 1))

@@ -249,17 +249,27 @@ def _defaulted_parameters(module: str, tree):
     return out
 
 
+def _calls_in(node, enclosing=None):
+    """(call, name of the innermost function defining it) for each call
+    under a node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, enclosing
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from _calls_in(child, inner or enclosing)
+
+
 def _unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """``M.f(p)`` for each defaulted parameter p of a function or method f of
     the package that no call in the package passes.  A call passes p by
     keyword, or by position to a callee spelled ``f`` or ``x.f`` (for the
     bound ``x.f`` of a method, ``self``/``cls`` is not counted); ``*args``
-    and ``**kwargs`` pass every parameter.  Dunder methods and the entry
-    points are exempt."""
+    and ``**kwargs`` pass every parameter.  A call ``x.f(...)`` inside a
+    ``def f`` forwards to a same-named callee and passes nothing, unless
+    ``x`` is ``self``/``cls`` (a method calling itself, as ``f(...)`` inside
+    ``def f`` does).  Dunder methods and the entry points are exempt."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    calls = [
-        node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)
-    ]
+    calls = [call for tree in trees.values() for call in _calls_in(tree)]
     unpassed = []
     for module, tree in trees.items():
         for label, params, bound, defaulted in _defaulted_parameters(module, tree):
@@ -267,10 +277,13 @@ def _unpassed_defaults(sources: dict[str, str]) -> list[str]:
             if (name.startswith("__") and name.endswith("__")) or (module, name) in ENTRY_POINTS:
                 continue
             passed = set()
-            for call in calls:
+            for call, enclosing in calls:
                 func = call.func
                 attr = isinstance(func, ast.Attribute)
                 if (func.attr if attr else getattr(func, "id", None)) != name:
+                    continue
+                receiver = getattr(func.value, "id", None) if attr else None
+                if attr and enclosing == name and receiver not in ("self", "cls"):
                     continue
                 if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
                     kw.arg is None for kw in call.keywords
@@ -301,6 +314,25 @@ def test_an_unpassed_default_is_reported():
         "\n\n_SPAN = _Ruler().span((1,), 2)\n"
     )
     assert _unpassed_defaults(sources) == ["partitions._Ruler.span(scale)"]
+
+
+def test_a_forwarded_default_is_reported():
+    # `_Other.span` forwards `start` to a same-named method, and no other
+    # call passes it: neither default is ever overridden
+    sources = _package_sources()
+    sources["partitions"] += (
+        "\n\nclass _Ruler:\n"
+        "    def span(self, lam, start=0):\n"
+        "        return sum(lam, start)\n"
+        "\n\nclass _Other:\n"
+        "    def span(self, lam, start=0):\n"
+        "        return _Ruler().span(lam, start)\n"
+        "\n\n_SPAN = _Other().span((1,))\n"
+    )
+    assert _unpassed_defaults(sources) == [
+        "partitions._Ruler.span(start)",
+        "partitions._Other.span(start)",
+    ]
 
 
 def test_no_module_imports_a_private_name_of_another():

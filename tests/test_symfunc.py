@@ -95,6 +95,30 @@ def test_hall_inner():
                 assert v == (RatFun.const(z_stat2(a)) if a == b else zero)
 
 
+def _schur_pairing(f, g, schur):
+    """Reference Hall pairing: Schur bases are orthonormal, so it is the sum
+    of the products of the two Schur coefficients."""
+    a, b = f.to_basis(schur).coeffs, g.to_basis(schur).coeffs
+    return sum((c * b[k] for k, c in a.items() if k in b), zero)
+
+
+@pytest.mark.parametrize(
+    "cls, bases, labels",
+    [(SymFunc1, ("s", "p"), partition_list), (SymFunc2, ("s2", "p2"), bipartition_list)],
+    ids=["SymFunc1", "SymFunc2"],
+)
+def test_hall_inner_matches_the_schur_pairing(cls, bases, labels, rng):
+    # random operands of size <= 3, each in a random basis
+    def operand():
+        keys = [k for n in range(4) for k in labels(n)]
+        coeffs = {k: q * rng.randrange(-2, 3) + t * rng.randrange(-2, 3) + 1 for k in keys}
+        return cls(rng.choice(bases), coeffs)
+
+    for _ in range(20):
+        f, g = operand(), operand()
+        assert f.hall_inner(g) == _schur_pairing(f, g, bases[0])
+
+
 def test_hall_inner_agrees_on_first_alphabet_images(rng):
     # (lam, ()) is s_lam(x0): the two-alphabet pairing restricts to the
     # one-alphabet one
