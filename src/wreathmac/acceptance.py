@@ -14,7 +14,7 @@ from importlib import resources
 from .algebra import RatFun, half_specialize, poly_from_json
 from .classtypes import parse_simple_type
 from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, e_polynomial
-from .macdonald import macdonald_H, qt_inner1
+from .macdonald import macdonald_H, qt_inner
 from .oracle import count_points, wreath_group_char
 from .partitions import (
     PAIRING_QT,
@@ -108,7 +108,7 @@ def c02_pairing_golden_tables():
         if hook_product(lam, PAIRING_QT) != want:
             return False, f"Macdonald hook pairing mismatch at {label}"
         H = macdonald_H(lam)
-        if qt_inner1(H, H) != want:
+        if qt_inner(H, H) != want:
             return False, f"Macdonald self-pairing mismatch at {label}"
     return True, "pairings incl. the core-1 label exchange; Macdonald degree 2"
 
@@ -202,8 +202,10 @@ def c07_finite_field_oracle():
 
 
 def _scalar_eval(lam, c: RatFun) -> RatFun:
-    """s_lam evaluated on the scalar alphabet c."""
-    return SymFunc1.basis_elem("s", lam).scalar_plethysm(c).evaluate_scalar()
+    """s_lam evaluated on the scalar alphabet c: s_lam[cZ] paired with
+    h_n = s_(n), since <p_mu, h_n> = 1 for every mu of size n."""
+    h_n = SymFunc1.basis_elem("s", (sum(lam),) if lam else ())
+    return SymFunc1.basis_elem("s", lam).alphabet_substitute([[c]]).hall_inner(h_n)
 
 
 def _map_coeffs(f: SymFunc2, op) -> SymFunc2:
@@ -223,7 +225,7 @@ def c08_specialization_lemmas():
             f = _scalar_eval(lam, inv1mq).inverse()
             H = macdonald_H(lam)
             lhs = {k: c.monomial_map(t_to_qinv) for k, c in H.coeffs.items()}
-            srat = SymFunc1.basis_elem("s", lam).scalar_plethysm(inv1mq).to_basis("s")
+            srat = SymFunc1.basis_elem("s", lam).alphabet_substitute([[inv1mq]]).to_basis("s")
             rhs = {k: c * f for k, c in srat.coeffs.items() if not (c * f).is_zero()}
             if lhs != rhs:
                 return False, f"Macdonald t=1/q specialization fails at {lam}"

@@ -243,7 +243,7 @@ def e_polynomial(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[
     return route_a, checks
 
 
-def mixed_hodge(spec: ProblemSpec, result: HodgeResult) -> tuple[RatFun, dict]:
+def mixed_hodge(result: HodgeResult) -> tuple[RatFun, dict]:
     """Conjectural mixed Hodge polynomial, its E-specialization consistency,
     and the curious Poincare duality check."""
     d = result.d

@@ -1,14 +1,18 @@
-"""Modified Macdonald polynomials, their (q, t) inner product, and the
+"""Modified Macdonald polynomials, the (q, t) inner product, and the
 triangular solve shared with the wreath family.
 
-``macdonald_H(lam)`` solves the defining linear system over Q(q, t): the
-unknown Schur coefficients are constrained by the vanishing, after the
-scalar plethysms Z -> (1-q)Z and Z -> (1-t)Z, of every Schur coefficient
-whose index does not dominate lam (resp. the dual of lam), plus the
-normalization that the coefficient against the one-row Schur function is 1.
-Solved families are memoized per degree.  ``triangular_family`` builds and
-solves such a system for any basis, pair of image tables and pair of
-orders; ``wreath.wreath_H`` solves the wreath family through it too.
+Both families are wreath Macdonald polynomials in Haiman's sense: the
+modified ones in one alphabet, the wreath ones for (Z/2)^N x S_N in two.
+With K the matrix that exchanges the alphabets (``EXCHANGE``: the 1x1
+identity for one alphabet), the member of label b is fixed by the
+triangularity of its images under X -> (I - qK)X and X -> (I - tK)X: every
+Schur coefficient of the q-image at an index that is not above b, and of
+the t-image at an index not above the dual of b, vanishes, in an order the
+family chooses; and its coefficient at the one-row Schur function is 1.
+``triangular_family`` builds and solves that system over Q(q, t), and
+``qt_inner`` pairs two functions of either family through the twist
+(q + t)I - (1 + qt)K = -K(I - qK)(I - tK).  ``macdonald_H`` solves the
+one-alphabet family, memoized per label; ``wreath.wreath_H`` the other.
 """
 
 from __future__ import annotations
@@ -21,36 +25,49 @@ from .partitions import Partition, dominance_geq, dual, partition_list
 from .symfunc import SymFunc1
 
 
-def triangular_family(basis, tables, above, above_dual, top) -> dict:
-    """The nonzero coefficients over ``basis`` of the function whose q-image
-    has Schur support only on indices where ``above`` holds, whose t-image
-    only where ``above_dual`` holds, and whose coefficient at ``top`` is 1.
+def _plus_exchange(a: RatFun, b: RatFun, K) -> list[list[RatFun]]:
+    """The matrix aI + bK."""
+    zero = RatFun.zero()
+    return [[(a if i == j else zero) + b * k for j, k in enumerate(row)] for i, row in enumerate(K)]
 
-    ``tables`` is the pair (q-images, t-images) of the basis elements, each
-    a map from index to its image's Schur coefficients."""
+
+@lru_cache(maxsize=None)
+def _image_tables(cls, basis) -> tuple[dict, dict]:
+    """Schur coefficients of s_b[(I - qK)X] and of s_b[(I - tK)X] for each
+    index b of ``basis``, with K = ``cls.EXCHANGE``."""
+    schur = cls.BASES[0]
+    tables = []
+    for v in (RatFun.var(0), RatFun.var(1)):
+        m = _plus_exchange(RatFun.one(), -v, cls.EXCHANGE)
+        tables.append(
+            {b: cls.basis_elem(schur, b).alphabet_substitute(m).to_basis(schur).coeffs for b in basis}
+        )
+    return tuple(tables)
+
+
+def triangular_family(cls, basis, above, above_dual, top):
+    """The ``cls`` function over the Schur indices ``basis`` whose q-image
+    has Schur support only on indices where ``above`` holds, whose t-image
+    only where ``above_dual`` holds, and whose coefficient at ``top`` is
+    1."""
     zero = RatFun.zero()
     rows = [
         [table[b].get(gamma, zero) for b in basis]
-        for table, holds in zip(tables, (above, above_dual))
+        for table, holds in zip(_image_tables(cls, basis), (above, above_dual))
         for gamma in basis
         if not holds(gamma)
     ]
     rows.append([RatFun.one() if b == top else zero for b in basis])
     rhs = [zero] * (len(rows) - 1) + [RatFun.one()]
     sol = solve_unique(rows, rhs)
-    return {b: c for b, c in zip(basis, sol) if not c.is_zero()}
+    return cls(cls.BASES[0], {b: c for b, c in zip(basis, sol) if not c.is_zero()})
 
 
-@lru_cache(maxsize=None)
-def _plethysm_tables(n: int):
-    """Schur expansions of s_mu[(1-q)Z] and s_mu[(1-t)Z] for |mu| = n."""
-    return tuple(
-        {
-            mu: SymFunc1.basis_elem("s", mu).scalar_plethysm(c).to_basis("s").coeffs
-            for mu in partition_list(n)
-        }
-        for c in (RatFun.one() - RatFun.var(0), RatFun.one() - RatFun.var(1))
-    )
+def qt_inner(f, g) -> RatFun:
+    """Hall pairing of f against g substituted by (q + t)I - (1 + qt)K;
+    symmetric in f and g."""
+    q, t = RatFun.var(0), RatFun.var(1)
+    return f.hall_inner(g.alphabet_substitute(_plus_exchange(q + t, -(1 + q * t), f.EXCHANGE)))
 
 
 @lru_cache(maxsize=None)
@@ -60,18 +77,10 @@ def macdonald_H(lam: Partition) -> SymFunc1:
     lam = tuple(lam)
     n = sum(lam)
     lam_d = dual(lam)
-    coeffs = triangular_family(
+    return triangular_family(
+        SymFunc1,
         partition_list(n),
-        _plethysm_tables(n),
         lambda gamma: dominance_geq(gamma, lam),
         lambda gamma: dominance_geq(gamma, lam_d),
         (n,) if n else (),
     )
-    return SymFunc1("s", coeffs)
-
-
-def qt_inner1(f: SymFunc1, g: SymFunc1) -> RatFun:
-    """Hall pairing of f against g[(q-1)(1-t)Z]."""
-    q = RatFun.var(0)
-    t = RatFun.var(1)
-    return f.hall_inner(g.scalar_plethysm((q - 1) * (1 - t)))

@@ -31,7 +31,7 @@ from .partitions import (
     n_stat,
     partition_list,
 )
-from .symfunc import SymFunc1, SymFunc2, embed_diagonal
+from .symfunc import DIAGONAL, SymFunc1, SymFunc2
 from .wreath import wreath_H, wreath_N
 
 
@@ -79,7 +79,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
             coeff = num / double_to_zw(hook_product(lam, PAIRING_QT))
-            out.append(SeriesTerm(lam, n, coeff, embed_diagonal(macdonald_H(lam))))
+            out.append(SeriesTerm(lam, n, coeff, macdonald_H(lam).alphabet_substitute(DIAGONAL)))
     return out
 
 
@@ -152,7 +152,6 @@ def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
                 q ** ((2 - 2 * g - k) * n)
                 * (hook_poly(lam) ** 2 * q ** (-2 * n_stat(lam))) ** (2 * g + 2 * k - 2)
             )
-            # scalar plethysm commutes with the diagonal embedding
-            s_lam = SymFunc1.basis_elem("s", lam).scalar_plethysm(inv1mq)
-            out.append(SeriesTerm(lam, n, coeff, embed_diagonal(s_lam)))
+            factor = SymFunc1.basis_elem("s", lam).alphabet_substitute([[inv1mq, inv1mq]])
+            out.append(SeriesTerm(lam, n, coeff, factor))
     return out

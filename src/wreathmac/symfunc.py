@@ -1,20 +1,28 @@
 """Symmetric functions in one alphabet and in a pair of alphabets.
 
-One-alphabet bases, indexed by partitions: schur "s" and power "p".
-Two-alphabet bases, indexed by 2-partitions: "s2", products
-s_{a}(x0) s_{b}(x1), and "p2", products of per-alphabet power sums
-p_{a}(x0) p_{b}(x1).  The wreath power sums, p_r(x0) + p_r(x1) in the first
-slot and p_r(x0) - p_r(x1) in the second, are the image of p2 under the
-alphabet substitution by [[1, 1], [1, -1]].
+An index is read as its tuple of per-alphabet partitions: ``SymFunc1``
+indexes by a partition, ``SymFunc2`` by a 2-partition.  Each has a Schur
+basis ("s", "s2": products of per-alphabet Schur functions) and a power
+basis ("p", "p2": products of per-alphabet power sums).  Every operation is
+written once, in the base class, over that tuple; a subclass names its
+bases, its number of alphabets and the matrix K that exchanges them, and
+converts between its index and the tuple.
 
-The power basis is the working basis: products, plethysms and alphabet
-substitutions are computed there, and equality and the Hall inner product,
-which is diagonal there (<p_mu, p_nu> = z_mu if mu = nu, else 0), read it.
-A function converts to the Schur and power bases of its alphabet through
-one memoized table per partition, applied to each alphabet.  Schur-to-power
-tables expand the Jacobi-Trudi determinant with each complete function read
-in power sums; symmetric-group character values, and with them the
-power-to-Schur tables, are read off from those tables.
+The power basis is the working basis: products and alphabet substitutions
+are computed there, and equality and the Hall inner product, which is
+diagonal there (<p_mu, p_nu> = z_mu if mu = nu, else 0, with z the product
+of the per-alphabet z), read it.  An alphabet substitution by a matrix M,
+with a row per alphabet of the function and a column per alphabet of the
+result, sends p_r(x_i) to sum_j M[i][j](q^r, t^r) p_r(y_j): [[c]] is the
+plethysm u[cZ], ``DIAGONAL`` = [[1, 1]] is u[x0 + x1], and the wreath power
+sums, p_r(x0) + p_r(x1) in the first slot and p_r(x0) - p_r(x1) in the
+second, are the image of p2 under [[1, 1], [1, -1]].
+
+A function converts to the Schur and power bases of its alphabets through
+one memoized table per partition, tensored over the alphabets.
+Schur-to-power tables expand the Jacobi-Trudi determinant with each
+complete function read in power sums; symmetric-group character values, and
+with them the power-to-Schur tables, are read off from those tables.
 Coefficients are ``RatFun`` over (q, t); all values are immutable and
 operations pure.
 """
@@ -23,9 +31,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .algebra import RatFun
 from .partitions import BiPartition, Partition, partition_list, z_stat
+
+
+# ---------------------------------------------------------------------------
+# power-sum expansions: dicts from index to coefficient
+
+
+def _acc(out: dict, key, value) -> None:
+    """out[key] += value."""
+    v = out.get(key)
+    out[key] = value if v is None else v + value
+
+
+def _merge(a: Partition, b: Partition) -> Partition:
+    """The partition whose parts are those of a and of b."""
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _product(a: dict, b: dict, merge) -> dict:
+    """Product of two power-sum expansions; ``merge`` joins their indices."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            _acc(out, merge(ka, kb), ca * cb)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -36,20 +70,6 @@ from .partitions import BiPartition, Partition, partition_list, z_stat
 def _h_to_power(n: int) -> dict[Partition, Fraction]:
     """h_n = sum over mu of p_mu / z_mu."""
     return {mu: Fraction(1, z_stat(mu)) for mu in partition_list(n)}
-
-
-def _pmul(a: dict[Partition, Fraction], b: dict[Partition, Fraction]):
-    """Product of two power-sum expansions."""
-    out: dict[Partition, Fraction] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +87,7 @@ def schur_to_power(lam: Partition) -> dict[Partition, Fraction]:
             if k < 0:
                 continue
             rest = minor(rows[:pos] + rows[pos + 1 :], col + 1)
-            for mu, c in _pmul(_h_to_power(k), rest).items():
+            for mu, c in _product(_h_to_power(k), rest, _merge).items():
                 v = out.get(mu, 0) + (-c if pos % 2 else c)
                 if v:
                     out[mu] = v
@@ -104,23 +124,20 @@ def _power_to_schur(mu: Partition) -> dict[Partition, int]:
 # sparse symmetric functions
 
 
-def _acc(out: dict, key, value: RatFun) -> None:
-    """out[key] += value, for a dict of RatFun coefficients."""
-    v = out.get(key)
-    out[key] = value if v is None else v + value
-
-
 class _SymFunc:
-    """Sparse symmetric function with RatFun coefficients over (q, t),
-    stored in one of the subclass's ``BASES``; equality and the Hall inner
-    product are read in its power basis ``POWER``, where ``_z`` gives the
-    self-pairing of each basis element."""
+    """Sparse symmetric function with RatFun coefficients over (q, t) in
+    ``ALPHABETS`` alphabets, stored in one of the subclass's ``BASES`` (its
+    Schur basis, then its power basis ``POWER``).  The subclass's ``_parts``
+    reads an index as its tuple of per-alphabet partitions, ``_index``
+    builds one from such a tuple, and ``_merge`` joins two indices in a
+    product."""
 
     __slots__ = ("basis", "coeffs")
 
-    BASES: tuple[str, ...]
+    BASES: tuple[str, str]
     POWER: str
-    EMPTY: tuple  # the index of the empty product
+    ALPHABETS: int
+    EXCHANGE: list  # the matrix K that exchanges the alphabets
 
     def __init__(self, basis: str, coeffs: dict):
         if basis not in self.BASES:
@@ -129,12 +146,20 @@ class _SymFunc:
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
 
     @classmethod
+    def basis_elem(cls, basis: str, key):
+        return cls(basis, {cls._index(tuple(map(tuple, cls._parts(key)))): RatFun.one()})
+
+    @classmethod
     def one(cls):
-        return cls(cls.POWER, {cls.EMPTY: RatFun.one()})
+        return cls(cls.POWER, {cls._index(((),) * cls.ALPHABETS): RatFun.one()})
 
     def __eq__(self, other):
         a, b = self.to_basis(self.POWER), other.to_basis(self.POWER)
         return a.coeffs == b.coeffs
+
+    def __mul__(self, other):
+        a, b = self.to_basis(self.POWER), other.to_basis(self.POWER)
+        return type(self)(self.POWER, _product(a.coeffs, b.coeffs, self._merge))
 
     def hall_inner(self, other) -> RatFun:
         """sum over mu of c_mu d_mu z_mu, for the power-basis coefficients
@@ -146,12 +171,13 @@ class _SymFunc:
         for k, c in a.coeffs.items():
             d = b.coeffs.get(k)
             if d is not None:
-                total = total + c * d * self._z(k)
+                total = total + c * d * prod(map(z_stat, self._parts(k)))
         return total
 
     def to_basis(self, basis: str):
         """This function in ``basis``, one of ``BASES``: each index expanded
-        by ``_expand`` through the per-partition transition table."""
+        by the per-partition transition table, tensored over the
+        alphabets."""
         if basis == self.basis:
             return self
         if basis not in self.BASES:
@@ -159,9 +185,36 @@ class _SymFunc:
         table = schur_to_power if basis == self.POWER else _power_to_schur
         out: dict = {}
         for k, c in self.coeffs.items():
-            for key, f in self._expand(k, table):
-                _acc(out, key, c * f)
+            for terms in product(*(table(lam).items() for lam in self._parts(k))):
+                keys, factors = zip(*terms)
+                _acc(out, self._index(keys), c * prod(factors))
         return type(self)(basis, out)
+
+    def alphabet_substitute(self, M):
+        """u(X) -> u(M Y) for a matrix M of RatFun entries with a row per
+        alphabet of this function and a column per alphabet of the result:
+        in power sums p_r(x_i) maps to sum_j M[i][j](q^r, t^r) p_r(y_j)."""
+        width = len(M[0])
+        cls = _BY_ALPHABETS[width]
+        empty = cls._index(((),) * width)
+        images: dict = {}  # (i, r) -> the image of p_r(x_i)
+        out: dict = {}
+        for k, c in self.to_basis(self.POWER).coeffs.items():
+            expansion = {empty: c}
+            for i, lam in enumerate(self._parts(k)):
+                for r in lam:
+                    image = images.get((i, r))
+                    if image is None:
+                        image = images[(i, r)] = {
+                            cls._index(tuple((r,) if j == col else () for j in range(width))):
+                            m.scale_powers(r)
+                            for col, m in enumerate(M[i])
+                            if not m.is_zero()
+                        }
+                    expansion = _product(expansion, image, cls._merge)
+            for key, v in expansion.items():
+                _acc(out, key, v)
+        return cls(cls.POWER, out)
 
     def __repr__(self):
         parts = ", ".join(f"{k}: {c.text()}" for k, c in sorted(self.coeffs.items()))
@@ -174,39 +227,18 @@ class SymFunc1(_SymFunc):
     __slots__ = ()
     BASES = ("s", "p")
     POWER = "p"
-    EMPTY = ()
-    _z = staticmethod(z_stat)
-
-    @classmethod
-    def basis_elem(cls, basis: str, lam: Partition):
-        return cls(basis, {tuple(lam): RatFun.one()})
+    ALPHABETS = 1
+    EXCHANGE = [[RatFun.one()]]
 
     @staticmethod
-    def _expand(lam: Partition, table):
-        return table(lam).items()
+    def _parts(lam: Partition) -> tuple[Partition]:
+        return (lam,)
 
-    def scalar_plethysm(self, c: RatFun) -> "SymFunc1":
-        """u(Z) -> u[c Z]: multiply p_mu by prod over parts r of c(x^r, y^r)."""
-        p = self.to_basis("p")
-        out = {}
-        for mu, v in p.coeffs.items():
-            f = v
-            for r in mu:
-                f = f * c.scale_powers(r)
-            out[mu] = f
-        return SymFunc1("p", out)
+    @staticmethod
+    def _index(parts: tuple[Partition]) -> Partition:
+        return parts[0]
 
-    def evaluate_scalar(self) -> RatFun:
-        """Value of the plethystic evaluation with every p_r set to 1.
-
-        Composing with ``scalar_plethysm`` this computes u[c] for a scalar
-        alphabet c, e.g. s_lam[1/(1-q)].
-        """
-        p = self.to_basis("p")
-        total = RatFun.zero()
-        for _, c in p.coeffs.items():
-            total = total + c
-        return total
+    _merge = staticmethod(_merge)
 
 
 class SymFunc2(_SymFunc):
@@ -216,77 +248,35 @@ class SymFunc2(_SymFunc):
     __slots__ = ()
     BASES = ("s2", "p2")
     POWER = "p2"
-    EMPTY = ((), ())
+    ALPHABETS = 2
+    EXCHANGE = [[RatFun.zero(), RatFun.one()], [RatFun.one(), RatFun.zero()]]
 
     @staticmethod
-    def _z(bp: BiPartition) -> int:
-        return z_stat(bp[0]) * z_stat(bp[1])
-
-    @classmethod
-    def basis_elem(cls, basis: str, bp: BiPartition):
-        return cls(basis, {(tuple(bp[0]), tuple(bp[1])): RatFun.one()})
-
-    def __mul__(self, other: "SymFunc2") -> "SymFunc2":
-        a, b = self.to_basis("p2"), other.to_basis("p2")
-        out: dict[BiPartition, RatFun] = {}
-        for (a0, a1), ca in a.coeffs.items():
-            for (b0, b1), cb in b.coeffs.items():
-                key = (
-                    tuple(sorted(a0 + b0, reverse=True)),
-                    tuple(sorted(a1 + b1, reverse=True)),
-                )
-                _acc(out, key, ca * cb)
-        return SymFunc2("p2", out)
+    def _parts(bp: BiPartition) -> BiPartition:
+        return bp
 
     @staticmethod
-    def _expand(bp: BiPartition, table):
-        """The table applied to each alphabet: the tensor product of the two
-        expansions."""
-        t0, t1 = table(bp[0]), table(bp[1])
-        return (((k0, k1), f0 * f1) for k0, f0 in t0.items() for k1, f1 in t1.items())
+    def _index(parts: BiPartition) -> BiPartition:
+        return parts
 
-    def alphabet_substitute(self, M) -> "SymFunc2":
-        """u(X) -> u(M X) for a 2x2 matrix M of RatFun entries.
-
-        In the p2 basis p_r(x_i) maps to sum_j M[i][j](q^r, t^r) p_r(x_j).
-        """
-        out: dict[BiPartition, RatFun] = {}
-        for (l0, l1), c in self.to_basis("p2").coeffs.items():
-            expansion = {((), ()): c}
-            for row, parts in zip(M, (l0, l1)):
-                for r in parts:
-                    expansion = _insert_part(
-                        expansion, r, row[0].scale_powers(r), row[1].scale_powers(r)
-                    )
-            for key, v in expansion.items():
-                _acc(out, key, v)
-        return SymFunc2("p2", out)
+    @staticmethod
+    def _merge(a: BiPartition, b: BiPartition) -> BiPartition:
+        return (_merge(a[0], b[0]), _merge(a[1], b[1]))
 
 
-def _insert_part(expansion, r: int, c0, c1):
-    """Multiply a p2 expansion by c0 p_r(x0) + c1 p_r(x1)."""
-    out: dict[BiPartition, RatFun] = {}
-    for (k0, k1), c in expansion.items():
-        _acc(out, (tuple(sorted(k0 + (r,), reverse=True)), k1), c * c0)
-        _acc(out, (k0, tuple(sorted(k1 + (r,), reverse=True))), c * c1)
-    return out
+_BY_ALPHABETS = {cls.ALPHABETS: cls for cls in (SymFunc1, SymFunc2)}
 
 
 # ---------------------------------------------------------------------------
-# named constructors and derived quantities
+# named substitutions and derived quantities
 
+
+# p_r(z) -> p_r(x0) + p_r(x1): a one-alphabet function on the merged alphabet
+DIAGONAL = [[RatFun.one(), RatFun.one()]]
 
 # p_r(x0) -> p_r(x0) + p_r(x1) and p_r(x1) -> p_r(x0) - p_r(x1): the image
 # of a p2 index is the product of the wreath power sums of its parts
 _WREATH_POWER = [[RatFun.one(), RatFun.one()], [RatFun.one(), -RatFun.one()]]
-
-
-def embed_diagonal(f: SymFunc1) -> SymFunc2:
-    """u(z) -> u[x0 + x1]: power sums map to first-slot wreath power sums."""
-    p = f.to_basis("p")
-    return SymFunc2("p2", {(mu, ()): c for mu, c in p.coeffs.items()}).alphabet_substitute(
-        _WREATH_POWER
-    )
 
 
 def wreath_char(alpha: BiPartition, beta: BiPartition) -> int:

@@ -218,6 +218,17 @@ def test_selftest_filter(capsys):
     assert out.count("PASS") == 1 and "09-partition-identities" in out
 
 
+def test_selftest_json_prints_only_the_document(capsys):
+    # no timed PASS lines before it: the stdout parses, and two runs match
+    argv = ("selftest", "--filter", "09-partition", "--json")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["name"] for r in payload["results"]] == ["09-partition-identities"]
+    assert payload["results"][0]["passed"] is True
+    assert run_cli(capsys, *argv) == (code, out)
+
+
 def test_wreath_mac_size_zero(capsys):
     code, out = run_cli(capsys, "wreath-mac", "--size", "0", "--core", "1", "--json")
     assert code == 0

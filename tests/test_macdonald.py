@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from wreathmac.algebra import RatFun, double_to_zw
-from wreathmac.macdonald import macdonald_H, qt_inner1
+from wreathmac.macdonald import macdonald_H, qt_inner
 from wreathmac.partitions import (
     DEFORMED_ZW,
     PAIRING_QT,
@@ -10,13 +12,15 @@ from wreathmac.partitions import (
     hook_product,
     hooks,
     n_stat,
+    bipartition_list,
     partition_list,
 )
-from wreathmac.symfunc import SymFunc1
+from wreathmac.symfunc import SymFunc1, SymFunc2
 
 q = RatFun.var(0)
 t = RatFun.var(1)
 one = RatFun.one()
+zero = RatFun.zero()
 
 
 def test_degree_2_expansions():
@@ -30,16 +34,16 @@ def test_pairings():
     assert hook_product((1,), PAIRING_QT) == (q - 1) * (1 - t)
     H2 = macdonald_H((2,))
     H11 = macdonald_H((1, 1))
-    assert qt_inner1(H2, H2) == hook_product((2,), PAIRING_QT)
-    assert qt_inner1(H2, H11).is_zero()
-    assert qt_inner1(SymFunc1.one(), SymFunc1.one()) == one
+    assert qt_inner(H2, H2) == hook_product((2,), PAIRING_QT)
+    assert qt_inner(H2, H11).is_zero()
+    assert qt_inner(SymFunc1.one(), SymFunc1.one()) == one
 
 
 def test_orthogonality_to_degree_4():
     for n in range(5):
         for lam in partition_list(n):
             for mu in partition_list(n):
-                v = qt_inner1(macdonald_H(lam), macdonald_H(mu))
+                v = qt_inner(macdonald_H(lam), macdonald_H(mu))
                 assert v == (hook_product(lam, PAIRING_QT) if lam == mu else RatFun.zero())
 
 
@@ -61,15 +65,17 @@ def test_t_inverse_specialization():
     inv1mq = (one - q).inverse()
     for n in range(5):
         for lam in partition_list(n):
-            s = SymFunc1.basis_elem("s", lam)
-            f = s.scalar_plethysm(inv1mq).evaluate_scalar().inverse()
+            s = SymFunc1.basis_elem("s", lam).alphabet_substitute([[inv1mq]])
+            # s_lam[1/(1-q)]: every p_r at 1, read by pairing with h_n = s_(n)
+            h_n = SymFunc1.basis_elem("s", (n,) if n else ())
+            f = s.hall_inner(h_n).inverse()
             lhs = {
                 k: c.monomial_map((1, 0, -1, 0))
                 for k, c in macdonald_H(lam).coeffs.items()
             }
             rhs = {
                 k: c * f
-                for k, c in s.scalar_plethysm(inv1mq).to_basis("s").coeffs.items()
+                for k, c in s.to_basis("s").coeffs.items()
             }
             assert lhs == rhs
             assert hook_product(lam, PAIRING_QT).monomial_map((1, 0, -1, 0)) == RatFun.monomial(
@@ -111,3 +117,32 @@ def test_hook_product_matches_box_formula(rng):
                             want *= (q_ ** (a + 1) - u * t_**l) * (q_**a - t_ ** (l + 1) / u)
                     got = build(lam, even_only).eval_at(x, y)
                     assert got == want, (form, even_only, lam, x, y)
+
+
+@pytest.mark.parametrize(
+    "cls, bases, labels",
+    [(SymFunc1, ("s", "p"), partition_list), (SymFunc2, ("s2", "p2"), bipartition_list)],
+    ids=["SymFunc1", "SymFunc2"],
+)
+def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labels, rng):
+    # (q + t)I - (1 + qt)K is the product of -K, I - qK and I - tK, with K
+    # the matrix that exchanges the alphabets
+    K = cls.EXCHANGE
+    size = len(K)
+
+    def plus_exchange(a, b):
+        return [[(a if i == j else zero) + b * K[i][j] for j in range(size)] for i in range(size)]
+
+    def operand():
+        keys = [k for n in range(4) for k in labels(n)]
+        coeffs = {k: q * rng.randrange(-2, 3) + t * rng.randrange(-2, 3) + 1 for k in keys}
+        return cls(rng.choice(bases), coeffs)
+
+    for _ in range(5):
+        f, g = operand(), operand()
+        twisted = (
+            g.alphabet_substitute(plus_exchange(zero, -one))
+            .alphabet_substitute(plus_exchange(one, -q))
+            .alphabet_substitute(plus_exchange(one, -t))
+        )
+        assert qt_inner(f, g) == f.hall_inner(twisted)

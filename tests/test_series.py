@@ -7,7 +7,7 @@ from wreathmac.series import (
     star_series_terms,
     wreath_series_terms,
 )
-from wreathmac.symfunc import SymFunc1, embed_diagonal
+from wreathmac.symfunc import DIAGONAL, SymFunc1
 from wreathmac.wreath import wreath_H
 
 z = RatFun.var(0)
@@ -91,7 +91,7 @@ def test_two_parameter_factors_are_the_solved_families():
         for t in wreath_series_terms(core, 1, 1, 3):
             assert t.factor == wreath_H(t.index, core), t.index
     for t in star_series_terms(1, 1, 3):
-        assert t.factor == embed_diagonal(macdonald_H(t.index)), t.index
+        assert t.factor == macdonald_H(t.index).alphabet_substitute(DIAGONAL), t.index
 
 
 def test_one_param_empty_coefficients():
@@ -120,5 +120,5 @@ def test_one_param_star_factors_match_the_substituted_alphabet():
     terms = one_param_star_terms(0, 1, 4)
     assert len(terms) == 1 + 1 + 2 + 3 + 5
     for t in terms:
-        image = embed_diagonal(SymFunc1.basis_elem("s", t.index))
+        image = SymFunc1.basis_elem("s", t.index).alphabet_substitute(DIAGONAL)
         assert t.factor == image.alphabet_substitute(scaled), t.index

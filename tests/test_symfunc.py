@@ -1,11 +1,12 @@
 import pytest
 
 from wreathmac.algebra import RatFun
+from wreathmac.macdonald import qt_inner
 from wreathmac.partitions import bipartition_list, dual2, partition_list, z_stat
 from wreathmac.symfunc import (
+    DIAGONAL,
     SymFunc1,
     SymFunc2,
-    embed_diagonal,
     wreath_char,
 )
 
@@ -71,16 +72,21 @@ def test_only_schur_and_power_targets():
 
 
 def test_embed_diagonal():
-    e = embed_diagonal(SymFunc1.basis_elem("s", (1,))).to_basis("s2")
+    # u(z) -> u[x0 + x1]: power sums map to first-slot wreath power sums
+    e = SymFunc1.basis_elem("s", (1,)).alphabet_substitute(DIAGONAL).to_basis("s2")
     assert e.coeffs == {((1,), ()): one, ((), (1,)): one}
-    e = embed_diagonal(SymFunc1.basis_elem("p", (2,))).to_basis("s2")
+    e = SymFunc1.basis_elem("p", (2,)).alphabet_substitute(DIAGONAL).to_basis("s2")
     assert e.coeffs == {
         ((2,), ()): one,
         ((1, 1), ()): -one,
         ((), (2,)): one,
         ((), (1, 1)): -one,
     }
-    assert embed_diagonal(SymFunc1.one()).to_basis("s2").coeffs == {((), ()): one}
+    assert SymFunc1.one().alphabet_substitute(DIAGONAL).to_basis("s2").coeffs == {((), ()): one}
+    for n in range(4):
+        for lam in partition_list(n):
+            want = SymFunc2.basis_elem("p2", (lam, ())).alphabet_substitute(WREATH_POWER)
+            assert SymFunc1.basis_elem("p", lam).alphabet_substitute(DIAGONAL) == want
 
 
 def test_hall_inner():
@@ -200,11 +206,76 @@ def test_wreath_char_column_orthogonality():
 
 
 def test_scalar_plethysm_examples():
+    # u[cZ] is the substitution by the 1x1 matrix [[c]]
     s1 = SymFunc1.basis_elem("s", (1,))
-    f = s1.scalar_plethysm(one - q).to_basis("s")
+    f = s1.alphabet_substitute([[one - q]]).to_basis("s")
     assert f.coeffs == {(1,): one - q}
-    assert s1.scalar_plethysm(one) == s1
+    assert s1.alphabet_substitute([[one]]) == s1
     # s_(2)[Z/(1-q)] paired against h_2 = s_(2) is 1/((1-q)(1-q^2))
     s2_ = SymFunc1.basis_elem("s", (2,))
-    val = s2_.scalar_plethysm((one - q).inverse()).hall_inner(s2_)
+    val = s2_.alphabet_substitute([[(one - q).inverse()]]).hall_inner(s2_)
     assert val == ((one - q) * (one - q * q)).inverse()
+
+
+def test_one_alphabet_substitution_scales_each_part(rng):
+    # reference: p_mu -> prod over parts r of c(q^r, t^r) p_mu, with c(q^r,
+    # t^r) built here from the terms of the numerator and denominator of c
+    def at_powers(c, r):
+        def raised(poly):
+            return sum(
+                (v * q ** (a * r) * t ** (b * r) for (a, b), v in poly.terms.items()), zero
+            )
+
+        return raised(c.num) / raised(c.den)
+
+    for c in ((one - q).inverse(), one - q * t, (q + 2 * t) / (one - t)):
+        for n in range(5):
+            for mu in partition_list(n):
+                a = RatFun.const(rng.randrange(1, 4))
+                want = a
+                for r in mu:
+                    want = want * at_powers(c, r)
+                got = SymFunc1("p", {mu: a}).alphabet_substitute([[c]])
+                assert got.basis == "p" and got.coeffs == {mu: want}, (c.text(), mu)
+
+
+def _matmul(B, C):
+    return [
+        [sum((B[i][k] * C[k][j] for k in range(len(C))), zero) for j in range(len(C[0]))]
+        for i in range(len(B))
+    ]
+
+
+def test_rectangular_substitutions_compose(rng):
+    # p_r(x_i) -> sum_j B[i][j](q^r, t^r) p_r(y_j), then C: the composite is
+    # the substitution by B C, also when entries depend on (q, t) and the
+    # number of alphabets changes
+    def entry():
+        return q * rng.randrange(-2, 3) + t * rng.randrange(-1, 2) + rng.randrange(-1, 2)
+
+    def matrix(rows, cols):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    for shapes in (((1, 1), (1, 2)), ((1, 2), (2, 2))):
+        for _ in range(3):
+            (r1, c1), (r2, c2) = shapes
+            B, C = matrix(r1, c1), matrix(r2, c2)
+            f = SymFunc1(
+                rng.choice(("s", "p")),
+                {lam: entry() for n in range(4) for lam in partition_list(n)},
+            )
+            assert f.alphabet_substitute(B).alphabet_substitute(C) == f.alphabet_substitute(
+                _matmul(B, C)
+            )
+
+
+@pytest.mark.parametrize("cls", [SymFunc1, SymFunc2])
+def test_subclasses_define_only_index_adapters(cls):
+    # every operation lives in the base class, once for any number of
+    # alphabets; a subclass only reads and builds its indices
+    own = {
+        name
+        for name, v in vars(cls).items()
+        if callable(v) or isinstance(v, (staticmethod, classmethod, property))
+    }
+    assert own <= {"_parts", "_index", "_merge"}, own

@@ -4,9 +4,10 @@ from importlib import resources
 import pytest
 
 from wreathmac.algebra import RatFun, poly_from_json
+from wreathmac.macdonald import qt_inner
 from wreathmac.partitions import bipartition_list, dual2, parse_bipartition
 from wreathmac.symfunc import SymFunc2
-from wreathmac.wreath import qt_inner2, wreath_H, wreath_N
+from wreathmac.wreath import wreath_H, wreath_N
 
 q = RatFun.var(0)
 t = RatFun.var(1)
@@ -63,14 +64,14 @@ def test_pairings_size1():
 
 def test_qt_inner_examples():
     H = wreath_H(((1,), ()), 0)
-    assert qt_inner2(H, H) == (q**2 - 1) * (q - t)
+    assert qt_inner(H, H) == (q**2 - 1) * (q - t)
     H2 = wreath_H(((), (1,)), 0)
-    assert qt_inner2(H, H2).is_zero()
-    assert qt_inner2(SymFunc2.one(), SymFunc2.one()) == one
+    assert qt_inner(H, H2).is_zero()
+    assert qt_inner(SymFunc2.one(), SymFunc2.one()) == one
     # symmetry of the pairing
     f = SymFunc2("s2", {((1,), ()): one, ((), (1,)): q})
     g = SymFunc2("s2", {((1,), ()): -one, ((), (1,)): t})
-    assert qt_inner2(f, g) == qt_inner2(g, f)
+    assert qt_inner(f, g) == qt_inner(g, f)
 
 
 @pytest.mark.parametrize("core", [0, 1])
@@ -79,7 +80,7 @@ def test_orthogonality_sizes_up_to_2(core):
         labels = bipartition_list(n)
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
-                v = qt_inner2(wreath_H(a, core), wreath_H(b, core))
+                v = qt_inner(wreath_H(a, core), wreath_H(b, core))
                 assert v.is_zero(), (a, b)
 
 
@@ -89,7 +90,7 @@ def test_orthogonality_size_3_stretch(core):
     fams = {bp: wreath_H(bp, core) for bp in labels}
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
-            assert qt_inner2(fams[a], fams[b]).is_zero(), (a, b)
+            assert qt_inner(fams[a], fams[b]).is_zero(), (a, b)
 
 
 @pytest.mark.parametrize("core", [0, 1])
