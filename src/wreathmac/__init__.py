@@ -6,12 +6,11 @@ finite-field brute-force oracle for independent verification at small rank.
 
 __version__ = "0.1.0"
 
-from .algebra import LaurentPoly, RatFun, half_specialize, substitute_powers
+from .algebra import LaurentPoly, RatFun, substitute_powers
 
 __all__ = [
     "LaurentPoly",
     "RatFun",
-    "half_specialize",
     "substitute_powers",
     "__version__",
 ]

@@ -555,35 +555,6 @@ def substitute_powers(p: RatFun, mode: str, d: int) -> RatFun:
     return RatFun.from_poly(p.as_poly(ZW).remap(term))
 
 
-def half_specialize(p: RatFun) -> RatFun:
-    """Substitute z -> sqrt(q), w -> 1/sqrt(q): z^a w^b -> q^((a-b)/2).
-
-    The exponent difference a - b must have uniform parity within the
-    numerator and within the denominator (an odd-parity pair cancels the
-    half-integer power between them); mixed parity is an error.
-    """
-
-    def parity(poly: LaurentPoly) -> int:
-        parities = {(a - b) % 2 for a, b in poly.terms}
-        if len(parities) > 1:
-            raise ValueError("mixed exponent-difference parity; no half-power substitution")
-        return parities.pop() if parities else 0
-
-    if p.is_zero():
-        return RatFun.zero()
-    num, den = p.num, p.den
-    if parity(num) != parity(den):
-        raise ValueError("numerator and denominator parities differ")
-    if parity(num):
-        num = num.shift(1, 0)
-        den = den.shift(1, 0)
-
-    def spec(poly: LaurentPoly) -> LaurentPoly:
-        return poly.remap(lambda a, b: (((a - b) // 2, 0), 1))
-
-    return RatFun(spec(num), spec(den))
-
-
 def double_to_zw(r: RatFun) -> RatFun:
     """Substitute q -> z^2, t -> w^2 (coefficients of the two-variable series)."""
     return r.scale_powers(2)

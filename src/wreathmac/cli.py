@@ -38,7 +38,7 @@ def cmd_compute(args) -> int:
         return 3
     try:
         result = compute_hodge(spec)
-        e_poly, e_checks = e_polynomial(spec, result)
+        e_poly, e_checks = e_polynomial(result)
         mhp, m_checks = mixed_hodge(result)
     except ArithmeticError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
@@ -141,7 +141,7 @@ def cmd_oracle(args) -> int:
     if all(t is not None for t in types) and all(t.m_minus == 0 for t in types):
         k = len(eigenvalues) // 2
         spec = ProblemSpec(args.g, k, args.n, tuple(types))
-        e_poly, _ = e_polynomial(spec)
+        e_poly, _ = e_polynomial(compute_hodge(spec))
         value = e_poly.eval_at(args.q, 0)
         payload["formula"] = int(value)
         verdict = "PASS" if value == count else "FAIL"

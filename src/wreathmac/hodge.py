@@ -217,14 +217,12 @@ def compute_hodge(spec: ProblemSpec) -> HodgeResult:
     return HodgeResult(spec, zw, d, checks, warnings)
 
 
-def e_polynomial(spec: ProblemSpec, result: HodgeResult | None = None) -> tuple[RatFun, dict]:
+def e_polynomial(result: HodgeResult) -> tuple[RatFun, dict]:
     """E-polynomial by both routes: substitution into the two-variable
     polynomial, and the one-parameter hook series; they must agree exactly."""
-    if result is None:
-        result = compute_hodge(spec)
     d = result.d
     route_a = substitute_powers(result.zw, "E", d)
-    route_b = RatFun.monomial((d // 2, 0)) * _pair_against_classes(spec, QT)
+    route_b = RatFun.monomial((d // 2, 0)) * _pair_against_classes(result.spec, QT)
 
     if route_a != route_b:
         raise ArithmeticError(

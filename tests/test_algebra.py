@@ -11,7 +11,6 @@ from wreathmac.algebra import (
     RatFun,
     _from_rec,
     _to_rec,
-    half_specialize,
     poly_from_json,
     substitute_powers,
 )
@@ -142,16 +141,6 @@ def test_mhp_at_minus_one_matches_e(rng):
             key = (a, 0)
             collapsed[key] = collapsed.get(key, 0) + (c if b % 2 == 0 else -c)
         assert RatFun.from_poly(LaurentPoly(collapsed)) == e
-
-
-def test_half_specialize():
-    assert half_specialize((z - w) ** 2) == q - 2 + q.inverse()
-    assert half_specialize((z * w) ** 2) == RatFun.one()
-    assert half_specialize((z**3 - w) * (z - w)) == q**2 - q - 1 + q.inverse()
-    # odd/odd parity pairs cancel
-    assert half_specialize(z / w) == q
-    with pytest.raises(ValueError):
-        half_specialize(z + z * w)  # mixed parity
 
 
 def test_text_and_json_round_trip():

@@ -73,7 +73,7 @@ def test_rank_one_closed_form():
 def test_rank_two_e_polynomial():
     entry = goldens()["e_n2_g1k1"]
     spec = spec_of(entry)
-    e, checks = e_polynomial(spec)
+    e, checks = e_polynomial(compute_hodge(spec))
     assert e == 2 * q**4 - 2 * q**3 - 2 * q + 2
     assert checks["routes_agree"] and checks["palindromic"]
     assert checks["e_leading"] == "2"
@@ -82,7 +82,7 @@ def test_rank_two_e_polynomial():
 @pytest.mark.parametrize("key", ["e_n3_all_regular", "e_n3_with_special"])
 def test_rank_three_e_polynomials(key):
     entry = goldens()[key]
-    e, _ = e_polynomial(spec_of(entry))
+    e, _ = e_polynomial(compute_hodge(spec_of(entry)))
     assert e == RatFun.from_poly(poly_from_json(entry["e"]))
 
 
@@ -122,13 +122,13 @@ def test_non_ccl_warns_but_computes():
     res = compute_hodge(spec)
     assert res.warnings
     # the e-routes still agree beyond the conjecture's hypotheses
-    e, checks = e_polynomial(spec, res)
+    e, checks = e_polynomial(res)
     assert checks["routes_agree"]
 
 
 def assert_every_check_true(spec, d):
     res = compute_hodge(spec)
-    _, e_checks = e_polynomial(spec, res)
+    _, e_checks = e_polynomial(res)
     _, m_checks = mixed_hodge(res)
     checks = {**res.checks, **e_checks, **m_checks}
     flags = {key: v for key, v in checks.items() if isinstance(v, bool)}

@@ -1,7 +1,8 @@
 """Kernel checks: products and sums against references computed here, the
-heuristic gcd against a known answer and against the subresultant PRS, its
-cofactors against the reference product, and exact division against planted
-quotients and remainders."""
+primitive PRS against planted coprime factors in Z[z] and Z[z][w], the
+heuristic gcd against a known answer and against the PRS, its cofactors
+against the reference product, and exact division in Z[z] and Z[z][w]
+against planted quotients and remainders."""
 
 import pytest
 
@@ -21,7 +22,7 @@ def rand_rec(rng, dw=4, dz=4, cmax=6):
     for _ in range(rng.randrange(1, dw)):
         row = [rng.randrange(-cmax, cmax + 1) for _ in range(rng.randrange(0, dz))]
         out.append(row)
-    return pyk.btrim([pyk.utrim(r) for r in out])
+    return pyk.trim([pyk.trim(r) for r in out])
 
 
 def as_dict(rec):
@@ -75,7 +76,7 @@ def test_gcd_known_answer(rng):
         # w + p(z) and w + r(z) are coprime when p != r, so the gcd of
         # c (w + p) and c (w + r) is c up to sign
         c = rand_rec(rng)
-        p, r = (pyk.utrim([rng.randrange(-6, 7) for _ in range(3)]) for _ in range(2))
+        p, r = (pyk.trim([rng.randrange(-6, 7) for _ in range(3)]) for _ in range(2))
         if not c or p == r:
             continue
         want = as_dict(c)
@@ -110,25 +111,89 @@ def planted_pairs(rng, count=240):
 
 def test_heuristic_gcd_matches_prs(rng):
     for a, b in planted_pairs(rng):
-        g, want = kernels.bgcd(a, b), pyk._bgcd_prs(a, b)
+        g, want = kernels.bgcd(a, b), pyk._prs(a, b)
         assert g in (want, neg(want))
+
+
+def flat_mul(a, b):
+    """The reference product of two elements of Z[z] (int lists)."""
+    return (rec_mul([a], [b]) or [[]])[0]
+
+
+def leading(p):
+    while isinstance(p, list):
+        p = p[-1]
+    return p
+
+
+def test_gcd_has_a_positive_leading_coefficient(rng):
+    for a, b in planted_pairs(rng, 120):
+        if a and b:
+            assert leading(kernels.bgcd(a, b)) > 0
+            assert leading(pyk._prs(a, b)) > 0
+
+
+def linear_product(roots, var):
+    """prod (x - r) over the roots, in Z[z] (var "z", integer roots) or in
+    Z[z][w] (var "w", roots in Z[z])."""
+    out = [1] if var == "z" else [[1]]
+    for r in roots:
+        factor = [-r, 1] if var == "z" else [[-c for c in r], [1]]
+        out = flat_mul(out, factor) if var == "z" else rec_mul(out, factor)
+    return out
+
+
+def test_prs_finds_planted_coprime_factors(rng):
+    # c f and c g with f, g monic products of linear factors with disjoint
+    # roots: the gcd is c, made positive, at both depths
+    for _ in range(60):
+        roots = rng.sample(range(-9, 10), 5)
+        f, g = linear_product(roots[:2], "z"), linear_product(roots[2:], "z")
+        c = pyk.trim([rng.randrange(-6, 7) for _ in range(rng.randrange(1, 5))])
+        if c:
+            want = c if c[-1] > 0 else [-x for x in c]
+            assert pyk._prs(flat_mul(c, f), flat_mul(c, g)) == want
+    for _ in range(40):
+        roots = []
+        while len(roots) < 4:
+            r = pyk.trim([rng.randrange(-4, 5) for _ in range(3)])
+            if r not in roots:
+                roots.append(r)
+        f, g = linear_product(roots[:2], "w"), linear_product(roots[2:], "w")
+        c = rand_rec(rng, 3, 4, 5)
+        if c:
+            want = c if leading(c) > 0 else neg(c)
+            assert pyk._prs(rec_mul(c, f), rec_mul(c, g)) == want
+
+
+def test_heuristic_gcd_skips_a_vanishing_leading_coefficient(monkeypatch):
+    # |B| = 1 puts the first point at xi = 4, where the leading coefficient
+    # z - 4 of A vanishes: with one point per level GCDHEU gives up, with
+    # the usual tries it moves on, and either way bgcd finds the gcd 1
+    a, b = [[1], [-4, 1]], [[1], [1]]
+    assert pyk._heu(a, b)[0] == [[1]]
+    assert kernels.bgcd(a, b) == [[1]]
+    monkeypatch.setattr(pyk, "HEU_GCD_TRIES", 1)
+    assert pyk._heu(a, b) is None
+    assert kernels.bgcd(a, b) == [[1]]
 
 
 def test_univariate_heuristic_gcd_matches_prs(rng):
     # the level below bgcd: small coefficients make unlucky points common,
     # so this also checks that a candidate failing the division is refused
     for _ in range(300):
-        a, b, c = (pyk.utrim([rng.randrange(-3, 4) for _ in range(4)]) or [1] for _ in range(3))
-        a, b = pyk.umul(a, c), pyk.umul(b, c)
+        a, b, c = (pyk.trim([rng.randrange(-3, 4) for _ in range(4)]) or [1] for _ in range(3))
+        a, b = flat_mul(a, c), flat_mul(b, c)
         if a and b:
-            assert pyk._ugcd_heu(a, b) in (None, pyk.ugcd(a, b))
+            found = pyk._heu(a, b)
+            assert found is None or found[0] == pyk._prs(a, b)
 
 
 def test_gcd_fallback_matches_prs(rng, monkeypatch):
     # with no heuristic tries, every nontrivial gcd goes through the PRS
     monkeypatch.setattr(pyk, "HEU_GCD_TRIES", 0)
     for a, b in planted_pairs(rng, 60):
-        g, want = kernels.bgcd(a, b), pyk._bgcd_prs(a, b)
+        g, want = kernels.bgcd(a, b), pyk._prs(a, b)
         assert g in (want, neg(want))
 
 
@@ -189,7 +254,7 @@ def test_divexact_raises_on_a_remainder(rng):
         # r has the lower z-degree
         nonzero_rows = sum(1 for row in b if row)
         if nonzero_rows > 1 or len(b[0]) > 1:
-            r = pyk.utrim([rng.randrange(-6, 7) for _ in range(3 if nonzero_rows > 1 else len(b[0]) - 1)])
+            r = pyk.trim([rng.randrange(-6, 7) for _ in range(3 if nonzero_rows > 1 else len(b[0]) - 1)])
             if r:
                 m = rng.randrange(0, len(qb) + 1)
                 with pytest.raises(ArithmeticError):
@@ -216,4 +281,38 @@ def test_divexact_roundtrip(rng):
         if not (a and b):
             continue
         ab = rec_mul(a, b)
-        assert kernels.bdivexact(ab, b) == pyk.btrim([pyk.utrim(r) for r in a])
+        assert kernels.bdivexact(ab, b) == pyk.trim([pyk.trim(r) for r in a])
+
+
+def ref_sum(a, b):
+    """The trimmed sum of two elements of Z[z]."""
+    out = [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+    return pyk.trim(out)
+
+
+def test_univariate_divexact_raises_on_a_remainder(rng):
+    for _ in range(300):
+        q = pyk.trim([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))])
+        b = pyk.trim([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 5))])
+        if not (q and b):
+            continue
+        qb = flat_mul(q, b)
+        assert kernels.bdivexact(qb, b) == q
+        # a nonzero remainder of lower degree than b, or, for a constant b
+        # other than a unit, a coefficient it does not divide
+        if len(b) > 1:
+            r = pyk.trim([rng.randrange(-9, 10) for _ in range(len(b) - 1)])
+        elif abs(b[0]) > 1:
+            r = [0] * rng.randrange(0, len(qb)) + [1]
+        else:
+            r = []
+        if r:
+            with pytest.raises(ArithmeticError):
+                kernels.bdivexact(ref_sum(qb, r), b)
+        # a divisor of higher degree than the dividend
+        with pytest.raises(ArithmeticError):
+            kernels.bdivexact(b, qb + [1])
+    with pytest.raises(ZeroDivisionError):
+        kernels.bdivexact([1, 2], [])
+    assert kernels.bdivexact([], [3, 1]) == []
+

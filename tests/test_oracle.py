@@ -94,24 +94,24 @@ def test_nongeneric_divisibility_failure():
 def test_higher_genus_count_matches_formula():
     # genus-2 commutator convolution path
     from wreathmac.classtypes import parse_simple_type as pt
-    from wreathmac.hodge import ProblemSpec, e_polynomial
+    from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
 
     count = count_points(2, 2, 7, [2, 1])
     spec = ProblemSpec(2, 1, 2, (pt("0,0:1"), pt("1,0:")))
-    e, _ = e_polynomial(spec)
+    e, _ = e_polynomial(compute_hodge(spec))
     assert count == e.eval_at(7, 0)
 
 
 def test_four_punctures_count_matches_formula():
     # 2k = 4 pair-distribution convolution path, nonzero variety
     from wreathmac.classtypes import parse_simple_type as pt
-    from wreathmac.hodge import ProblemSpec, e_polynomial
+    from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
 
     ok, _ = genericity_check([(2,), (2,), (2,), (3,)], 17, strong=True)
     assert ok
     count = count_points(2, 0, 17, [2, 2, 2, 3])
     spec = ProblemSpec(0, 2, 2, tuple(pt("0,0:1") for _ in range(4)))
-    e, _ = e_polynomial(spec)
+    e, _ = e_polynomial(compute_hodge(spec))
     assert count == e.eval_at(17, 0) != 0
 
 
@@ -124,9 +124,9 @@ def test_weakly_generic_breaks_the_formula():
     ok, wit = genericity_check([(2,), (1,)], 5, strong=True)
     assert not ok and wit["product"] == 4
     from wreathmac.classtypes import parse_simple_type as pt
-    from wreathmac.hodge import ProblemSpec, e_polynomial
+    from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
 
     count = count_points(2, 2, 5, [2, 1])
     spec = ProblemSpec(2, 1, 2, (pt("0,0:1"), pt("1,0:")))
-    e, _ = e_polynomial(spec)
+    e, _ = e_polynomial(compute_hodge(spec))
     assert 2 * count == e.eval_at(5, 0)

@@ -1,8 +1,9 @@
 """The repository tracks no file that its .gitignore excludes (build
 outputs, generated sources, test logs), the package defines no public name
-that only its tests use, no method that nothing reads and no defaulted
-parameter that no call of it passes, no module of it reads another's
-private names, and none imports ``dataclasses``."""
+that only its tests use, no private function or class that its module does
+not use, no method that nothing reads and no defaulted parameter that no
+call of it passes, no module of it reads another's private names, and none
+imports ``dataclasses``."""
 
 import ast
 import importlib
@@ -145,6 +146,54 @@ def test_a_same_named_attribute_is_not_a_use():
     sources = _package_sources()
     sources["partitions"] += "\n\ndef size(lam):\n    return sum(lam)\n"
     assert _unused_public_names(sources) == ["partitions.size"]
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``M._f`` for each private top-level function or class ``_f`` of
+    module M that no code in M loads outside its own definition (other
+    modules may not read it, and a call of itself is no use)."""
+    unused = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for stmt in tree.body:
+            if not (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.endswith("__")
+            ):
+                continue
+            loaded = any(
+                isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id == stmt.name
+                for other in tree.body
+                if other is not stmt
+                for sub in ast.walk(other)
+            )
+            if not loaded:
+                unused.append(f"{module}.{stmt.name}")
+    return unused
+
+
+def test_every_private_function_and_class_is_used():
+    # a private helper that its module no longer calls is a leftover, such
+    # as the second copy of an algorithm after the first took its place
+    unused = _unused_private_names(_package_sources())
+    assert not unused, f"private functions and classes nothing in their module uses: {unused}"
+
+
+def test_a_private_name_used_only_by_itself_is_reported():
+    # a planted twin that only calls itself and an unused class are
+    # reported; a helper that a module-level statement calls is used
+    sources = _package_sources()
+    sources["_kernels_py"] += (
+        "\n\ndef _twin(A, B):\n"
+        "    return _twin(B, A) if len(A) < len(B) else A\n"
+        "\n\nclass _Spare:\n"
+        "    pass\n"
+        "\n\ndef _kept():\n"
+        "    return 1\n"
+        "\n\n_KEPT = _kept()\n"
+    )
+    assert _unused_private_names(sources) == ["_kernels_py._twin", "_kernels_py._Spare"]
 
 
 def _outside_base_names(cls: ast.ClassDef, tree) -> set[str]:
