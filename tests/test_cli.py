@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -95,6 +96,21 @@ def test_wreath_mac_dump(capsys):
     assert fam["([],[1])"]["schur"]["([],[1])"] == [[0, 1, "1"]]
     code, out = run_cli(capsys, "wreath-mac", "--size", "2", "--core", "1")
     assert code == 0 and "pairing" in out
+
+
+# sha256 of the size-3 dumps, trailing newline included: every family they
+# print comes out of the exact linear solve
+WREATH_MAC_SIZE_3 = {
+    0: "8e8d213057ddbc8dc766804b43e050063b23a7cc509ecfbc1c57214376e0de54",
+    1: "f67f92884ec6d2755b271828a97a29f7c7b9a0b688298d000c674dfe6847acd6",
+}
+
+
+@pytest.mark.parametrize("core", [0, 1])
+def test_wreath_mac_size_3_dump_is_pinned(capsys, core):
+    code, out = run_cli(capsys, "wreath-mac", "--size", "3", "--core", str(core), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WREATH_MAC_SIZE_3[core]
 
 
 def test_oracle_pass_verdict(capsys):

@@ -146,6 +146,7 @@ def assert_every_check_true(spec, d):
     }
     assert all(flags.values()), flags
     assert res.d == d
+    return res
 
 
 def test_rank_six_finishes_with_every_check_true():
@@ -159,6 +160,14 @@ def test_rank_seven_finishes_with_every_check_true():
     # odd rank: the two wreath series are taken at different 2-cores
     spec = ProblemSpec(0, 2, 7, (pt("0,0:1 1 1"), pt("1,0:1 1"), pt("3,0:"), pt("3,0:")))
     assert_every_check_true(spec, 48)
+
+
+def test_rank_eight_finishes_with_every_check_true():
+    # it needs every size-4 wreath family; the polynomial is not frozen
+    # until an independent evaluation confirms it
+    spec = ProblemSpec(0, 2, 8, (pt("0,0:1 1 1 1"), pt("0,0:1 1 1 1"), pt("4,0:"), pt("4,0:")))
+    res = assert_every_check_true(spec, 48)
+    assert len(res.zw.num.terms) == 624
 
 
 @pytest.mark.xfail(

@@ -95,7 +95,7 @@ def test_orthogonality_size_3_stretch(core):
 
 @pytest.mark.parametrize("core", [0, 1])
 def test_parameter_swap_is_label_dual(core):
-    for n in range(3):
+    for n in range(4):
         for bp in bipartition_list(n):
             swapped = {
                 k: c.monomial_map((0, 1, 1, 0))
