@@ -4,20 +4,22 @@ Point counts for twisted character varieties at rank 1 and 2 are obtained by
 honest enumeration: the rank-2 representation count enumerates the
 commutator distribution class by class (vectorized with numpy) and convolves
 it with the distributions of products of twisted-class elements, then
-divides by the group order, checking exactness.  No character theory of the
+divides by the group order, checking exactness.  Every matrix is looked up
+in one table from its code to its class.  No character theory of the
 general linear group enters.
 
 The module also provides the genericity test on explicit eigenvalue data
 and wreath-product character values computed from the explicit
 signed-permutation group (Murnaghan-Nakayama for the symmetric-group
-factors plus an explicit induction sum), used to cross-validate the
-symmetric-function route.
+factors, read off the signed cycles, plus an explicit induction sum), used
+to cross-validate the symmetric-function route.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial
+import math
+import sys
 
 import numpy as np
 
@@ -25,18 +27,11 @@ from .partitions import BiPartition, Partition
 
 
 # ---------------------------------------------------------------------------
-# prime fields
+# prime fields and the reach of the brute force
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def require_odd_prime(q: int) -> None:
@@ -51,21 +46,40 @@ def require_odd_prime(q: int) -> None:
 # convolutions, then for g >= 1 a commutator pass and g - 1 convolutions;
 # each visits about q^2 classes times q^4 elements, q^6 steps (about 0.1 us
 # each).  Its genericity check multiplies 2k factors for each of up to
-# 2^(2k) sign choices.  At q = 101 one rank-2 pass would also need over
-# 6 GB of arrays.
+# 2^(2k) sign choices.  At q = 101 one rank-2 pass would also need
+# gigabytes of arrays.
 WORK_LIMIT = {1: 10**7, 2: 4 * 10**8}
+
+# The largest genus at rank 1: the formula that the count is compared with
+# takes about 5 s at g = 1000 and 13 s at g = 1500, whatever k, and the
+# largest accepted input (q = 3, g = 1000, 2k = 22) takes 15 s in all.
+RANK1_GENUS_LIMIT = 1000
 
 
 def require_within_reach(n: int, g: int, q: int, twok: int) -> None:
     """ValueError when the count at rank n takes more than ``WORK_LIMIT``
-    steps.  It reads the sizes only, so it runs before any other check."""
-    if n == 1:
-        work = (q - 1) ** twok
-    elif n == 2:
-        work = q**6 * (twok - 1 + g) + twok * 2**twok
-    else:
+    steps, or at rank 1 when g is over ``RANK1_GENUS_LIMIT`` or the count
+    (q-1)^(2(g+k-1)) has more decimal digits than Python prints.  It reads
+    the sizes only, so it runs before any other check."""
+    if q <= 2 or n not in (1, 2):
         return
-    if q > 2 and work > WORK_LIMIT[n]:
+    if n == 1:
+        # 0 (no limit) before Python 3.10.7
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        if (2 * g + twok - 2) * math.log10(q - 1) >= digits > 0:
+            raise ValueError(
+                f"out of reach: the rank-1 count at q={q}, g={g} with {twok} "
+                f"--eigs has more than {digits} digits"
+            )
+        if g > RANK1_GENUS_LIMIT:
+            raise ValueError(
+                f"out of reach: the rank-1 formula at g={g} takes too long "
+                f"(g <= {RANK1_GENUS_LIMIT})"
+            )
+        work = (q - 1) ** twok
+    else:
+        work = q**6 * (twok - 1 + g) + twok * 2**twok
+    if work > WORK_LIMIT[n]:
         raise ValueError(
             f"out of reach: the rank-{n} count at q={q}, g={g} with {twok} "
             f"--eigs takes more than {WORK_LIMIT[n]:.0e} steps"
@@ -94,15 +108,11 @@ def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
             opts = []
             for subset in itertools.combinations(range(N), M):
                 for signs in itertools.product((1, -1), repeat=M):
-                    v = 1
-                    for idx, s in zip(subset, signs):
-                        v = v * pow(e[idx], 2 * s, q) % q
+                    v = math.prod(pow(e[i], 2 * s, q) for i, s in zip(subset, signs)) % q
                     opts.append((subset, signs, v))
             per_puncture.append(opts)
         for combo in itertools.product(*per_puncture):
-            v = 1
-            for _, _, x in combo:
-                v = v * x % q
+            v = math.prod(x for _, _, x in combo) % q
             if v in bad:
                 witness = [(list(sub), list(sg)) for sub, sg, _ in combo]
                 return False, {"product": v, "choices": witness}
@@ -110,29 +120,40 @@ def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
 
 
 # ---------------------------------------------------------------------------
-# GL2 machinery (vectorized)
+# GL2 machinery (vectorized): a matrix (a, b, c, d) over F_q has the code
+# ((a q + b) q + c) q + d, and one table of size q^4 maps each code to its
+# class, -1 off the group.  int32 holds every code while q <= 215, and
+# ``WORK_LIMIT`` keeps rank 2 at q <= 23.
 
 
 class _GL2:
-    """All of GL_2(F_q) as parallel coefficient arrays, with class data."""
+    """All of GL_2(F_q) as four parallel coefficient arrays, with class data."""
 
     def __init__(self, q: int):
         self.q = q
-        a, b, c, d = np.meshgrid(*(np.arange(q),) * 4, indexing="ij")
-        a, b, c, d = (x.ravel().astype(np.int64) for x in (a, b, c, d))
+        full = np.meshgrid(*(np.arange(q, dtype=np.int32),) * 4, indexing="ij")
+        a, b, c, d = (x.ravel() for x in full)
         det = (a * d - b * c) % q
         keep = det != 0
-        self.a, self.b, self.c, self.d = a[keep], b[keep], c[keep], d[keep]
+        self.matrices = a, b, c, d = tuple(x[keep] for x in (a, b, c, d))
         self.det = det[keep]
-        self.size = len(self.a)
-        inv_table = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            inv_table[x] = pow(x, -1, q)
-        self.inv_table = inv_table
-        self.codes = ((self.a * q + self.b) * q + self.c) * q + self.d
-        self.code_to_idx = -np.ones(q**4, dtype=np.int64)
-        self.code_to_idx[self.codes] = np.arange(self.size)
-        self._build_classes()
+        self.size = len(self.det)
+        self.inv_table = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int32)
+        # a class is (trace, determinant, scalar or not); the first member
+        # of each class represents it
+        key = ((a + d) % q * q + self.det) * 2 + ((b == 0) & (c == 0) & (a == d))
+        _, self.class_rep, self.class_of, self.class_size = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.nclasses = len(self.class_size)
+        # the full grid enumerates the codes in order
+        self._class_table = np.full(q**4, -1, dtype=np.int32)
+        self._class_table[keep] = self.class_of
+        self.inverse_class = self.class_index(self.inv(self.at(self.class_rep)))
+
+    def at(self, idx):
+        """The matrices at an index or an index array."""
+        return tuple(x[idx] for x in self.matrices)
 
     def matmul(self, m1, m2):
         a1, b1, c1, d1 = m1
@@ -145,78 +166,45 @@ class _GL2:
             (c1 * b2 + d1 * d2) % q,
         )
 
+    def _over_det(self, m):
+        a, b, c, d = m
+        f = self.inv_table[(a * d - b * c) % self.q]
+        return tuple(x * f % self.q for x in m)
+
     def inv(self, m):
         a, b, c, d = m
-        det = (a * d - b * c) % self.q
-        f = self.inv_table[det]
-        q = self.q
-        return (d * f % q, (q - b) * f % q, (q - c) * f % q, a * f % q)
+        return self._over_det((d, -b, -c, a))
 
     def sigma(self, m):
         """The involution: for the symplectic form in rank 2 it is division
         by the determinant."""
-        a, b, c, d = m
-        det = (a * d - b * c) % self.q
-        f = self.inv_table[det]
-        return (a * f % self.q, b * f % self.q, c * f % self.q, d * f % self.q)
-
-    def all_matrices(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def _class_key(self, m):
-        a, b, c, d = m
-        q = self.q
-        tr = (a + d) % q
-        det = (a * d - b * c) % q
-        scalar = (b == 0) & (c == 0) & (a == d)
-        return tr * (2 * q) + det * 2 + scalar.astype(np.int64)
-
-    def _build_classes(self):
-        keys = self._class_key(self.all_matrices())
-        # the first member of each class represents it
-        uniq, first, inverse_map, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        self.class_keys = uniq
-        self.nclasses = len(uniq)
-        self.class_of = inverse_map
-        self.class_size = counts
-        self.class_rep = first
-        # class of the inverse (same for every member)
-        reps = tuple(x[first] for x in self.all_matrices())
-        inv_reps = self.inv(reps)
-        self.inverse_class = self.class_index(inv_reps)
+        return self._over_det(m)
 
     def class_index(self, m):
-        return np.searchsorted(self.class_keys, self._class_key(m))
+        a, b, c, d = m
+        q = self.q
+        cls = self._class_table[((a * q + b) * q + c) * q + d]
+        if np.any(cls < 0):
+            raise AssertionError("product left the group")
+        return cls
+
+    def histogram(self, m):
+        """Per class, how many of the matrices m lie in it (exact integers)."""
+        return np.bincount(self.class_index(m), minlength=self.nclasses).astype(object)
 
     # -- distributions ------------------------------------------------------
 
     def commutator_totals(self) -> list[int]:
         """Per class L, the number of pairs (A, B) with [A, B] in L."""
-        totals = np.zeros(self.nclasses, dtype=object)
-        allm = self.all_matrices()
+        allm = self.matrices
         allinv = self.inv(allm)
-        for ci in range(self.nclasses):
-            ridx = self.class_rep[ci]
-            r = tuple(np.int64(x[ridx]) for x in allm)
-            rinv = tuple(np.int64(x[ridx]) for x in allinv)
+        totals = np.zeros(self.nclasses, dtype=object)
+        for ridx, size in zip(self.class_rep, self.class_size):
             # [r, B] = r B r^-1 B^-1 over all B
-            rb = self.matmul(r, allm)
-            rbr = self.matmul(rb, rinv)
-            comm = self.matmul(rbr, allinv)
-            cls = self.class_of[self.code_lookup(comm)]
-            hist = np.bincount(cls, minlength=self.nclasses)
-            totals = totals + int(self.class_size[ci]) * hist.astype(object)
+            r, rinv = self.at(ridx), tuple(x[ridx] for x in allinv)
+            comm = self.matmul(self.matmul(self.matmul(r, allm), rinv), allinv)
+            totals = totals + int(size) * self.histogram(comm)
         return [int(x) for x in totals]
-
-    def code_lookup(self, m):
-        a, b, c, d = m
-        codes = ((a * self.q + b) * self.q + c) * self.q + d
-        idx = self.code_to_idx[codes]
-        if np.any(idx < 0):
-            raise AssertionError("product left the group")
-        return idx
 
     def class_values_from_totals(self, totals) -> list[int]:
         vals = []
@@ -229,20 +217,14 @@ class _GL2:
 
     def convolve_values(self, f: list[int], g: list[int]) -> list[int]:
         """(f * g)(m) = sum_u f(u) g(u^-1 m), via per-target pair histograms."""
+        n = self.nclasses
+        allinv = self.inv(self.matrices)
         out = []
-        allinv = self.inv(self.all_matrices())
-        cls_u = self.class_of
-        for ci in range(self.nclasses):
-            ridx = self.class_rep[ci]
-            m = tuple(np.int64(x[ridx]) for x in self.all_matrices())
-            um = self.matmul(allinv, m)
-            cls_um = self.class_of[self.code_lookup(um)]
-            hist2 = np.zeros((self.nclasses, self.nclasses), dtype=np.int64)
-            np.add.at(hist2, (cls_u, cls_um), 1)
-            val = 0
-            for i, j in zip(*np.nonzero(hist2)):
-                val += f[i] * g[j] * int(hist2[i, j])
-            out.append(val)
+        for ridx in self.class_rep:
+            um = self.matmul(allinv, self.at(ridx))
+            pairs = np.bincount(self.class_of * n + self.class_index(um), minlength=n * n)
+            nonzero = map(int, np.nonzero(pairs)[0])
+            out.append(sum(f[p // n] * g[p % n] * int(pairs[p]) for p in nonzero))
         return out
 
 
@@ -258,32 +240,25 @@ def twisted_class(G: _GL2, a: int):
     a %= q
     if a == 0:
         raise ValueError("eigenvalue must be a unit")
-    am = G.all_matrices()
-    tr = (am[0] + am[3]) % q
-    det = G.det
+    ma, mb, mc, md = G.matrices
+    tr = (ma + md) % q
     if a in (1, q - 1):
-        mask = (am[1] == 0) & (am[2] == 0) & (am[0] == am[3])
+        mask = (mb == 0) & (mc == 0) & (ma == md)
     elif (a * a + 1) % q == 0:
         mask = tr == 0
     else:
-        ainv = pow(a, -1, q)
-        s = (a + ainv) % q
-        mask = (tr * tr) % q == (det * s * s) % q
+        s = (a + pow(a, -1, q)) % q
+        mask = (tr * tr) % q == (G.det * s * s) % q
     return np.nonzero(mask)[0]
 
 
 def twisted_pair_totals(G: _GL2, i1, i2) -> list[int]:
     """Per class L, the number of pairs with (M1 sigma)(M2 sigma) in L, for
     M1 and M2 the matrices at the indices i1 and i2."""
-    allm = G.all_matrices()
-    m2 = tuple(x[i2] for x in allm)
-    sm2 = G.sigma(m2)
+    sm2 = G.sigma(G.at(i2))
     totals = np.zeros(G.nclasses, dtype=object)
     for j in i1:
-        m1 = tuple(np.int64(x[j]) for x in allm)
-        prod = G.matmul(m1, sm2)
-        cls = G.class_of[G.code_lookup(prod)]
-        totals = totals + np.bincount(cls, minlength=G.nclasses).astype(object)
+        totals = totals + G.histogram(G.matmul(G.at(j), sm2))
     return [int(x) for x in totals]
 
 
@@ -320,20 +295,18 @@ def count_points(n: int, g: int, q: int, eigenvalues: list[int]) -> int:
     # commutator part
     if g == 0:
         fvals = [0] * G.nclasses
-        fvals[int(G.class_of[G.code_lookup(tuple(np.int64(x) for x in (1, 0, 0, 1)))])] = 1
+        fvals[int(G.class_index((1, 0, 0, 1)))] = 1
     else:
         fvals = G.class_values_from_totals(G.commutator_totals())
         base = list(fvals)
         for _ in range(g - 1):
             fvals = G.convolve_values(fvals, base)
     # |Rep| = sum_y f_g(y) P(y^{-1})
-    rep_count = 0
-    for ci in range(G.nclasses):
-        rep_count += (
-            int(G.class_size[ci]) * fvals[ci] * pair_vals[int(G.inverse_class[ci])]
-        )
-    order = G.size
-    count, r = divmod(rep_count, order)
+    rep_count = sum(
+        int(size) * f * pair_vals[int(inv)]
+        for size, f, inv in zip(G.class_size, fvals, G.inverse_class)
+    )
+    count, r = divmod(rep_count, G.size)
     if r:
         raise ArithmeticError(
             "representation count not divisible by the group order; "
@@ -361,7 +334,9 @@ def _count_points_rank1(g: int, q: int, twok: int) -> int:
 
 # ---------------------------------------------------------------------------
 # explicit wreath-product characters (cross-validation of the symmetric
-# function route; sizes m <= 3)
+# function route; sizes m <= 3).  An element of the signed permutation group
+# B_m = (Z/2)^m x| S_m is the tuple of its signed images: x[i] = +-(j + 1)
+# when x sends symbol i + 1 to +-(j + 1), and -(i + 1) to the opposite.
 
 
 def _border_strips_hooks(lam: Partition, k: int):
@@ -392,133 +367,76 @@ def sym_char(lam: Partition, mu: Partition) -> int:
     return total
 
 
-class _WreathGroup:
-    """The signed permutation group on {1..m, -1..-m} as explicit maps."""
+def _compose(x, y):
+    """x after y: symbol i + 1 goes to x(y(i + 1))."""
+    return tuple(x[j - 1] if j > 0 else -x[-j - 1] for j in y)
 
-    def __init__(self, m: int):
-        self.m = m
-        elems = []
-        for perm in itertools.permutations(range(m)):
-            for signs in itertools.product((0, 1), repeat=m):
-                # image of symbol i (0..m-1 positive, m..2m-1 negative)
-                img = [0] * (2 * m)
-                for i in range(m):
-                    j = perm[i]
-                    if signs[i]:
-                        img[i] = m + j
-                        img[m + i] = j
-                    else:
-                        img[i] = j
-                        img[m + i] = m + j
-                elems.append(tuple(img))
-        self.elements = elems
 
-    def mul(self, x, y):
-        return tuple(x[y[i]] for i in range(2 * self.m))
+def _signed_cycles(x):
+    """One (smallest symbol, length, sign) per cycle of x, symbols counted
+    from 0; the sign is the product of the signs picked up around it."""
+    seen = [False] * len(x)
+    for i in range(len(x)):
+        if seen[i]:
+            continue
+        length, sign, j = 0, 1, i
+        while not seen[j]:
+            seen[j] = True
+            length += 1
+            sign = sign if x[j] > 0 else -sign
+            j = abs(x[j]) - 1
+        yield i, length, sign
 
-    def inv(self, x):
-        out = [0] * (2 * self.m)
-        for i, xi in enumerate(x):
-            out[xi] = i
-        return tuple(out)
 
-    def signed_cycle_type(self, x) -> BiPartition:
-        """Cycle sizes of the unsigned projection, split by the sign product
-        picked up around each cycle."""
-        m = self.m
-        seen = [False] * m
-        pos, neg = [], []
-        for i in range(m):
-            if seen[i]:
-                continue
-            length = 0
-            sign = 1
-            j = i
-            while True:
-                seen[j] = True
-                length += 1
-                nxt = x[j]
-                if nxt >= m:
-                    sign = -sign
-                    nxt -= m
-                j = nxt
-                if j == i:
-                    break
-            (pos if sign == 1 else neg).append(length)
-        return (tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True)))
+def _lengths(cycles) -> Partition:
+    return tuple(sorted((length for _, length, _ in cycles), reverse=True))
+
+
+def _signed_type(x) -> BiPartition:
+    """The cycle lengths of x with sign +1, then those with sign -1."""
+    cycles = list(_signed_cycles(x))
+    return tuple(_lengths(c for c in cycles if c[2] == sign) for sign in (1, -1))
 
 
 def wreath_group_char(m: int, alpha: BiPartition, beta: BiPartition) -> int:
     """Character value at the class of signed-cycle type beta, from the
-    explicit induced-character construction on the permutation model."""
+    explicit induced-character construction on the permutation model: the
+    character of B_a x B_b that inflates alpha[0] on the first a symbols and
+    twists the inflation of alpha[1] by the product of the signs on the
+    last b, induced to B_m."""
     if m > 3:
         raise ValueError("explicit wreath characters are built for m <= 3")
     a = sum(alpha[0])
     b = sum(alpha[1])
     if a + b != m or sum(beta[0]) + sum(beta[1]) != m:
         raise ValueError("label sizes must equal m")
-    G = _WreathGroup(m)
-    # a class representative of signed type beta
-    rep = None
-    for x in G.elements:
-        if G.signed_cycle_type(x) == (tuple(beta[0]), tuple(beta[1])):
-            rep = x
-            break
+    group = [
+        tuple(s * (j + 1) for s, j in zip(signs, perm))
+        for perm in itertools.permutations(range(m))
+        for signs in itertools.product((1, -1), repeat=m)
+    ]
+    target = (tuple(beta[0]), tuple(beta[1]))
+    rep = next((x for x in group if _signed_type(x) == target), None)
     if rep is None:
         raise ValueError(f"no element of signed type {beta}")
-
-    def in_subgroup(x) -> bool:
-        # preserves the first a symbols (with signs) and the last b
-        for i in range(G.m):
-            tgt = x[i] if x[i] < G.m else x[i] - G.m
-            if (i < a) != (tgt < a):
-                return False
-        return True
-
-    def psi(x) -> int:
-        # split x into the two blocks and evaluate the product character
-        m_ = G.m
-        img1 = [0] * (2 * a)
-        img2 = [0] * (2 * b)
-        for i in range(m_):
-            j = x[i]
-            neg = j >= m_
-            if neg:
-                j -= m_
-            if i < a:
-                img1[i] = j + (a if neg else 0)
-            else:
-                img2[i - a] = (j - a) + (b if neg else 0)
-        for i in range(m_):
-            src = i + m_
-            j = x[src]
-            neg = j >= m_
-            if neg:
-                j -= m_
-            if i < a:
-                img1[i + a] = j + (0 if neg else a)
-            else:
-                img2[i - a + b] = (j - a) + (0 if neg else b)
-        G1 = _WreathGroup(a) if a else None
-        G2 = _WreathGroup(b) if b else None
-        t1 = G1.signed_cycle_type(tuple(img1)) if a else ((), ())
-        t2 = G2.signed_cycle_type(tuple(img2)) if b else ((), ())
-        # first block: inflated symmetric-group character (ignore signs)
-        cyc1 = tuple(sorted(t1[0] + t1[1], reverse=True))
-        v1 = sym_char(tuple(alpha[0]), cyc1)
-        # second block: sign-of-negatives character times the inflation
-        cyc2 = tuple(sorted(t2[0] + t2[1], reverse=True))
-        sgn = (-1) ** len(t2[1])
-        v2 = sgn * sym_char(tuple(alpha[1]), cyc2)
-        return v1 * v2
-
-    sub_order = 2**a * factorial(a) * 2**b * factorial(b)
     total = 0
-    for x in G.elements:
-        y = G.mul(G.mul(G.inv(x), rep), x)
-        if in_subgroup(y):
-            total += psi(y)
-    val, r = divmod(total, sub_order)
+    for x in group:
+        xinv = [0] * m
+        for i, j in enumerate(x):
+            xinv[abs(j) - 1] = i + 1 if j > 0 else -i - 1
+        y = _compose(_compose(xinv, rep), x)
+        # B_a x B_b keeps the first a symbols (with signs) and the last b
+        if any((i < a) != (abs(j) <= a) for i, j in enumerate(y)):
+            continue
+        cycles = list(_signed_cycles(y))
+        first = [c for c in cycles if c[0] < a]
+        second = [c for c in cycles if c[0] >= a]
+        total += (
+            sym_char(tuple(alpha[0]), _lengths(first))
+            * math.prod(sign for _, _, sign in second)
+            * sym_char(tuple(alpha[1]), _lengths(second))
+        )
+    val, r = divmod(total, 2**m * math.factorial(a) * math.factorial(b))
     if r:
         raise ArithmeticError("induced character value is not integral")
     return val

@@ -175,16 +175,21 @@ def test_oracle_rejects_bad_input_before_counting(capsys):
 
 
 def test_oracle_refuses_out_of_reach_input_at_once(capsys):
-    # without the limit, q = 101 at rank 2 needs over 6 GB of arrays, the
+    # without the limit, q = 101 at rank 2 needs gigabytes of arrays, the
     # generic 2 / 1 / ... / 1 at q = 7 tries 2^40 sign choices, and the
-    # rank-1 cases enumerate 10^12 and 4^24 tuples; the refusal comes
-    # before the primality check (trial division of a large q) too
+    # rank-1 cases enumerate 10^12 and 4^24 tuples, print a count of over
+    # 4300 digits (a ValueError of int -> str) or spend minutes on the
+    # formula at a large genus; the refusal comes before the primality
+    # check (trial division of a large q) too
     cases = (
         ["--q", "1000003", "--n", "2", "--g", "1", "--eigs", "2", "--eigs", "3"],
         ["--q", "101", "--n", "2", "--g", "0", "--eigs", "2", "--eigs", "3"],
         ["--q", "7", "--n", "2", "--g", "0", "--eigs", "2", *["--eigs", "1"] * 39],
         ["--q", "1000003", "--n", "1", "--g", "1", "--eigs", "", "--eigs", ""],
         ["--q", "5", "--n", "1", "--g", "0", *["--eigs", ""] * 24],
+        ["--q", "101", "--n", "1", "--g", "1100", "--eigs", "", "--eigs", ""],
+        ["--q", "7", "--n", "1", "--g", "3000", "--eigs", "", "--eigs", ""],
+        ["--q", "3", "--n", "1", "--g", "1001", "--eigs", "", "--eigs", ""],
         ["--q", str(10**40 + 1), "--n", "2", "--g", "1", "--eigs", "2", "--eigs", "3"],
     )
     for argv in cases:

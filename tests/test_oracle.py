@@ -1,8 +1,16 @@
+import itertools
+import sys
+
 import pytest
 
+from wreathmac.cli import _type_of_eigenvalue
+from wreathmac.classtypes import parse_simple_type as pt
+from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
 from wreathmac.oracle import (
+    RANK1_GENUS_LIMIT,
     count_points,
     genericity_check,
+    require_within_reach,
     sym_char,
     twisted_class,
     wreath_group_char,
@@ -48,15 +56,60 @@ def test_twisted_orbit_sizes():
     assert len(twisted_class(_gl2(13), 5)) == 13**2 * 12
 
 
+def test_rank_one_reach_bounds_the_digits_and_the_genus():
+    # refused exactly when the count (q-1)^(2g) at 2k = 2 has more digits
+    # than Python prints, or the genus is over the limit
+    digits = sys.get_int_max_str_digits()
+    for q, genera in ((3163, range(600, 630)), (3, range(990, 1010))):
+        for g in genera:
+            try:
+                require_within_reach(1, g, q, 2)
+                refused = False
+            except ValueError as exc:
+                assert str(exc).startswith("out of reach"), exc
+                refused = True
+            too_long = (q - 1) ** (2 * g) >= 10**digits
+            assert refused == (too_long or g > RANK1_GENUS_LIMIT), (q, g)
+
+
+def test_rank_two_counts_match_the_formula_on_a_grid():
+    # every strongly generic eigenvalue pair at q = 7, with the class types
+    # that `wreathmac oracle` reads off the eigenvalues
+    q, checked = 7, 0
+    for g, eigs in itertools.product((0, 1), itertools.product(range(1, q), repeat=2)):
+        if not genericity_check([(a,) for a in eigs], q, strong=True)[0]:
+            continue
+        spec = ProblemSpec(g, 1, 2, tuple(_type_of_eigenvalue(a, q, 2) for a in eigs))
+        e, _ = e_polynomial(compute_hodge(spec))
+        assert count_points(2, g, q, list(eigs)) == e.eval_at(q, 0), (g, eigs)
+        checked += 1
+    assert checked == 32
+
+
+def _inverse_mod(m, q):
+    a, b, c, d = m
+    f = pow(a * d - b * c, -1, q)
+    return (d * f % q, -b * f % q, -c * f % q, a * f % q)
+
+
 def test_class_data_match_the_elementwise_reference():
-    # each class is represented by its first member in the enumeration, and
-    # class_index reads back the class of every matrix
+    # each class is represented by its first member in the enumeration,
+    # class_index reads back the class of every matrix, inverse_class holds
+    # the class of each representative's inverse, and a matrix off the
+    # group is refused
     G = _gl2(7)
     first = {}
     for idx, ci in enumerate(G.class_of):
         first.setdefault(int(ci), idx)
     assert [first[ci] for ci in range(G.nclasses)] == list(G.class_rep)
-    assert (G.class_index(G.all_matrices()) == G.class_of).all()
+    assert (G.class_index(G.matrices) == G.class_of).all()
+    matrices = list(zip(*(x.tolist() for x in G.matrices)))
+    where = {m: idx for idx, m in enumerate(matrices)}
+    for ci, ridx in enumerate(G.class_rep):
+        inverse = _inverse_mod(matrices[ridx], G.q)
+        assert G.inverse_class[ci] == G.class_of[where[inverse]]
+    with pytest.raises(AssertionError, match="left the group"):
+        G.class_index((1, 2, 2, 4))
 
 
 def test_murnaghan_nakayama_matches_transition_tables():
@@ -93,9 +146,6 @@ def test_nongeneric_divisibility_failure():
 
 def test_higher_genus_count_matches_formula():
     # genus-2 commutator convolution path
-    from wreathmac.classtypes import parse_simple_type as pt
-    from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
-
     count = count_points(2, 2, 7, [2, 1])
     spec = ProblemSpec(2, 1, 2, (pt("0,0:1"), pt("1,0:")))
     e, _ = e_polynomial(compute_hodge(spec))
@@ -104,9 +154,6 @@ def test_higher_genus_count_matches_formula():
 
 def test_four_punctures_count_matches_formula():
     # 2k = 4 pair-distribution convolution path, nonzero variety
-    from wreathmac.classtypes import parse_simple_type as pt
-    from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
-
     ok, _ = genericity_check([(2,), (2,), (2,), (3,)], 17, strong=True)
     assert ok
     count = count_points(2, 0, 17, [2, 2, 2, 3])
@@ -123,9 +170,6 @@ def test_weakly_generic_breaks_the_formula():
     assert ok
     ok, wit = genericity_check([(2,), (1,)], 5, strong=True)
     assert not ok and wit["product"] == 4
-    from wreathmac.classtypes import parse_simple_type as pt
-    from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
-
     count = count_points(2, 2, 5, [2, 1])
     spec = ProblemSpec(2, 1, 2, (pt("0,0:1"), pt("1,0:")))
     e, _ = e_polynomial(compute_hodge(spec))
