@@ -20,9 +20,7 @@ from .partitions import (
     PAIRING_QT,
     bipartition_list,
     brace,
-    core_quotient,
     dual,
-    from_core_quotient,
     hook_poly,
     hook_product,
     hooks,
@@ -31,7 +29,6 @@ from .partitions import (
     parse_partition,
     partition_list,
     partitions_of,
-    size2,
 )
 from .series import (
     one_param_star_terms,
@@ -294,15 +291,14 @@ def c09_partition_identities():
             if f != RatFun.monomial((n_stat(lam), 0)) / hook_poly(lam):
                 return False, f"principal specialization fails at {lam}"
     for n in range(11):
-        for lam in partitions_of(n):
-            d, quot = core_quotient(lam)
-            if n != d * (d + 1) // 2 + 2 * size2(quot):
-                return False, f"size law fails at {lam}"
-            if d <= 1 and brace(quot, d) != lam:
-                return False, f"round trip fails at {lam}"
-            if from_core_quotient(quot, d) != lam:
-                return False, f"general round trip fails at {lam}"
-    return True, "hook sums, principal specialization <= 6, quotient-core <= 10"
+        # a partition's number of even hooks is its 2-weight
+        labels = [brace(bp, n % 2) for bp in bipartition_list(n // 2)]
+        weight = {lam: sum(h % 2 == 0 for *_, h in hooks(lam)) for lam in partitions_of(n)}
+        if len(set(labels)) != len(labels):
+            return False, f"2-quotient labels of size {n} collide"
+        if set(labels) != {lam for lam, w in weight.items() if w == n // 2}:
+            return False, f"2-quotient labels of size {n} miss the 2-core ({n % 2})"
+    return True, "hook sums, principal specialization <= 6, 2-quotient labels <= 10"
 
 
 def c10_character_cross_validation():

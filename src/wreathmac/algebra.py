@@ -460,10 +460,6 @@ class RatFun:
     def monomial_map(self, m) -> "RatFun":
         return RatFun(self.num.monomial_map(m), self.den.monomial_map(m))
 
-    def scale_powers(self, r: int) -> "RatFun":
-        """Raise both variables to the r-th power (x->x^r, y->y^r)."""
-        return self.monomial_map((r, 0, 0, r))
-
     def eval_at(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         d = self.den.eval_at(x, y)
@@ -495,11 +491,7 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     if sa or sb:
         num = num.shift(-sa, -sb)
         den = den.shift(-sa, -sb)
-    # integer content
-    cg = _igcd(_int_content(num.terms), _int_content(den.terms))
-    if cg > 1:
-        num = LaurentPoly({e: c // cg for e, c in num.terms.items()})
-        den = LaurentPoly({e: c // cg for e, c in den.terms.items()})
+    # the gcd carries the common integer content too
     _, num, den = num.gcd(den)
     if den.leading_coeff() < 0:
         num, den = -num, -den
@@ -553,8 +545,3 @@ def substitute_powers(p: RatFun, mode: str, d: int) -> RatFun:
         return (qexp, d + a), (-1 if a % 2 else 1)
 
     return RatFun.from_poly(p.as_poly(ZW).remap(term))
-
-
-def double_to_zw(r: RatFun) -> RatFun:
-    """Substitute q -> z^2, t -> w^2 (coefficients of the two-variable series)."""
-    return r.scale_powers(2)

@@ -213,6 +213,9 @@ def cmd_selftest(args) -> int:
         return _missing_numpy(exc)
 
     results = run_criteria(filter_substr=args.filter)
+    if not results:
+        print(f"error: no acceptance criterion matches {args.filter!r}", file=sys.stderr)
+        return 3
     if args.json:
         # the document alone, without the timings, so that runs compare
         rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

@@ -1,12 +1,12 @@
-"""Partitions, 2-partitions, hooks, dominance, and the quotient-core
-decomposition.
+"""Partitions, 2-partitions, hooks, dominance, and the 2-partition labels.
 
 Partitions are tuples of weakly decreasing positive ints; the empty tuple is
-the unique partition of 0.  A 2-partition is a pair of partitions.  The
-2-quotient is computed from the even/odd split of the beta-numbers
-lambda + delta_r, where the number of beta-numbers r is taken odd when the
-2-core is (0) and even when the 2-core is (1) (swapping the parity of r
-swaps the two components of the quotient).
+the unique partition of 0.  A 2-partition is a pair of partitions.  A label
+(q0, q1) at core (e), e in {0, 1}, is carried to the partition ``brace`` of
+size 2(|q0| + |q1|) + e whose 2-core is (e) and whose 2-quotient is (q0, q1):
+with m = max(len(q0), len(q1) + e), its beta-set (the numbers lambda_i + r - i
+for r parts) is {2x : x in beta(q0, m + 1)} together with
+{2x + 1 : x in beta(q1, m - e)}, 2m + 1 - e numbers in all.
 """
 
 from __future__ import annotations
@@ -155,8 +155,6 @@ def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:
 
 
 def _beta_set(lam: Partition, r: int) -> list[int]:
-    if r < len(lam):
-        raise ValueError("beta set shorter than the partition")
     return [(lam[i] if i < len(lam) else 0) + r - 1 - i for i in range(r)]
 
 
@@ -166,55 +164,15 @@ def _from_beta(beta: list[int]) -> Partition:
     return tuple(x for x in (beta[i] - (r - 1 - i) for i in range(r)) if x)
 
 
-def _quotient_with_r(lam: Partition, r: int) -> BiPartition:
-    beta = _beta_set(lam, r)
-    evens = sorted((x // 2 for x in beta if x % 2 == 0), reverse=True)
-    odds = sorted((x // 2 for x in beta if x % 2 == 1), reverse=True)
-    return (_from_beta(evens), _from_beta(odds))
-
-
-def core_quotient(lam: Partition) -> tuple[int, BiPartition]:
-    """2-core size d (core is the staircase (d, d-1, ..., 1)) and 2-quotient.
-
-    The quotient is computed with r odd for core (0) and r even for core (1);
-    for larger cores r has parity d + 1.
-    """
-    lam = tuple(lam)
-    quotient = _quotient_with_r(lam, len(lam))
-    csize = sum(lam) - 2 * size2(quotient)
-    d = 0
-    while d * (d + 1) // 2 < csize:
-        d += 1
-    if d * (d + 1) // 2 != csize:
-        raise AssertionError(f"2-core of {lam} is not a staircase")
-    r = len(lam)
-    if r % 2 != (d + 1) % 2:
-        r += 1
-    return d, _quotient_with_r(lam, r)
-
-
-def from_core_quotient(quotient: BiPartition, d: int) -> Partition:
-    """Inverse of ``core_quotient``: partition with 2-core (d, ..., 1) and the
-    given 2-quotient under the same parity convention."""
-    q0, q1 = quotient
-    core = tuple(range(d, 0, -1))
-    # choose enough beta-numbers of the conventional parity
-    r = max(2 * len(q0), 2 * len(q1), len(core), 1)
-    r += max(d, 2)  # headroom so both even and odd slots exist
-    if r % 2 != (d + 1) % 2:
-        r += 1
-    core_beta = _beta_set(core, r)
-    l0 = sum(1 for x in core_beta if x % 2 == 0)
-    l1 = r - l0
-    beta = [2 * x for x in _beta_set(q0, l0)] + [2 * x + 1 for x in _beta_set(q1, l1)]
-    return _from_beta(beta)
-
-
 def brace(quotient: BiPartition, e: int) -> Partition:
     """Partition with 2-core (e) (e in {0, 1}) and the given 2-quotient."""
     if e not in (0, 1):
         raise ValueError("core index must be 0 or 1")
-    return from_core_quotient(quotient, e)
+    q0, q1 = quotient
+    m = max(len(q0), len(q1) + e)
+    evens = [2 * x for x in _beta_set(q0, m + 1)]
+    odds = [2 * x + 1 for x in _beta_set(q1, m - e)]
+    return _from_beta(evens + odds)
 
 
 def induced_dominance_geq(a: BiPartition, b: BiPartition, e: int) -> bool:

@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .algebra import RatFun, double_to_zw
+from .algebra import RatFun
 from .macdonald import macdonald_H
 from .partitions import (
     DEFORMED_ZW,
@@ -60,9 +60,9 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             lam = brace(bp, core)
             num = hook_product(lam, DEFORMED_ZW) ** (g + k - 1)
             pairing = wreath_N(bp, core)
-            den_plain = double_to_zw(pairing.total)
+            den_plain = pairing.total.monomial_map((2, 0, 0, 2))
             cot = hook_product(lam, DEFORMED_ZW, even_only=True)
-            den_deformed = double_to_zw(pairing.nabla) * cot
+            den_deformed = pairing.nabla.monomial_map((2, 0, 0, 2)) * cot
             coeff = num / (den_plain * den_deformed ** (k - 1))
             out.append(SeriesTerm(bp, n, coeff, wreath_H(bp, core).to_basis("p2")))
     return out
@@ -78,7 +78,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
     for n in range(maxdeg + 1):
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
-            coeff = num / double_to_zw(hook_product(lam, PAIRING_QT))
+            coeff = num / hook_product(lam, PAIRING_QT).monomial_map((2, 0, 0, 2))
             out.append(SeriesTerm(lam, n, coeff, macdonald_H(lam).alphabet_substitute(DIAGONAL)))
     return out
 

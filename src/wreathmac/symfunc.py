@@ -207,7 +207,7 @@ class _SymFunc:
                     if image is None:
                         image = images[(i, r)] = {
                             cls._index(tuple((r,) if j == col else () for j in range(width))):
-                            m.scale_powers(r)
+                            m.monomial_map((r, 0, 0, r))
                             for col, m in enumerate(M[i])
                             if not m.is_zero()
                         }

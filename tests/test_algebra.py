@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,24 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 def test_canonical_form_cancels_common_factors(a, b, c):
     x, y = RatFun(a * c, b * c), RatFun(a, b)
     assert (x.num, x.den) == (y.num, y.den)
+
+
+shifts = st.builds(
+    lambda i, j: LaurentPoly({(i, j): 1}), st.integers(-3, 3), st.integers(-3, 3)
+)
+
+
+@PROPERTY_SETTINGS
+@given(polys, nonzero_polys, nonzero_polys, st.integers(1, 12), shifts, shifts)
+def test_canonical_form_is_primitive_signed_and_ordinary(a, b, c, k, sa, sb):
+    # numerator and denominator share the content k and the factor c, and
+    # carry negative exponents; the canonical pair has coprime integer
+    # contents, a denominator with a positive grlex leading coefficient and
+    # no negative exponent
+    x = RatFun(a * c * sa * LaurentPoly.const(k), b * c * sb * LaurentPoly.const(-2 * k))
+    assert math.gcd(*x.num.terms.values(), *x.den.terms.values()) == 1
+    assert x.den.leading_coeff() > 0
+    assert min(x.num.min_exponents() + x.den.min_exponents()) >= 0
 
 
 @PROPERTY_SETTINGS

@@ -250,6 +250,14 @@ def test_selftest_json_prints_only_the_document(capsys):
     assert run_cli(capsys, *argv) == (code, out)
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_selftest_filter_matching_nothing_exits_3(capsys, json_flag):
+    assert main(["selftest", "--filter", "nosuch", *json_flag]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no acceptance criterion matches 'nosuch'\n"
+
+
 def test_wreath_mac_size_zero(capsys):
     code, out = run_cli(capsys, "wreath-mac", "--size", "0", "--core", "1", "--json")
     assert code == 0

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from wreathmac import cli, hodge
-from wreathmac.algebra import QT, RatFun, ZW, double_to_zw, poly_from_json
+from wreathmac.algebra import QT, RatFun, ZW, poly_from_json
 from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
 from wreathmac.hodge import (
     ProblemSpec,
@@ -278,7 +278,7 @@ def reference_pairing(spec, route):
     second = wreath_terms(0, g, k, N)
     inverted = hodge.invert_series(star_terms(g, k, N), N)
     hs = [h_of_type(beta) for beta in spec.classes]
-    at_route = double_to_zw if route == ZW else (lambda v: v)
+    at_route = (lambda v: v.monomial_map((2, 0, 0, 2))) if route == ZW else (lambda v: v)
     total = RatFun.zero()
     for a, b, s in hodge._triples(first, second, inverted, N):
         phi = (a.factor * b.factor * s.factor).to_basis("s2")

@@ -1,11 +1,10 @@
 import pytest
 
 from wreathmac.partitions import (
+    bipartition_list,
     brace,
-    core_quotient,
     dominance_geq,
     dual,
-    from_core_quotient,
     hook_poly,
     hooks,
     induced_dominance_geq,
@@ -13,7 +12,6 @@ from wreathmac.partitions import (
     parse_bipartition,
     parse_partition,
     partitions_of,
-    size2,
 )
 
 
@@ -26,33 +24,31 @@ def test_dominance_examples():
         dominance_geq((2,), (1, 1, 1))
 
 
-def test_quotient_core_examples():
-    assert core_quotient((3,)) == (1, ((1,), ()))
-    assert core_quotient((2,)) == (0, ((1,), ()))
-    assert core_quotient((1, 1)) == (0, ((), (1,)))
-    # the size-5 staircase-core family, as forced by the beta-number
-    # convention (r even exactly when the core is a single box)
-    assert core_quotient((5,)) == (1, ((2,), ()))
-    assert core_quotient((3, 2)) == (1, ((1, 1), ()))
-    assert core_quotient((3, 1, 1)) == (1, ((1,), (1,)))
-    assert core_quotient((2, 2, 1)) == (1, ((), (2,)))
-    assert core_quotient((1,) * 5) == (1, ((), (1, 1)))
-
-
 def test_brace_examples():
     assert brace(((1,), ()), 0) == (2,)
+    assert brace(((), (1,)), 0) == (1, 1)
     assert brace(((1,), ()), 1) == (3,)
     assert brace(((), (1,)), 1) == (1, 1, 1)
+    # the size-5 family with 2-core (1), as forced by the beta-number
+    # convention (q0 on the even beta-numbers, q1 on the odd ones)
+    assert brace(((2,), ()), 1) == (5,)
+    assert brace(((1, 1), ()), 1) == (3, 2)
+    assert brace(((1,), (1,)), 1) == (3, 1, 1)
+    assert brace(((), (2,)), 1) == (2, 2, 1)
+    assert brace(((), (1, 1)), 1) == (1,) * 5
+    with pytest.raises(ValueError):
+        brace(((1,), ()), 2)
 
 
-def test_round_trip_and_size_law():
-    for n in range(11):
-        for lam in partitions_of(n):
-            d, quot = core_quotient(lam)
-            assert n == d * (d + 1) // 2 + 2 * size2(quot)
-            assert from_core_quotient(quot, d) == lam
-            if d <= 1:
-                assert brace(quot, d) == lam
+def test_brace_is_a_bijection_onto_the_core():
+    # a partition's number of even hooks is its 2-weight, so the partitions
+    # of n with n // 2 even hooks are those with 2-core (n % 2)
+    for n in range(13):
+        labels = [brace(bp, n % 2) for bp in bipartition_list(n // 2)]
+        assert all(sum(lam) == n for lam in labels)
+        assert len(set(labels)) == len(labels)
+        even = {lam for lam in partitions_of(n) if sum(h % 2 == 0 for *_, h in hooks(lam)) == n // 2}
+        assert set(labels) == even
 
 
 def test_induced_orders_size2():
