@@ -26,9 +26,17 @@ def test_dominance_examples():
 
 def test_brace_examples():
     assert brace(((1,), ()), 0) == (2,)
-    assert brace(((), (1,)), 0) == (1, 1)
     assert brace(((1,), ()), 1) == (3,)
     assert brace(((), (1,)), 1) == (1, 1, 1)
+    with pytest.raises(ValueError):
+        brace(((1,), ()), 2)
+
+
+def test_quotient_core_examples():
+    # each partition is the brace of its 2-quotient at its 2-core
+    assert brace(((1,), ()), 1) == (3,)
+    assert brace(((1,), ()), 0) == (2,)
+    assert brace(((), (1,)), 0) == (1, 1)
     # the size-5 family with 2-core (1), as forced by the beta-number
     # convention (q0 on the even beta-numbers, q1 on the odd ones)
     assert brace(((2,), ()), 1) == (5,)
@@ -36,8 +44,6 @@ def test_brace_examples():
     assert brace(((1,), (1,)), 1) == (3, 1, 1)
     assert brace(((), (2,)), 1) == (2, 2, 1)
     assert brace(((), (1, 1)), 1) == (1,) * 5
-    with pytest.raises(ValueError):
-        brace(((1,), ()), 2)
 
 
 def test_brace_is_a_bijection_onto_the_core():
