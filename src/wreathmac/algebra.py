@@ -512,11 +512,16 @@ def _signed(num: LaurentPoly, den: LaurentPoly) -> RatFun:
 def common_denominator(values) -> tuple[list[LaurentPoly], LaurentPoly]:
     """``(numerators, E)`` with E the lcm of the denominators of the
     ``RatFun`` values over (q, t), so that each value is its numerator / E."""
+    # the values share few denominators: each distinct one joins the lcm
+    # and is divided out of it once
+    cofactors = dict.fromkeys(v.den for v in values)
     lcm = LaurentPoly.const(1)
-    for v in values:
-        # times v.den / gcd(lcm, v.den), the gcd's second cofactor
-        lcm = lcm * lcm.gcd(v.den)[2]
-    return [v.num * lcm.divexact(v.den) for v in values], lcm
+    for den in cofactors:
+        # times den / gcd(lcm, den), the gcd's second cofactor
+        lcm = lcm * lcm.gcd(den)[2]
+    for den in cofactors:
+        cofactors[den] = lcm.divexact(den)
+    return [v.num * cofactors[v.den] for v in values], lcm
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,29 @@ from .partitions import bipartition_list, bipartition_str
 from .wreath import wreath_H, wreath_N
 
 
+# The largest wreath Macdonald label size that a run may solve: rank 10 (size
+# 5) takes about 80 s in one process, and each size up multiplies the labels
+# and their solve times, so a larger one would run for hours.
+MAX_LABEL_SIZE = 5
+
+
+def _require_within_reach(size: int) -> None:
+    """ValueError when labels of this size are above ``MAX_LABEL_SIZE``; it
+    reads the size only, so it runs before any solve."""
+    if size > MAX_LABEL_SIZE:
+        raise ValueError(
+            f"out of reach: wreath Macdonald labels of size {size} "
+            f"(at most {MAX_LABEL_SIZE})"
+        )
+
+
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_compute(args) -> int:
     try:
+        _require_within_reach(args.n // 2)
         classes = tuple(parse_simple_type(c) for c in args.cls)
         spec = ProblemSpec(args.g, args.k, args.n, classes)
     except ValueError as exc:
@@ -167,11 +184,14 @@ def _type_of_eigenvalue(a: int, q: int, n: int):
 
 
 def cmd_wreath_mac(args) -> int:
-    if args.core not in (0, 1):
-        print("error: core must be 0 or 1", file=sys.stderr)
-        return 3
-    if args.size < 0:
-        print("error: size must be nonnegative", file=sys.stderr)
+    try:
+        if args.core not in (0, 1):
+            raise ValueError("core must be 0 or 1")
+        if args.size < 0:
+            raise ValueError("size must be nonnegative")
+        _require_within_reach(args.size)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     family = {}
     for bp in bipartition_list(args.size):

@@ -8,11 +8,14 @@ the inverted diagonal series against the product of the complete symmetric
 functions dual to the class types; the pairing factorizes over punctures,
 so the assembly enumerates index triples whose sizes sum to half the rank.
 That series side depends on (g, k, n) only, so it is memoised per
-(g, k, n), grouped by the denominator of the triple's coefficient, and so
-is its pairing against the class function of each class type, over one
-common denominator per type.  A class tuple then sums each group as
-polynomials and normalises it once; only the groups meet in ``RatFun``
-addition.
+(g, k, n), grouped by the denominator of the triple's coefficient, with
+every factor held as power-sum numerators over one denominator that all
+rows share.  The class function of a class type has constant power-sum
+coefficients, so its pairing with every row is an integer dot product of
+those numerators; the column of these pairings is memoised per type and
+reduced once, over one common denominator.  A class tuple then sums each
+group as polynomials and normalises it once; only the groups meet in
+``RatFun`` addition.
 Property-check failures are recorded in the result, never raised.
 """
 
@@ -20,9 +23,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import lcm, prod
 
 from .algebra import QT, ZW, LaurentPoly, RatFun, common_denominator, substitute_powers
 from .classtypes import SimpleType, h_of_type
+from .partitions import z_stat
 from .series import (
     SeriesTerm,
     invert_series,
@@ -89,9 +94,11 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     """The series side of the pairing, which depends on (g, k, n) only: for
     every index triple with a nonzero coefficient, the product of the three
     coefficients and the product of the three factors, in power sums.  The
+    factors share one denominator ``E`` over (q, t), so a row holds its
+    factor as the power-sum numerators ``{mu: numerator}`` over ``E``.  The
     rows are grouped by the coefficient's denominator ``d``, as
-    ``(d, ((numerator, factor), ...))``.  Route ZW pairs the two-variable
-    series, route QT the one-parameter series."""
+    ``(E, ((d, ((numerator, factor numerators), ...)), ...))``.  Route ZW
+    pairs the two-variable series, route QT the one-parameter series."""
     if route == ZW:
         wreath_terms, star_terms = wreath_series_terms, star_series_terms
     else:
@@ -103,33 +110,72 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     else:
         first = second = wreath_terms(0, g, k, N)
     inverted = invert_series(star_terms(g, k, N), N)
-    groups: dict[LaurentPoly, list] = {}
+    rows = []
     for a, b, s in _triples(first, second, inverted, N):
         coeff = a.coeff * b.coeff * s.coeff
         if not coeff.is_zero():
-            phi = a.factor * b.factor * s.factor
-            groups.setdefault(coeff.den, []).append((coeff.num, phi))
+            rows.append((coeff, (a.factor * b.factor * s.factor).coeffs))
+    nums, E = common_denominator([c for _, phi in rows for c in phi.values()])
+    nums = iter(nums)
+    groups: dict[LaurentPoly, list] = {}
+    for coeff, phi in rows:
+        groups.setdefault(coeff.den, []).append((coeff.num, {mu: next(nums) for mu in phi}))
     # the groups in order of growing denominator degree: the partial sums of
     # ``_pair_against_classes`` then take the large denominators last
     order = sorted(groups, key=lambda d: max(a + b for a, b in d.terms))
-    return tuple((d, tuple(groups[d])) for d in order)
+    return E, tuple((d, tuple(groups[d])) for d in order)
+
+
+@lru_cache(maxsize=None)
+def _class_weights(beta: SimpleType) -> tuple[int, dict]:
+    """``(L, {mu: L * h_mu * z_mu})``: the complete function dual to the
+    class type, whose power-sum coefficients h_mu are rational constants,
+    weighted by z_mu and scaled by the lcm ``L`` of their denominators to
+    integers.  The Hall pairing of a factor ``{mu: N_mu} / E`` against it is
+    ``sum_mu N_mu * weight_mu / (L * E)``."""
+    weights = {
+        mu: c.constant_value() * prod(map(z_stat, mu)) for mu, c in h_of_type(beta).coeffs.items()
+    }
+    L = lcm(*(w.denominator for w in weights.values()))
+    return L, {mu: int(w * L) for mu, w in weights.items()}
 
 
 @lru_cache(maxsize=None)
 def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleType) -> tuple:
     """Hall pairing of every row of ``_pairing_rows`` (in the order of its
     groups) against the complete function dual to the class type, as
-    ``(numerators, E)``: the values are ``numerator / E`` over the lcm ``E``
-    of their denominators.  The pairings are taken over (q, t); route ZW
-    then reads the numerators and the lcm at q = z^2, t = w^2."""
-    h = h_of_type(beta)
-    nums, lcm = common_denominator(
-        [phi.hall_inner(h) for _, rows in _pairing_rows(route, g, k, n) for _, phi in rows]
-    )
+    ``(numerators, lcm)``: the values are ``numerator / lcm`` over the lcm
+    of their reduced denominators.  Each pairing is an integer linear form
+    in the row's power-sum numerators over the shared ``L * E``; that one
+    denominator is reduced once, by the gcd of it and every numerator.  The
+    pairings are taken over (q, t); route ZW then reads the numerators and
+    the lcm at q = z^2, t = w^2."""
+    E, groups = _pairing_rows(route, g, k, n)
+    L, weights = _class_weights(beta)
+    nums = []
+    for _, rows in groups:
+        for _, phi in rows:
+            total = LaurentPoly.zero()
+            for mu, v in phi.items():
+                w = weights.get(mu)
+                if w is not None:
+                    total = total + v * w
+            nums.append(total)
+    den = E * L
+    one = LaurentPoly.const(1)
+    common = den
+    for v in nums:
+        if common == one:
+            break
+        if not v.is_zero():
+            common = common.gcd(v)[0]
+    if common != one:
+        nums = [v.divexact(common) for v in nums]
+        den = den.divexact(common)
     if route == ZW:
         nums = [v.monomial_map((2, 0, 0, 2)) for v in nums]
-        lcm = lcm.monomial_map((2, 0, 0, 2))
-    return tuple(nums), lcm
+        den = den.monomial_map((2, 0, 0, 2))
+    return tuple(nums), den
 
 
 def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
@@ -141,11 +187,12 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
     group is normalised once and only the groups meet in ``RatFun`` ``+``."""
     g, k, n = spec.g, spec.k, spec.n
     (first, den), *rest = [_class_column(route, g, k, n, beta) for beta in spec.classes]
-    for _, lcm in rest:
-        den = den * lcm
+    for _, column_den in rest:
+        den = den * column_den
+    _, groups = _pairing_rows(route, g, k, n)
     total = RatFun.zero()
     i = 0
-    for d, rows in _pairing_rows(route, g, k, n):
+    for d, rows in groups:
         group = LaurentPoly.zero()
         for num, _ in rows:
             # the class numerators first: they are small, and the series

@@ -1,8 +1,9 @@
 """The names the benchmark's span tracer (``perfbench/tracer.py``) wraps and
 the kernel backend its worker reports exist in the package, the values it
 reads have the shape it reads, and the recorded failures of its reference
-outputs still fail with the recorded text, so that a refactor which moves
-or reshapes one of them fails here and not only in a benchmark run."""
+outputs still fail with the recorded text and the others keep their
+recorded digests, so that a refactor which moves or reshapes one of them
+fails here and not only in a benchmark run."""
 
 import contextlib
 import hashlib
@@ -11,6 +12,8 @@ import importlib.util
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,3 +86,28 @@ def test_recorded_sweep_failures_keep_their_text():
             else:
                 raise AssertionError(f"{classes} no longer fails")
     assert failures == 6
+
+
+@pytest.mark.parametrize("workload", ["ladder", "sweep"])
+def test_succeeding_items_keep_their_digests(workload):
+    # every recorded output other than the failures above: stdout's sha256
+    # and the exit code, as perfbench/worker.py computes them
+    workloads = load_perfbench("workloads")
+    worker = load_perfbench("worker")
+    refs = json.loads((PERFBENCH / "refs.json").read_text())[workload]
+    if workload == "ladder":
+        configs = workloads.LADDER
+    else:
+        tuples = [workloads.SWEEP_WARMUP] + [c for band in workloads.SWEEP_BANDS for c in band]
+        configs = [(*workloads.SWEEP_GKN, classes) for classes in tuples]
+    checked = set()
+    for config in configs:
+        key = workloads.config_key(*config)
+        ref = refs[key]
+        if "error" in ref:
+            continue
+        out = worker.run_cli(workloads.compute_argv(*config))
+        assert (out["rc"], out["digest"]) == (ref["rc"], ref["digest"]), key
+        checked.add(key)
+    assert checked == {key for key, ref in refs.items() if "error" not in ref}
+    assert len(checked) == {"ladder": 14, "sweep": 19}[workload]

@@ -193,13 +193,17 @@ def test_oracle_refuses_out_of_reach_input_at_once(capsys):
         ["--q", str(10**40 + 1), "--n", "2", "--g", "1", "--eigs", "2", "--eigs", "3"],
     )
     for argv in cases:
-        start = time.perf_counter()
-        code = main(["oracle", *argv])
-        elapsed = time.perf_counter() - start
-        out, err = capsys.readouterr()
-        assert (code, out) == (3, ""), argv
-        assert err.startswith("error: out of reach") and "Traceback" not in err, err
-        assert elapsed < 1, (argv, elapsed)
+        refused_at_once(capsys, ["oracle", *argv])
+
+
+def refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("error: out of reach") and "Traceback" not in err, err
+    assert elapsed < 1, (argv, elapsed)
 
 
 eig_text = st.one_of(
@@ -263,6 +267,19 @@ def test_wreath_mac_size_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["family"]["([],[])"]["pairing"] == [[0, 0, "1"]]
+
+
+@pytest.mark.parametrize("size, core", [(40, 0), (6, 1)])
+def test_wreath_mac_refuses_out_of_reach_size_at_once(capsys, size, core):
+    # without the limit, size 40 runs for hours; size 5 (rank 10) is the
+    # largest that a documented run solves
+    refused_at_once(capsys, ["wreath-mac", "--size", str(size), "--core", str(core)])
+
+
+@pytest.mark.parametrize("n, star", [(60, "30"), (12, "1 1 1 1 1 1"), (13, "6")])
+def test_compute_refuses_out_of_reach_rank_at_once(capsys, n, star):
+    argv = ["compute", "--g", "0", "--k", "1", "--n", str(n), "--json"]
+    refused_at_once(capsys, argv + ["--class", f"0,0:{star}"] * 2)
 
 
 def test_oracle_rank_one_verdict(capsys):

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from wreathmac import cli, hodge
-from wreathmac.algebra import QT, RatFun, ZW, poly_from_json
+from wreathmac.algebra import QT, LaurentPoly, RatFun, ZW, poly_from_json
 from wreathmac.classtypes import SimpleType, h_of_type, parse_simple_type
 from wreathmac.hodge import (
     ProblemSpec,
@@ -15,6 +15,7 @@ from wreathmac.hodge import (
     e_polynomial,
     mixed_hodge,
 )
+from wreathmac.partitions import partition_list
 
 q = RatFun.var(0)
 t = RatFun.var(1)
@@ -264,29 +265,82 @@ def test_same_gkn_builds_no_series(capsys, monkeypatch):
 SIZE_TWO_TYPES = ("2,0:", "0,2:", "1,1:", "1,0:1", "0,1:1", "0,0:2", "0,0:1 1")
 
 
+def route_series(route, g, k, n):
+    """The three series that ``_pairing_rows`` pairs, built afresh, and the
+    map that reads a pairing over (q, t) on the route."""
+    if route == ZW:
+        wreath_terms, star_terms = hodge.wreath_series_terms, hodge.star_series_terms
+    else:
+        wreath_terms, star_terms = hodge.one_param_wreath_terms, hodge.one_param_star_terms
+    N = n // 2
+    first = wreath_terms(n % 2, g, k, N)
+    second = wreath_terms(0, g, k, N)
+    inverted = hodge.invert_series(star_terms(g, k, N), N)
+    at_route = (lambda v: v.monomial_map((2, 0, 0, 2))) if route == ZW else (lambda v: v)
+    return first, second, inverted, at_route
+
+
 def reference_pairing(spec, route):
     """The pairing sum as the formula reads: over every index triple, the
     triple's coefficient times the Hall pairings of its Schur factor against
     each class function, folded with plain ``RatFun`` addition.  The
     pairings are over (q, t); route ZW reads them at q = z^2, t = w^2."""
-    if route == ZW:
-        wreath_terms, star_terms = hodge.wreath_series_terms, hodge.star_series_terms
-    else:
-        wreath_terms, star_terms = hodge.one_param_wreath_terms, hodge.one_param_star_terms
-    g, k, N = spec.g, spec.k, spec.n // 2
-    first = wreath_terms(spec.n % 2, g, k, N)
-    second = wreath_terms(0, g, k, N)
-    inverted = hodge.invert_series(star_terms(g, k, N), N)
+    first, second, inverted, at_route = route_series(route, spec.g, spec.k, spec.n)
     hs = [h_of_type(beta) for beta in spec.classes]
-    at_route = (lambda v: v.monomial_map((2, 0, 0, 2))) if route == ZW else (lambda v: v)
     total = RatFun.zero()
-    for a, b, s in hodge._triples(first, second, inverted, N):
+    for a, b, s in hodge._triples(first, second, inverted, spec.n // 2):
         phi = (a.factor * b.factor * s.factor).to_basis("s2")
         value = a.coeff * b.coeff * s.coeff
         for h in hs:
             value = value * at_route(phi.hall_inner(h))
         total = total + value
     return total
+
+
+def simple_types(size):
+    return [
+        SimpleType(mp, mm, lam)
+        for mp in range(size + 1)
+        for mm in range(size + 1 - mp)
+        for lam in partition_list(size - mp - mm)
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, k, n, types",
+    [
+        (1, 1, 2, simple_types(1)),
+        (0, 2, 4, simple_types(2)),
+        (1, 1, 4, simple_types(2)),
+        (0, 2, 5, simple_types(2)),
+        (0, 2, 6, [pt("0,0:1 1 1"), pt("3,0:"), pt("1,1:1")]),
+    ],
+)
+def test_class_columns_are_the_hall_pairings_in_lowest_terms(g, k, n, types):
+    # the rows of ``_pairing_rows`` hold their factor as power-sum
+    # numerators; here each row's factor is the product of its triple's
+    # factors again, matched to the row through the coefficient denominator
+    for route in (ZW, QT):
+        first, second, inverted, at_route = route_series(route, g, k, n)
+        by_den = {}
+        for a, b, s in hodge._triples(first, second, inverted, n // 2):
+            coeff = a.coeff * b.coeff * s.coeff
+            if not coeff.is_zero():
+                by_den.setdefault(coeff.den, []).append(a.factor * b.factor * s.factor)
+        _, groups = hodge._pairing_rows(route, g, k, n)
+        assert [len(rows) for _, rows in groups] == [len(by_den[d]) for d, _ in groups]
+        phis = [phi for d, _ in groups for phi in by_den[d]]
+        for beta in types:
+            h = h_of_type(beta)
+            nums, lcm = hodge._class_column(route, g, k, n, beta)
+            assert len(nums) == len(phis)
+            for num, phi in zip(nums, phis):
+                assert RatFun(num, lcm) == at_route(phi.hall_inner(h)), (beta, route)
+            common = lcm
+            for num in nums:
+                if not num.is_zero():
+                    common = common.gcd(num)[0]
+            assert common == LaurentPoly.const(1), (beta, route)
 
 
 def seeded_tuples(seed, count, size):
@@ -304,6 +358,7 @@ NON_POLYNOMIAL = ("0,2:", "2,0:", "0,0:2", "2,0:")
         (0, 2, 4, [NON_POLYNOMIAL] + seeded_tuples(4, 4, 4)),
         (1, 1, 4, seeded_tuples(11, 4, 2)),
         (0, 2, 5, seeded_tuples(5, 2, 4)),
+        (0, 2, 6, [("1,0:2", "0,0:1 1 1", "2,1:", "3,0:")]),
     ],
 )
 def test_grouped_sum_equals_plain_fold(g, k, n, tuples):
