@@ -96,7 +96,7 @@ def c02_pairing_golden_tables():
     mac = fx["macdonald_deg2"]
     for label, row in mac["H"].items():
         got = macdonald_H(parse_partition(label)).coeffs
-        want = {parse_partition(b): _ratfun_from_fixture(v) for b, v in row.items()}
+        want = {(parse_partition(b),): _ratfun_from_fixture(v) for b, v in row.items()}
         if got != want:
             return False, f"Macdonald expansion mismatch at {label}"
     for label, value in mac["N"].items():
@@ -201,8 +201,8 @@ def c07_finite_field_oracle():
 def _scalar_eval(lam, c: RatFun) -> RatFun:
     """s_lam evaluated on the scalar alphabet c: s_lam[cZ] paired with
     h_n = s_(n), since <p_mu, h_n> = 1 for every mu of size n."""
-    h_n = SymFunc1.basis_elem("s", (sum(lam),) if lam else ())
-    return SymFunc1.basis_elem("s", lam).alphabet_substitute([[c]]).hall_inner(h_n)
+    h_n = SymFunc1.basis_elem("s", ((sum(lam),) if lam else (),))
+    return SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[c]]).hall_inner(h_n)
 
 
 def _map_coeffs(f: SymFunc2, op) -> SymFunc2:
@@ -222,7 +222,7 @@ def c08_specialization_lemmas():
             f = _scalar_eval(lam, inv1mq).inverse()
             H = macdonald_H(lam)
             lhs = {k: c.monomial_map(t_to_qinv) for k, c in H.coeffs.items()}
-            srat = SymFunc1.basis_elem("s", lam).alphabet_substitute([[inv1mq]]).to_basis("s")
+            srat = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[inv1mq]]).to_basis("s")
             rhs = {k: c * f for k, c in srat.coeffs.items() if not (c * f).is_zero()}
             if lhs != rhs:
                 return False, f"Macdonald t=1/q specialization fails at {lam}"

@@ -52,5 +52,5 @@ def h_of_type(beta: SimpleType) -> SymFunc2:
 
     out = first_alphabet(beta.m_plus) * first_alphabet(beta.m_minus)
     for m in beta.star:
-        out = out * SymFunc1.basis_elem("s", (m,)).alphabet_substitute(DIAGONAL)
+        out = out * SymFunc1.basis_elem("s", ((m,),)).alphabet_substitute(DIAGONAL)
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 
 from .algebra import QT, ZW, LaurentPoly, RatFun, common_denominator, substitute_powers
 from .classtypes import SimpleType, h_of_type
@@ -127,17 +127,19 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _class_weights(beta: SimpleType) -> tuple[int, dict]:
-    """``(L, {mu: L * h_mu * z_mu})``: the complete function dual to the
-    class type, whose power-sum coefficients h_mu are rational constants,
-    weighted by z_mu and scaled by the lcm ``L`` of their denominators to
-    integers.  The Hall pairing of a factor ``{mu: N_mu} / E`` against it is
-    ``sum_mu N_mu * weight_mu / (L * E)``."""
-    weights = {
-        mu: c.constant_value() * prod(map(z_stat, mu)) for mu, c in h_of_type(beta).coeffs.items()
-    }
-    L = lcm(*(w.denominator for w in weights.values()))
-    return L, {mu: int(w * L) for mu, w in weights.items()}
+def _class_weights(beta: SimpleType) -> dict:
+    """``{mu: h_mu * z_mu}``: the power-sum coefficients h_mu of the
+    complete function dual to the class type, weighted by z_mu.  Each
+    weight is <h, p_mu>, a permutation-character value, so an integer.  The
+    Hall pairing of a factor ``{mu: N_mu} / E`` against it is
+    ``sum_mu N_mu * weight_mu / E``."""
+    weights = {}
+    for mu, c in h_of_type(beta).coeffs.items():
+        w = c.constant_value() * prod(map(z_stat, mu))
+        if w.denominator != 1:
+            raise AssertionError("non-integral class weight")
+        weights[mu] = w.numerator
+    return weights
 
 
 @lru_cache(maxsize=None)
@@ -146,12 +148,12 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
     groups) against the complete function dual to the class type, as
     ``(numerators, lcm)``: the values are ``numerator / lcm`` over the lcm
     of their reduced denominators.  Each pairing is an integer linear form
-    in the row's power-sum numerators over the shared ``L * E``; that one
+    in the row's power-sum numerators over the shared ``E``; that one
     denominator is reduced once, by the gcd of it and every numerator.  The
     pairings are taken over (q, t); route ZW then reads the numerators and
     the lcm at q = z^2, t = w^2."""
     E, groups = _pairing_rows(route, g, k, n)
-    L, weights = _class_weights(beta)
+    weights = _class_weights(beta)
     nums = []
     for _, rows in groups:
         for _, phi in rows:
@@ -161,9 +163,8 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
                 if w is not None:
                     total = total + v * w
             nums.append(total)
-    den = E * L
     one = LaurentPoly.const(1)
-    common = den
+    den = common = E
     for v in nums:
         if common == one:
             break

@@ -79,8 +79,8 @@ def macdonald_H(lam: Partition) -> SymFunc1:
     lam_d = dual(lam)
     return triangular_family(
         SymFunc1,
-        partition_list(n),
-        lambda gamma: dominance_geq(gamma, lam),
-        lambda gamma: dominance_geq(gamma, lam_d),
-        (n,) if n else (),
+        tuple((mu,) for mu in partition_list(n)),
+        lambda gamma: dominance_geq(gamma[0], lam),
+        lambda gamma: dominance_geq(gamma[0], lam_d),
+        ((n,) if n else (),),
     )

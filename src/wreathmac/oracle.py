@@ -277,6 +277,8 @@ def count_points(n: int, g: int, q: int, eigenvalues: list[int]) -> int:
     force; rank n in {1, 2}.  eigenvalues gives one eigenvalue per puncture
     (rank 2) or an empty placeholder list handled by 2k = len(eigenvalues).
     """
+    if g < 0:
+        raise ValueError(f"the genus must be nonnegative, not g={g}")
     twok = len(eigenvalues)
     if twok % 2 or twok == 0:
         raise ValueError("need a positive even number of punctures")

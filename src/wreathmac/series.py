@@ -152,6 +152,6 @@ def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
                 q ** ((2 - 2 * g - k) * n)
                 * (hook_poly(lam) ** 2 * q ** (-2 * n_stat(lam))) ** (2 * g + 2 * k - 2)
             )
-            factor = SymFunc1.basis_elem("s", lam).alphabet_substitute([[inv1mq, inv1mq]])
+            factor = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[inv1mq, inv1mq]])
             out.append(SeriesTerm(lam, n, coeff, factor))
     return out

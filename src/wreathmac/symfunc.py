@@ -1,12 +1,12 @@
 """Symmetric functions in one alphabet and in a pair of alphabets.
 
-An index is read as its tuple of per-alphabet partitions: ``SymFunc1``
-indexes by a partition, ``SymFunc2`` by a 2-partition.  Each has a Schur
-basis ("s", "s2": products of per-alphabet Schur functions) and a power
-basis ("p", "p2": products of per-alphabet power sums).  Every operation is
-written once, in the base class, over that tuple; a subclass names its
-bases, its number of alphabets and the matrix K that exchanges them, and
-converts between its index and the tuple.
+An index is the tuple of its per-alphabet partitions: ``SymFunc1``
+indexes by 1-tuples ``(lam,)``, ``SymFunc2`` by 2-partitions.  Each has a
+Schur basis ("s", "s2": products of per-alphabet Schur functions) and a
+power basis ("p", "p2": products of per-alphabet power sums).  Every
+operation is written once, in the base class, over that tuple; a subclass
+only names its bases, its number of alphabets and the matrix K that
+exchanges them.
 
 The power basis is the working basis: products and alphabet substitutions
 are computed there, and equality and the Hall inner product, which is
@@ -51,6 +51,11 @@ def _acc(out: dict, key, value) -> None:
 def _merge(a: Partition, b: Partition) -> Partition:
     """The partition whose parts are those of a and of b."""
     return tuple(sorted(a + b, reverse=True))
+
+
+def _merge_index(a: tuple, b: tuple) -> tuple:
+    """The index whose partition in each alphabet joins those of a and b."""
+    return tuple(map(_merge, a, b))
 
 
 def _product(a: dict, b: dict, merge) -> dict:
@@ -127,10 +132,8 @@ def _power_to_schur(mu: Partition) -> dict[Partition, int]:
 class _SymFunc:
     """Sparse symmetric function with RatFun coefficients over (q, t) in
     ``ALPHABETS`` alphabets, stored in one of the subclass's ``BASES`` (its
-    Schur basis, then its power basis ``POWER``).  The subclass's ``_parts``
-    reads an index as its tuple of per-alphabet partitions, ``_index``
-    builds one from such a tuple, and ``_merge`` joins two indices in a
-    product."""
+    Schur basis, then its power basis ``POWER``), indexed by tuples of
+    per-alphabet partitions."""
 
     __slots__ = ("basis", "coeffs")
 
@@ -147,11 +150,11 @@ class _SymFunc:
 
     @classmethod
     def basis_elem(cls, basis: str, key):
-        return cls(basis, {cls._index(tuple(map(tuple, cls._parts(key)))): RatFun.one()})
+        return cls(basis, {tuple(map(tuple, key)): RatFun.one()})
 
     @classmethod
     def one(cls):
-        return cls(cls.POWER, {cls._index(((),) * cls.ALPHABETS): RatFun.one()})
+        return cls(cls.POWER, {((),) * cls.ALPHABETS: RatFun.one()})
 
     def __eq__(self, other):
         a, b = self.to_basis(self.POWER), other.to_basis(self.POWER)
@@ -159,7 +162,7 @@ class _SymFunc:
 
     def __mul__(self, other):
         a, b = self.to_basis(self.POWER), other.to_basis(self.POWER)
-        return type(self)(self.POWER, _product(a.coeffs, b.coeffs, self._merge))
+        return type(self)(self.POWER, _product(a.coeffs, b.coeffs, _merge_index))
 
     def hall_inner(self, other) -> RatFun:
         """sum over mu of c_mu d_mu z_mu, for the power-basis coefficients
@@ -171,7 +174,7 @@ class _SymFunc:
         for k, c in a.coeffs.items():
             d = b.coeffs.get(k)
             if d is not None:
-                total = total + c * d * prod(map(z_stat, self._parts(k)))
+                total = total + c * d * prod(map(z_stat, k))
         return total
 
     def to_basis(self, basis: str):
@@ -185,9 +188,9 @@ class _SymFunc:
         table = schur_to_power if basis == self.POWER else _power_to_schur
         out: dict = {}
         for k, c in self.coeffs.items():
-            for terms in product(*(table(lam).items() for lam in self._parts(k))):
+            for terms in product(*(table(lam).items() for lam in k)):
                 keys, factors = zip(*terms)
-                _acc(out, self._index(keys), c * prod(factors))
+                _acc(out, keys, c * prod(factors))
         return type(self)(basis, out)
 
     def alphabet_substitute(self, M):
@@ -196,22 +199,21 @@ class _SymFunc:
         in power sums p_r(x_i) maps to sum_j M[i][j](q^r, t^r) p_r(y_j)."""
         width = len(M[0])
         cls = _BY_ALPHABETS[width]
-        empty = cls._index(((),) * width)
         images: dict = {}  # (i, r) -> the image of p_r(x_i)
         out: dict = {}
         for k, c in self.to_basis(self.POWER).coeffs.items():
-            expansion = {empty: c}
-            for i, lam in enumerate(self._parts(k)):
+            expansion = {((),) * width: c}
+            for i, lam in enumerate(k):
                 for r in lam:
                     image = images.get((i, r))
                     if image is None:
                         image = images[(i, r)] = {
-                            cls._index(tuple((r,) if j == col else () for j in range(width))):
+                            tuple((r,) if j == col else () for j in range(width)):
                             m.monomial_map((r, 0, 0, r))
                             for col, m in enumerate(M[i])
                             if not m.is_zero()
                         }
-                    expansion = _product(expansion, image, cls._merge)
+                    expansion = _product(expansion, image, _merge_index)
             for key, v in expansion.items():
                 _acc(out, key, v)
         return cls(cls.POWER, out)
@@ -222,23 +224,13 @@ class _SymFunc:
 
 
 class SymFunc1(_SymFunc):
-    """Symmetric function in one alphabet, indexed by partitions."""
+    """Symmetric function in one alphabet, indexed by 1-tuples ``(lam,)``."""
 
     __slots__ = ()
     BASES = ("s", "p")
     POWER = "p"
     ALPHABETS = 1
     EXCHANGE = [[RatFun.one()]]
-
-    @staticmethod
-    def _parts(lam: Partition) -> tuple[Partition]:
-        return (lam,)
-
-    @staticmethod
-    def _index(parts: tuple[Partition]) -> Partition:
-        return parts[0]
-
-    _merge = staticmethod(_merge)
 
 
 class SymFunc2(_SymFunc):
@@ -250,18 +242,6 @@ class SymFunc2(_SymFunc):
     POWER = "p2"
     ALPHABETS = 2
     EXCHANGE = [[RatFun.zero(), RatFun.one()], [RatFun.one(), RatFun.zero()]]
-
-    @staticmethod
-    def _parts(bp: BiPartition) -> BiPartition:
-        return bp
-
-    @staticmethod
-    def _index(parts: BiPartition) -> BiPartition:
-        return parts
-
-    @staticmethod
-    def _merge(a: BiPartition, b: BiPartition) -> BiPartition:
-        return (_merge(a[0], b[0]), _merge(a[1], b[1]))
 
 
 _BY_ALPHABETS = {cls.ALPHABETS: cls for cls in (SymFunc1, SymFunc2)}

@@ -196,13 +196,13 @@ def test_oracle_refuses_out_of_reach_input_at_once(capsys):
         refused_at_once(capsys, ["oracle", *argv])
 
 
-def refused_at_once(capsys, argv):
+def refused_at_once(capsys, argv, message="error: out of reach"):
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert (code, out) == (3, ""), argv
-    assert err.startswith("error: out of reach") and "Traceback" not in err, err
+    assert err.startswith(message) and "Traceback" not in err, err
     assert elapsed < 1, (argv, elapsed)
 
 
@@ -274,6 +274,14 @@ def test_wreath_mac_refuses_out_of_reach_size_at_once(capsys, size, core):
     # without the limit, size 40 runs for hours; size 5 (rank 10) is the
     # largest that a documented run solves
     refused_at_once(capsys, ["wreath-mac", "--size", str(size), "--core", str(core)])
+
+
+@pytest.mark.parametrize(
+    "size, core, message",
+    [(0, 2, "error: core must be 0 or 1\n"), (-1, 0, "error: size must be nonnegative\n")],
+)
+def test_wreath_mac_refuses_a_bad_core_or_size(capsys, size, core, message):
+    refused_at_once(capsys, ["wreath-mac", "--size", str(size), "--core", str(core)], message)
 
 
 @pytest.mark.parametrize("n, star", [(60, "30"), (12, "1 1 1 1 1 1"), (13, "6")])

@@ -152,6 +152,13 @@ def test_higher_genus_count_matches_formula():
     assert count == e.eval_at(7, 0)
 
 
+@pytest.mark.parametrize("n, eigenvalues", [(1, [1, 1]), (2, [2, 3])])
+def test_negative_genus_is_refused(n, eigenvalues):
+    # refused before any counting, at either rank
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        count_points(n, -1, 5, eigenvalues)
+
+
 def test_four_punctures_count_matches_formula():
     # 2k = 4 pair-distribution convolution path, nonzero variety
     ok, _ = genericity_check([(2,), (2,), (2,), (3,)], 17, strong=True)

@@ -120,5 +120,5 @@ def test_one_param_star_factors_match_the_substituted_alphabet():
     terms = one_param_star_terms(0, 1, 4)
     assert len(terms) == 1 + 1 + 2 + 3 + 5
     for t in terms:
-        image = SymFunc1.basis_elem("s", t.index).alphabet_substitute(DIAGONAL)
+        image = SymFunc1.basis_elem("s", (t.index,)).alphabet_substitute(DIAGONAL)
         assert t.factor == image.alphabet_substitute(scaled), t.index
