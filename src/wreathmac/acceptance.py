@@ -202,7 +202,7 @@ def _scalar_eval(lam, c: RatFun) -> RatFun:
     """s_lam evaluated on the scalar alphabet c: s_lam[cZ] paired with
     h_n = s_(n), since <p_mu, h_n> = 1 for every mu of size n."""
     h_n = SymFunc1.basis_elem("s", ((sum(lam),) if lam else (),))
-    return SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[c]]).hall_inner(h_n)
+    return SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(c).hall_inner(h_n)
 
 
 def _map_coeffs(f: SymFunc2, op) -> SymFunc2:
@@ -222,7 +222,7 @@ def c08_specialization_lemmas():
             f = _scalar_eval(lam, inv1mq).inverse()
             H = macdonald_H(lam)
             lhs = {k: c.monomial_map(t_to_qinv) for k, c in H.coeffs.items()}
-            srat = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[inv1mq]]).to_basis("s")
+            srat = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(inv1mq).to_basis("s")
             rhs = {k: c * f for k, c in srat.coeffs.items() if not (c * f).is_zero()}
             if lhs != rhs:
                 return False, f"Macdonald t=1/q specialization fails at {lam}"
@@ -231,13 +231,13 @@ def c08_specialization_lemmas():
                 return False, f"Macdonald pairing specialization fails at {lam}"
     # wreath specializations, sizes <= 2, both cores
     inv1mq2 = (one - q * q).inverse()
-    P = [[inv1mq2, q * inv1mq2], [q * inv1mq2, inv1mq2]]
+    P = (inv1mq, (one + q).inverse())  # (I - qK)^(-1) on p^+_r and on p^-_r
     for n in range(3):
         for bp in bipartition_list(n):
             f = (
                 _scalar_eval(bp[0], inv1mq2) * _scalar_eval(bp[1], q * inv1mq2)
             ).inverse()
-            sPX = SymFunc2.basis_elem("s2", bp).alphabet_substitute(P).to_basis("s2")
+            sPX = SymFunc2.basis_elem("s2", bp).alphabet_substitute(*P).to_basis("s2")
             for core in (0, 1):
                 H = wreath_H(bp, core)
                 lhs = {k: c.monomial_map(t_to_qinv) for k, c in H.coeffs.items()}

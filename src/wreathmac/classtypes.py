@@ -1,15 +1,14 @@
 """Simple types of twisted conjugacy classes (eigenvalue multiplicity data)
 and the complete symmetric functions dual to them, built from one-row Schur
-functions (h_m = s_(m)), the generic ones on the merged alphabet x0 + x1
-(the substitution by ``DIAGONAL``), and held in power sums, the basis the
-Hall pairing reads.
+functions (h_m = s_(m)), the generic ones on the merged alphabet x0 + x1,
+and held in power sums, the basis the Hall pairing reads.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .symfunc import DIAGONAL, SymFunc1, SymFunc2
+from .symfunc import SymFunc1, SymFunc2, on_merged_alphabet
 
 
 class SimpleType(namedtuple("SimpleType", "m_plus m_minus star")):
@@ -52,5 +51,5 @@ def h_of_type(beta: SimpleType) -> SymFunc2:
 
     out = first_alphabet(beta.m_plus) * first_alphabet(beta.m_minus)
     for m in beta.star:
-        out = out * SymFunc1.basis_elem("s", ((m,),)).alphabet_substitute(DIAGONAL)
+        out = out * on_merged_alphabet(SymFunc1.basis_elem("s", ((m,),)))
     return out

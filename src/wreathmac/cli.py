@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .algebra import ZW
 from .classtypes import parse_simple_type
-from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, e_polynomial, mixed_hodge
+from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, dimension, e_polynomial, mixed_hodge
 from .partitions import bipartition_list, bipartition_str
 from .wreath import wreath_H, wreath_N
 
@@ -30,15 +30,17 @@ from .wreath import wreath_H, wreath_N
 # and their solve times, so a larger one would run for hours.
 MAX_LABEL_SIZE = 5
 
+# The largest variety dimension d that ``compute`` accepts: the largest
+# accepted inputs of ranks 2, 4, 6 and 8 (g = 50, 12, 5, 2) take 10, 12, 27
+# and 45 s in one process; rank 2 at d = 796 (g = 100) runs over 150 s.
+MAX_DIMENSION = 400
 
-def _require_within_reach(size: int) -> None:
-    """ValueError when labels of this size are above ``MAX_LABEL_SIZE``; it
-    reads the size only, so it runs before any solve."""
-    if size > MAX_LABEL_SIZE:
-        raise ValueError(
-            f"out of reach: wreath Macdonald labels of size {size} "
-            f"(at most {MAX_LABEL_SIZE})"
-        )
+
+def _require_within_reach(what: str, value: int, bound: int) -> None:
+    """ValueError when ``value`` is above ``bound``; it reads the input
+    only, so it runs before any solve."""
+    if value > bound:
+        raise ValueError(f"out of reach: {what} {value} (at most {bound})")
 
 
 def _dump(payload: dict) -> str:
@@ -47,9 +49,10 @@ def _dump(payload: dict) -> str:
 
 def cmd_compute(args) -> int:
     try:
-        _require_within_reach(args.n // 2)
+        _require_within_reach("wreath Macdonald labels of size", args.n // 2, MAX_LABEL_SIZE)
         classes = tuple(parse_simple_type(c) for c in args.cls)
         spec = ProblemSpec(args.g, args.k, args.n, classes)
+        _require_within_reach("variety dimension", dimension(spec), MAX_DIMENSION)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -189,7 +192,7 @@ def cmd_wreath_mac(args) -> int:
             raise ValueError("core must be 0 or 1")
         if args.size < 0:
             raise ValueError("size must be nonnegative")
-        _require_within_reach(args.size)
+        _require_within_reach("wreath Macdonald labels of size", args.size, MAX_LABEL_SIZE)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

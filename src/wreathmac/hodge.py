@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import prod
 
 from .algebra import QT, ZW, LaurentPoly, RatFun, common_denominator, substitute_powers
 from .classtypes import SimpleType, h_of_type
-from .partitions import z_stat
 from .series import (
     SeriesTerm,
     invert_series,
@@ -36,6 +34,7 @@ from .series import (
     star_series_terms,
     wreath_series_terms,
 )
+from .symfunc import class_z
 
 
 class ProblemSpec(namedtuple("ProblemSpec", "g k n classes")):
@@ -129,13 +128,13 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _class_weights(beta: SimpleType) -> dict:
     """``{mu: h_mu * z_mu}``: the power-sum coefficients h_mu of the
-    complete function dual to the class type, weighted by z_mu.  Each
+    complete function dual to the class type, weighted by ``class_z``.  Each
     weight is <h, p_mu>, a permutation-character value, so an integer.  The
     Hall pairing of a factor ``{mu: N_mu} / E`` against it is
     ``sum_mu N_mu * weight_mu / E``."""
     weights = {}
     for mu, c in h_of_type(beta).coeffs.items():
-        w = c.constant_value() * prod(map(z_stat, mu))
+        w = c.constant_value() * class_z(mu)
         if w.denominator != 1:
             raise AssertionError("non-integral class weight")
         weights[mu] = w.numerator

@@ -3,11 +3,12 @@ triangular solve shared with the wreath family.
 
 Both families are wreath Macdonald polynomials in Haiman's sense: the
 modified ones in one alphabet, the wreath ones for (Z/2)^N x S_N in two.
-With K the matrix that exchanges the alphabets (``EXCHANGE``: the 1x1
-identity for one alphabet), the member of label b is fixed by the
-triangularity of its images under X -> (I - qK)X and X -> (I - tK)X: every
-Schur coefficient of the q-image at an index that is not above b, and of
-the t-image at an index not above the dual of b, vanishes, in an order the
+With K the exchange of the alphabets, which fixes the power sums p^+_r and
+negates p^-_r (one alphabet has p^+ alone), the member of label b is fixed
+by the triangularity of its images under X -> (I - qK)X and X -> (I - tK)X,
+the scalings by 1 - q^r, 1 + q^r and by 1 - t^r, 1 + t^r: every Schur
+coefficient of the q-image at an index that is not above b, and of the
+t-image at an index not above the dual of b, vanishes, in an order the
 family chooses; and its coefficient at the one-row Schur function is 1.
 ``triangular_family`` builds and solves that system over Q(q, t), and
 ``qt_inner`` pairs two functions of either family through the twist
@@ -25,23 +26,16 @@ from .partitions import Partition, dominance_geq, dual, partition_list
 from .symfunc import SymFunc1
 
 
-def _plus_exchange(a: RatFun, b: RatFun, K) -> list[list[RatFun]]:
-    """The matrix aI + bK."""
-    zero = RatFun.zero()
-    return [[(a if i == j else zero) + b * k for j, k in enumerate(row)] for i, row in enumerate(K)]
-
-
 @lru_cache(maxsize=None)
 def _image_tables(cls, basis) -> tuple[dict, dict]:
     """Schur coefficients of s_b[(I - qK)X] and of s_b[(I - tK)X] for each
-    index b of ``basis``, with K = ``cls.EXCHANGE``."""
+    index b of ``basis``."""
     schur = cls.BASES[0]
     tables = []
     for v in (RatFun.var(0), RatFun.var(1)):
-        m = _plus_exchange(RatFun.one(), -v, cls.EXCHANGE)
-        tables.append(
-            {b: cls.basis_elem(schur, b).alphabet_substitute(m).to_basis(schur).coeffs for b in basis}
-        )
+        channels = (1 - v, 1 + v)[: cls.ALPHABETS]
+        image = {b: cls.basis_elem(schur, b).alphabet_substitute(*channels) for b in basis}
+        tables.append({b: f.to_basis(schur).coeffs for b, f in image.items()})
     return tuple(tables)
 
 
@@ -67,7 +61,8 @@ def qt_inner(f, g) -> RatFun:
     """Hall pairing of f against g substituted by (q + t)I - (1 + qt)K;
     symmetric in f and g."""
     q, t = RatFun.var(0), RatFun.var(1)
-    return f.hall_inner(g.alphabet_substitute(_plus_exchange(q + t, -(1 + q * t), f.EXCHANGE)))
+    channels = (-(1 - q) * (1 - t), (1 + q) * (1 + t))[: f.ALPHABETS]
+    return f.hall_inner(g.alphabet_substitute(*channels))
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from .partitions import (
     n_stat,
     partition_list,
 )
-from .symfunc import DIAGONAL, SymFunc1, SymFunc2
+from .symfunc import SymFunc1, SymFunc2, on_merged_alphabet
 from .wreath import wreath_H, wreath_N
 
 
@@ -60,11 +60,11 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             lam = brace(bp, core)
             num = hook_product(lam, DEFORMED_ZW) ** (g + k - 1)
             pairing = wreath_N(bp, core)
-            den_plain = pairing.total.monomial_map((2, 0, 0, 2))
-            cot = hook_product(lam, DEFORMED_ZW, even_only=True)
-            den_deformed = pairing.nabla.monomial_map((2, 0, 0, 2)) * cot
-            coeff = num / (den_plain * den_deformed ** (k - 1))
-            out.append(SeriesTerm(bp, n, coeff, wreath_H(bp, core).to_basis("p2")))
+            den = pairing.total.monomial_map((2, 0, 0, 2))
+            if k > 1:
+                cot = hook_product(lam, DEFORMED_ZW, even_only=True)
+                den = den * (pairing.nabla.monomial_map((2, 0, 0, 2)) * cot) ** (k - 1)
+            out.append(SeriesTerm(bp, n, num / den, wreath_H(bp, core).to_basis("w")))
     return out
 
 
@@ -79,7 +79,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
             coeff = num / hook_product(lam, PAIRING_QT).monomial_map((2, 0, 0, 2))
-            out.append(SeriesTerm(lam, n, coeff, macdonald_H(lam).alphabet_substitute(DIAGONAL)))
+            out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(macdonald_H(lam))))
     return out
 
 
@@ -113,18 +113,12 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
 # one-parameter series
 
 
-def _p_matrix() -> list[list[RatFun]]:
-    """Inverse of [[1,-q],[-q,1]]: (1/(1-q^2)) [[1, q], [q, 1]]."""
-    q = RatFun.var(0)
-    c = (RatFun.one() - q * q).inverse()
-    return [[c, c * q], [c * q, c]]
-
-
 def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
     """q-series terms: coefficient q^(k|a|) q^((1-g-k)|brace|) times
-    (hook(brace) q^(-n(brace)))^(2g+2k-2); factor s_a(P X)."""
-    P = _p_matrix()
+    (hook(brace) q^(-n(brace)))^(2g+2k-2); factor s_a(P X), where
+    P = (I - qK)^(-1) scales p^+_r by 1/(1 - q^r) and p^-_r by 1/(1 + q^r)."""
     q = RatFun.var(0)
+    P = ((1 - q).inverse(), (1 + q).inverse())
     out = []
     for n in range(maxdeg + 1):
         for bp in bipartition_list(n):
@@ -135,7 +129,7 @@ def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[Serie
                 * q ** ((1 - g - k) * m)
                 * (hook_poly(lam) * q ** (-n_stat(lam))) ** (2 * g + 2 * k - 2)
             )
-            factor = SymFunc2.basis_elem("s2", bp).alphabet_substitute(P)
+            factor = SymFunc2.basis_elem("s2", bp).alphabet_substitute(*P)
             out.append(SeriesTerm(bp, n, coeff, factor))
     return out
 
@@ -152,6 +146,6 @@ def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
                 q ** ((2 - 2 * g - k) * n)
                 * (hook_poly(lam) ** 2 * q ** (-2 * n_stat(lam))) ** (2 * g + 2 * k - 2)
             )
-            factor = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[inv1mq, inv1mq]])
-            out.append(SeriesTerm(lam, n, coeff, factor))
+            factor = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(inv1mq)
+            out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(factor)))
     return out

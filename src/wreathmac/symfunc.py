@@ -3,39 +3,32 @@
 An index is the tuple of its per-alphabet partitions: ``SymFunc1``
 indexes by 1-tuples ``(lam,)``, ``SymFunc2`` by 2-partitions.  Each has a
 Schur basis ("s", "s2": products of per-alphabet Schur functions) and a
-power basis ("p", "p2": products of per-alphabet power sums).  Every
-operation is written once, in the base class, over that tuple; a subclass
-only names its bases, its number of alphabets and the matrix K that
-exchanges them.
+power basis in its channel power sums: "p" in one alphabet, and in two
+"w", the wreath power sums p^+_r = p_r(x0) + p_r(x1) and p^-_r = p_r(x0) -
+p_r(x1) (Macdonald, ch. I, App. B), index (rho+, rho-).  Every operation
+is written once, in the base class; a subclass only names its bases and
+its number of alphabets.
 
-The power basis is the working basis: products and alphabet substitutions
-are computed there, and equality and the Hall inner product, which is
-diagonal there (<p_mu, p_nu> = z_mu if mu = nu, else 0, with z the product
-of the per-alphabet z), read it.  An alphabet substitution by a matrix M,
-with a row per alphabet of the function and a column per alphabet of the
-result, sends p_r(x_i) to sum_j M[i][j](q^r, t^r) p_r(y_j): [[c]] is the
-plethysm u[cZ], ``DIAGONAL`` = [[1, 1]] is u[x0 + x1], and the wreath power
-sums, p_r(x0) + p_r(x1) in the first slot and p_r(x0) - p_r(x1) in the
-second, are the image of p2 under [[1, 1], [1, -1]].
-
-A function converts to the Schur and power bases of its alphabets through
-one memoized table per partition, tensored over the alphabets.
-Schur-to-power tables expand the Jacobi-Trudi determinant with each
-complete function read in power sums; symmetric-group character values, and
-with them the power-to-Schur tables, are read off from those tables.
-Coefficients are ``RatFun`` over (q, t); all values are immutable and
-operations pure.
+Products, substitutions, equality and the Hall inner product, diagonal
+with <p_mu, p_mu> = ``class_z(mu)``, are computed in the power basis.  The
+exchange K of the alphabets fixes p^+_r and negates p^-_r, so each
+substitution that commutes with K scales the channel power sums
+(``alphabet_substitute``), and the merged alphabet x0 + x1 has the p^+_r as
+its power sums (``on_merged_alphabet``).  The Schur-to-power table of an
+index tensors the Jacobi-Trudi expansions of its partitions and splits
+each p_r(x_i) over the channels; the power-to-Schur tables are the
+character tables of S_N and of (Z/2)^N x S_N, read off from them.
+Coefficients are ``RatFun`` over (q, t); values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import prod
+from math import lcm, prod
 
-from .algebra import RatFun
-from .partitions import BiPartition, Partition, partition_list, z_stat
+from .algebra import RatFun, common_denominator
+from .partitions import BiPartition, Partition, bipartition_list, partition_list, z_stat
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +61,7 @@ def _product(a: dict, b: dict, merge) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# one-alphabet transition tables (exact Fractions)
+# transition tables (exact)
 
 
 @lru_cache(maxsize=None)
@@ -93,12 +86,8 @@ def schur_to_power(lam: Partition) -> dict[Partition, Fraction]:
                 continue
             rest = minor(rows[:pos] + rows[pos + 1 :], col + 1)
             for mu, c in _product(_h_to_power(k), rest, _merge).items():
-                v = out.get(mu, 0) + (-c if pos % 2 else c)
-                if v:
-                    out[mu] = v
-                elif mu in out:
-                    del out[mu]
-        return out
+                _acc(out, mu, -c if pos % 2 else c)
+        return {mu: c for mu, c in out.items() if c}
 
     result = minor(tuple(range(len(lam))), 0)
     minor.cache_clear()
@@ -106,23 +95,55 @@ def schur_to_power(lam: Partition) -> dict[Partition, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def symgroup_char(lam: Partition, mu: Partition) -> int:
-    """Character of the symmetric group: coefficient chi^lam_mu."""
-    if sum(lam) != sum(mu):
-        raise ValueError("character needs equal sizes")
-    c = schur_to_power(lam).get(mu, 0)
-    v = c * z_stat(mu)
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise AssertionError("non-integral character value")
-        v = v.numerator
-    return v
+def class_z(key: tuple) -> int:
+    """<p_key, p_key>, the order of the centralizer of the class ``key``:
+    z(rho) in one alphabet, 2^(l(rho+) + l(rho-)) z(rho+) z(rho-) in two."""
+    return prod(len(key) ** len(rho) * z_stat(rho) for rho in key)
 
 
 @lru_cache(maxsize=None)
-def _power_to_schur(mu: Partition) -> dict[Partition, int]:
-    """p_mu = sum over lam of chi^lam_mu s_lam."""
-    return {lam: chi for lam in partition_list(sum(mu)) if (chi := symgroup_char(lam, mu))}
+def _to_power(key: tuple) -> tuple[dict[tuple, int], int]:
+    """The product of s_lam(x_i) over the partitions lam of ``key``, in the
+    channel power sums, as integer numerators over one denominator: each
+    Jacobi-Trudi expansion, with p_r(x_i) the sum over the channels j of
+    (-1)^(i j) p^j_r / (the number of alphabets)."""
+    width = len(key)
+    out = {((),) * width: Fraction(1)}
+    for i, lam in enumerate(key):
+        factor: dict = {}
+        for rho, c in schur_to_power(lam).items():
+            term = {((),) * width: c}
+            for r in rho:
+                split = {}
+                for ch in range(width):
+                    index = tuple((r,) if j == ch else () for j in range(width))
+                    split[index] = Fraction((-1) ** (i * ch), width)
+                term = _product(term, split, _merge_index)
+            for k, v in term.items():
+                _acc(factor, k, v)
+        out = _product(out, factor, _merge_index)
+    out = {k: v for k, v in out.items() if v}
+    den = lcm(*(v.denominator for v in out.values()))
+    return {k: int(v * den) for k, v in out.items()}, den
+
+
+@lru_cache(maxsize=None)
+def _to_schur(key: tuple) -> tuple[dict[tuple, int], int]:
+    """p_key = sum over alpha of chi^alpha_key s_alpha, over the denominator
+    1: the characters of the symmetric group (one alphabet) or of
+    (Z/2)^N x S_N (two), each read off the Schur-to-power table of alpha
+    times ``class_z(key)``."""
+    n = sum(map(sum, key))
+    labels = bipartition_list(n) if len(key) == 2 else [(lam,) for lam in partition_list(n)]
+    out = {}
+    for alpha in labels:
+        row, den = _to_power(alpha)
+        chi, rest = divmod(row.get(key, 0) * class_z(key), den)
+        if rest:
+            raise AssertionError("non-integral character value")
+        if chi:
+            out[alpha] = chi
+    return out, 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +156,18 @@ class _SymFunc:
     Schur basis, then its power basis ``POWER``), indexed by tuples of
     per-alphabet partitions."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis", "coeffs", "_power")
 
     BASES: tuple[str, str]
     POWER: str
     ALPHABETS: int
-    EXCHANGE: list  # the matrix K that exchanges the alphabets
 
     def __init__(self, basis: str, coeffs: dict):
         if basis not in self.BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        self._power = None  # the power form, once converted to it
 
     @classmethod
     def basis_elem(cls, basis: str, key):
@@ -174,49 +195,47 @@ class _SymFunc:
         for k, c in a.coeffs.items():
             d = b.coeffs.get(k)
             if d is not None:
-                total = total + c * d * prod(map(z_stat, k))
+                total = total + c * d * class_z(k)
         return total
 
     def to_basis(self, basis: str):
         """This function in ``basis``, one of ``BASES``: each index expanded
-        by the per-partition transition table, tensored over the
-        alphabets."""
+        by its transition table over one common denominator, so that each
+        new coefficient is reduced once.  The power form, once computed, is
+        kept on the function."""
         if basis == self.basis:
             return self
+        if basis == self.POWER and self._power is not None:
+            return self._power
         if basis not in self.BASES:
             raise ValueError(f"cannot convert to basis {basis!r}")
-        table = schur_to_power if basis == self.POWER else _power_to_schur
-        out: dict = {}
-        for k, c in self.coeffs.items():
-            for terms in product(*(table(lam).items() for lam in k)):
-                keys, factors = zip(*terms)
-                _acc(out, keys, c * prod(factors))
-        return type(self)(basis, out)
+        table = _to_power if basis == self.POWER else _to_schur
+        rows = [table(k) for k in self.coeffs]
+        nums, den = common_denominator(self.coeffs.values())
+        scale = lcm(*(d for _, d in rows))
+        sums: dict = {}
+        for num, (row, d) in zip(nums, rows):
+            for key, v in row.items():
+                _acc(sums, key, num * (v * scale // d))
+        den = den * scale
+        out = type(self)(basis, {key: RatFun(v, den) for key, v in sums.items()})
+        if basis == self.POWER:
+            self._power = out
+        return out
 
-    def alphabet_substitute(self, M):
-        """u(X) -> u(M Y) for a matrix M of RatFun entries with a row per
-        alphabet of this function and a column per alphabet of the result:
-        in power sums p_r(x_i) maps to sum_j M[i][j](q^r, t^r) p_r(y_j)."""
-        width = len(M[0])
-        cls = _BY_ALPHABETS[width]
-        images: dict = {}  # (i, r) -> the image of p_r(x_i)
-        out: dict = {}
-        for k, c in self.to_basis(self.POWER).coeffs.items():
-            expansion = {((),) * width: c}
-            for i, lam in enumerate(k):
-                for r in lam:
-                    image = images.get((i, r))
-                    if image is None:
-                        image = images[(i, r)] = {
-                            tuple((r,) if j == col else () for j in range(width)):
-                            m.monomial_map((r, 0, 0, r))
-                            for col, m in enumerate(M[i])
-                            if not m.is_zero()
-                        }
-                    expansion = _product(expansion, image, _merge_index)
-            for key, v in expansion.items():
-                _acc(out, key, v)
-        return cls(cls.POWER, out)
+    def alphabet_substitute(self, *channels: RatFun):
+        """The substitution that multiplies each part r of a power-basis
+        index by the value of its channel's ``RatFun`` at (q^r, t^r): one
+        value for one alphabet, the p^+ and then the p^- value for two."""
+        if len(channels) != self.ALPHABETS:
+            raise ValueError(f"expected {self.ALPHABETS} channel values, got {len(channels)}")
+        f = self.to_basis(self.POWER)
+        top = max((r for k in f.coeffs for rho in k for r in rho), default=0)
+        at = [[c.monomial_map((r, 0, 0, r)) for r in range(1, top + 1)] for c in channels]
+        one, out = RatFun.one(), {}
+        for k, c in f.coeffs.items():
+            out[k] = c * prod((at[i][r - 1] for i, rho in enumerate(k) for r in rho), start=one)
+        return type(self)(self.POWER, out)
 
     def __repr__(self):
         parts = ", ".join(f"{k}: {c.text()}" for k, c in sorted(self.coeffs.items()))
@@ -230,7 +249,6 @@ class SymFunc1(_SymFunc):
     BASES = ("s", "p")
     POWER = "p"
     ALPHABETS = 1
-    EXCHANGE = [[RatFun.one()]]
 
 
 class SymFunc2(_SymFunc):
@@ -238,36 +256,24 @@ class SymFunc2(_SymFunc):
     2-partitions."""
 
     __slots__ = ()
-    BASES = ("s2", "p2")
-    POWER = "p2"
+    BASES = ("s2", "w")
+    POWER = "w"
     ALPHABETS = 2
-    EXCHANGE = [[RatFun.zero(), RatFun.one()], [RatFun.one(), RatFun.zero()]]
-
-
-_BY_ALPHABETS = {cls.ALPHABETS: cls for cls in (SymFunc1, SymFunc2)}
 
 
 # ---------------------------------------------------------------------------
-# named substitutions and derived quantities
+# the merged alphabet and the wreath characters
 
 
-# p_r(z) -> p_r(x0) + p_r(x1): a one-alphabet function on the merged alphabet
-DIAGONAL = [[RatFun.one(), RatFun.one()]]
-
-# p_r(x0) -> p_r(x0) + p_r(x1) and p_r(x1) -> p_r(x0) - p_r(x1): the image
-# of a p2 index is the product of the wreath power sums of its parts
-_WREATH_POWER = [[RatFun.one(), RatFun.one()], [RatFun.one(), -RatFun.one()]]
+def on_merged_alphabet(f: SymFunc1) -> SymFunc2:
+    """u(z) -> u[x0 + x1]: p_r(x0 + x1) = p^+_r, so p_lam becomes the "w"
+    index (lam, ())."""
+    return SymFunc2("w", {(lam, ()): c for (lam,), c in f.to_basis("p").coeffs.items()})
 
 
 def wreath_char(alpha: BiPartition, beta: BiPartition) -> int:
-    """Character value of the size-m wreath product (Z/2 wr S_m)."""
+    """Character value of the size-m wreath product (Z/2 wr S_m): the Schur
+    coefficient of alpha in p^+_{beta[0]} p^-_{beta[1]}."""
     if sum(alpha[0]) + sum(alpha[1]) != sum(beta[0]) + sum(beta[1]):
         raise ValueError("wreath character needs equal sizes")
-    p_beta = SymFunc2.basis_elem("p2", beta).alphabet_substitute(_WREATH_POWER).to_basis("s2")
-    c = p_beta.coeffs.get((tuple(alpha[0]), tuple(alpha[1])))
-    if c is None:
-        return 0
-    v = c.constant_value()
-    if v.denominator != 1:
-        raise AssertionError("non-integral wreath character value")
-    return v.numerator
+    return _to_schur(beta)[0].get(alpha, 0)

@@ -4,10 +4,10 @@ self-pairings.
 
 For a fixed core e in {0, 1}, the family indexed by 2-partitions of N is
 the two-alphabet case of ``macdonald.triangular_family``: with K the
-exchange [[0,1],[1,0]], the Schur support of the image under I - qK =
-[[1,-q],[-q,1]] lies above the label, that under I - tK above the dual
-label, in the order transported through the 2-core, and the coefficient at
-the one-row Schur function is 1.  The solver constrains exactly the
+exchange of the two alphabets, the Schur support of the image under I - qK
+lies above the label, that under I - tK above the dual label, in the order
+transported through the 2-core, and the coefficient at the one-row Schur
+function is 1.  The solver constrains exactly the
 non-dominating indices (the order is partial) and fails loudly unless the
 solution is unique.
 

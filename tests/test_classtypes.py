@@ -48,39 +48,39 @@ def test_parse_simple_type_on_arbitrary_text(text, rnd):
 
 
 def test_h_of_type():
-    # dual of the multiplicity-one special class: h_1 in the first alphabet
+    # dual of the multiplicity-one special class: h_1 in the first
+    # alphabet, p_1(x0) = (p^+_1 + p^-_1) / 2
+    half = RatFun.const(Fraction(1, 2))
     f = h_of_type(SimpleType(1, 0, ()))
-    assert f.coeffs == {((1,), ()): one}
-    # dual of a regular class: the diagonal h_1
+    assert f.coeffs == {((1,), ()): half, ((), (1,)): half}
+    # dual of a regular class: the diagonal h_1 = p^+_1
     f = h_of_type(SimpleType(0, 0, (1,)))
-    assert f.coeffs == {((1,), ()): one, ((), (1,)): one}
+    assert f.coeffs == {((1,), ()): one}
     # empty type
     f = h_of_type(SimpleType(0, 0, ()))
     assert f.coeffs == {((), ()): one}
 
 
-def _h_in_power_sums(m):
-    """h_m = sum over mu of p_mu / z_mu, in the first slot of p2."""
+def _merged_h(m):
+    """h_m[x0 + x1] = sum over mu of p^+_mu / z_mu, in the "w" basis."""
     return SymFunc2(
-        "p2", {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
+        "w", {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
     )
 
 
-# p_r(x0) -> p_r(x0) + p_r(x1): the first slot of p2 becomes the diagonal
-# (first-slot wreath) power sums
-WREATH_POWER = [[one, one], [one, -one]]
-
-
 def test_h_of_type_matches_power_sum_expansion():
-    # h_(m_plus) and h_(m_minus) in the first alphabet (p2), and for each
-    # generic multiplicity m the diagonal h_m
+    # h_(m_plus) and h_(m_minus) in the first alphabet, and for each generic
+    # multiplicity m the h_m of the merged alphabet, whose power sums are
+    # the p^+
     for n in range(5):
         for m_plus in range(n + 1):
             for m_minus in range(n + 1 - m_plus):
                 for star in partition_list(n - m_plus - m_minus):
                     beta = SimpleType(m_plus, m_minus, star)
-                    want = _h_in_power_sums(m_plus) * _h_in_power_sums(m_minus)
+                    want = SymFunc2.one()
+                    for m in (m_plus, m_minus):
+                        want = want * SymFunc2.basis_elem("s2", ((m,) if m else (), ()))
                     for m in star:
-                        want = want * _h_in_power_sums(m).alphabet_substitute(WREATH_POWER)
+                        want = want * _merged_h(m)
                     got = h_of_type(beta)
                     assert got == want, beta

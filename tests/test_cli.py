@@ -290,6 +290,19 @@ def test_compute_refuses_out_of_reach_rank_at_once(capsys, n, star):
     refused_at_once(capsys, argv + ["--class", f"0,0:{star}"] * 2)
 
 
+@pytest.mark.parametrize(
+    "g, k, n, classes",
+    [
+        (100, 1, 2, ["0,0:1", "1,0:"]),
+        (30, 2, 4, ["0,0:1 1", "0,0:1 1", "2,0:", "2,0:"]),
+    ],
+)
+def test_compute_refuses_out_of_reach_genus_at_once(capsys, g, k, n, classes):
+    # d = 796 and 968: runs that take minutes; the refusal builds no series
+    argv = ["compute", "--g", str(g), "--k", str(k), "--n", str(n), "--json"]
+    refused_at_once(capsys, argv + [arg for c in classes for arg in ("--class", c)])
+
+
 def test_oracle_rank_one_verdict(capsys):
     code, out = run_cli(
         capsys, "oracle", "--q", "7", "--n", "1", "--g", "1", "--eigs", "", "--eigs", "", "--json"

@@ -65,7 +65,7 @@ def test_t_inverse_specialization():
     inv1mq = (one - q).inverse()
     for n in range(5):
         for lam in partition_list(n):
-            s = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute([[inv1mq]])
+            s = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(inv1mq)
             # s_lam[1/(1-q)]: every p_r at 1, read by pairing with h_n = s_(n)
             h_n = SymFunc1.basis_elem("s", ((n,) if n else (),))
             f = s.hall_inner(h_n).inverse()
@@ -123,18 +123,17 @@ def test_hook_product_matches_box_formula(rng):
     "cls, bases, labels",
     [
         (SymFunc1, ("s", "p"), lambda n: [(lam,) for lam in partition_list(n)]),
-        (SymFunc2, ("s2", "p2"), bipartition_list),
+        (SymFunc2, ("s2", "w"), bipartition_list),
     ],
     ids=["SymFunc1", "SymFunc2"],
 )
 def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labels, rng):
     # (q + t)I - (1 + qt)K is the product of -K, I - qK and I - tK, with K
-    # the matrix that exchanges the alphabets
-    K = cls.EXCHANGE
-    size = len(K)
-
-    def plus_exchange(a, b):
-        return [[(a if i == j else zero) + b * K[i][j] for j in range(size)] for i in range(size)]
+    # the exchange of the alphabets; K fixes p^+_r and negates p^-_r, so
+    # each factor is a pair of channel values (the first alone for one
+    # alphabet)
+    def channels(plus, minus):
+        return (plus, minus)[: cls.ALPHABETS]
 
     def operand():
         keys = [k for n in range(4) for k in labels(n)]
@@ -144,8 +143,8 @@ def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labe
     for _ in range(5):
         f, g = operand(), operand()
         twisted = (
-            g.alphabet_substitute(plus_exchange(zero, -one))
-            .alphabet_substitute(plus_exchange(one, -q))
-            .alphabet_substitute(plus_exchange(one, -t))
+            g.alphabet_substitute(*channels(-one, one))
+            .alphabet_substitute(*channels(1 - q, 1 + q))
+            .alphabet_substitute(*channels(1 - t, 1 + t))
         )
         assert qt_inner(f, g) == f.hall_inner(twisted)

@@ -7,7 +7,7 @@ from wreathmac.series import (
     star_series_terms,
     wreath_series_terms,
 )
-from wreathmac.symfunc import DIAGONAL, SymFunc1
+from wreathmac.symfunc import SymFunc1, on_merged_alphabet
 from wreathmac.wreath import wreath_H
 
 z = RatFun.var(0)
@@ -91,7 +91,7 @@ def test_two_parameter_factors_are_the_solved_families():
         for t in wreath_series_terms(core, 1, 1, 3):
             assert t.factor == wreath_H(t.index, core), t.index
     for t in star_series_terms(1, 1, 3):
-        assert t.factor == macdonald_H(t.index).alphabet_substitute(DIAGONAL), t.index
+        assert t.factor == on_merged_alphabet(macdonald_H(t.index)), t.index
 
 
 def test_one_param_empty_coefficients():
@@ -113,12 +113,11 @@ def test_one_param_star_factor():
 
 def test_one_param_star_factors_match_the_substituted_alphabet():
     # s_lam[(x0+x1)/(1-q)] by the two-alphabet route: substitute the scaled
-    # identity matrix into the diagonal image of s_lam
+    # identity, which scales both channels by 1/(1 - q), into the merged
+    # image of s_lam
     c = (RatFun.one() - q).inverse()
-    zero = RatFun.zero()
-    scaled = [[c, zero], [zero, c]]
     terms = one_param_star_terms(0, 1, 4)
     assert len(terms) == 1 + 1 + 2 + 3 + 5
     for t in terms:
-        image = SymFunc1.basis_elem("s", (t.index,)).alphabet_substitute(DIAGONAL)
-        assert t.factor == image.alphabet_substitute(scaled), t.index
+        image = on_merged_alphabet(SymFunc1.basis_elem("s", (t.index,)))
+        assert t.factor == image.alphabet_substitute(c, c), t.index

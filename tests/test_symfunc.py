@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
 from wreathmac.algebra import RatFun
-from wreathmac.macdonald import qt_inner
 from wreathmac.partitions import bipartition_list, dual2, partition_list, z_stat
 from wreathmac.symfunc import (
-    DIAGONAL,
     SymFunc1,
     SymFunc2,
+    on_merged_alphabet,
+    schur_to_power,
     wreath_char,
 )
 
@@ -25,18 +27,86 @@ def z_stat2(bp):
     return (1 << length2(bp)) * z_stat(bp[0]) * z_stat(bp[1])
 
 
-# the wreath power sums: p_r(x0) + p_r(x1) in the first slot of an index,
-# p_r(x0) - p_r(x1) in the second
-WREATH_POWER = [[one, one], [one, -one]]
-
-
 def partition_keys(n):
     """The one-alphabet indices of size n: 1-tuples of partitions."""
     return [(lam,) for lam in partition_list(n)]
 
 
 def wreath_power(bp):
-    return SymFunc2.basis_elem("p2", bp).alphabet_substitute(WREATH_POWER)
+    return SymFunc2.basis_elem("w", bp)
+
+
+# ---------------------------------------------------------------------------
+# reference: the general matrix plethysm on per-alphabet power sums
+
+
+def _merge_index(a, b):
+    return tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(a, b))
+
+
+def _expansion_product(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = _merge_index(ka, kb)
+            out[key] = out[key] + ca * cb if key in out else ca * cb
+    return out
+
+
+def matrix_plethysm(expansion, M):
+    """u(X) -> u(M Y) on ``{index: coeff}`` in per-alphabet power sums, for
+    a matrix M of RatFun entries with a row per alphabet of u and a column
+    per alphabet of the result: p_r(x_i) maps to sum_j M[i][j](q^r, t^r)
+    p_r(y_j)."""
+    width = len(M[0])
+    out = {}
+    for k, c in expansion.items():
+        terms = {((),) * width: c}
+        for i, lam in enumerate(k):
+            for r in lam:
+                image = {
+                    tuple((r,) if j == col else () for j in range(width)): m.monomial_map(
+                        (r, 0, 0, r)
+                    )
+                    for col, m in enumerate(M[i])
+                    if not m.is_zero()
+                }
+                terms = _expansion_product(terms, image)
+        for key, v in terms.items():
+            out[key] = out[key] + v if key in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def per_alphabet_power_sums(f):
+    """A Schur-basis function in per-alphabet power sums: the tensor product
+    of the one-alphabet Jacobi-Trudi tables."""
+    out = {}
+    for key, c in f.coeffs.items():
+        terms = {((),) * len(key): c}
+        for i, lam in enumerate(key):
+            image = {
+                tuple(mu if j == i else () for j in range(len(key))): RatFun.const(v)
+                for mu, v in schur_to_power(lam).items()
+            }
+            terms = _expansion_product(terms, image)
+        for k, v in terms.items():
+            out[k] = out[k] + v if k in out else v
+    return out
+
+
+# p_r(x0) = (p^+_r + p^-_r) / 2 and p_r(x1) = (p^+_r - p^-_r) / 2: per-alphabet
+# power sums of the pair to the "w" basis
+HALF = RatFun.const(Fraction(1, 2))
+TO_CHANNELS = [[HALF, HALF], [HALF, -HALF]]
+
+
+def reference_substitute(f, M):
+    """The matrix plethysm of f by M, read in the power basis of the result
+    (f in one alphabet, M with one or two columns)."""
+    image = matrix_plethysm(per_alphabet_power_sums(f.to_basis(f.BASES[0])), M)
+    if len(M[0]) == 1:
+        return SymFunc1("p", image)
+    return SymFunc2("w", matrix_plethysm(image, TO_CHANNELS))
 
 
 def test_wreath_power_expansion():
@@ -56,8 +126,8 @@ def test_one_alphabet_round_trips(basis, target, rng):
     assert g.to_basis(basis).coeffs == f.coeffs
 
 
-@pytest.mark.parametrize("basis", ["s2", "p2"])
-@pytest.mark.parametrize("target", ["s2", "p2"])
+@pytest.mark.parametrize("basis", ["s2", "w"])
+@pytest.mark.parametrize("target", ["s2", "w"])
 def test_two_alphabet_round_trips(basis, target, rng):
     coeffs = {bp: RatFun.const(rng.randrange(-3, 4)) for bp in bipartition_list(3)}
     f = SymFunc2(basis, coeffs)
@@ -71,27 +141,28 @@ def test_only_schur_and_power_targets():
         SymFunc1.basis_elem("s", ((2,),)).to_basis("h")
     with pytest.raises(ValueError):
         SymFunc2.basis_elem("s2", ((1,), ())).to_basis("wp")
-    # the wreath power sums are an alphabet substitution, not a basis
+    # the per-alphabet power sums of the pair are not a basis: the wreath
+    # power sums are
     with pytest.raises(ValueError):
-        SymFunc2.basis_elem("wp", ((1,), ()))
+        SymFunc2.basis_elem("p2", ((1,), ()))
 
 
 def test_embed_diagonal():
     # u(z) -> u[x0 + x1]: power sums map to first-slot wreath power sums
-    e = SymFunc1.basis_elem("s", ((1,),)).alphabet_substitute(DIAGONAL).to_basis("s2")
+    e = on_merged_alphabet(SymFunc1.basis_elem("s", ((1,),))).to_basis("s2")
     assert e.coeffs == {((1,), ()): one, ((), (1,)): one}
-    e = SymFunc1.basis_elem("p", ((2,),)).alphabet_substitute(DIAGONAL).to_basis("s2")
+    e = on_merged_alphabet(SymFunc1.basis_elem("p", ((2,),))).to_basis("s2")
     assert e.coeffs == {
         ((2,), ()): one,
         ((1, 1), ()): -one,
         ((), (2,)): one,
         ((), (1, 1)): -one,
     }
-    assert SymFunc1.one().alphabet_substitute(DIAGONAL).to_basis("s2").coeffs == {((), ()): one}
+    assert on_merged_alphabet(SymFunc1.one()).to_basis("s2").coeffs == {((), ()): one}
     for n in range(4):
         for lam in partition_list(n):
-            want = SymFunc2.basis_elem("p2", (lam, ())).alphabet_substitute(WREATH_POWER)
-            assert SymFunc1.basis_elem("p", (lam,)).alphabet_substitute(DIAGONAL) == want
+            f = SymFunc1.basis_elem("s", (lam,))
+            assert on_merged_alphabet(f) == reference_substitute(f, [[one, one]])
 
 
 def test_hall_inner():
@@ -115,7 +186,7 @@ def _schur_pairing(f, g, schur):
 
 @pytest.mark.parametrize(
     "cls, bases, labels",
-    [(SymFunc1, ("s", "p"), partition_keys), (SymFunc2, ("s2", "p2"), bipartition_list)],
+    [(SymFunc1, ("s", "p"), partition_keys), (SymFunc2, ("s2", "w"), bipartition_list)],
     ids=["SymFunc1", "SymFunc2"],
 )
 def test_hall_inner_matches_the_schur_pairing(cls, bases, labels, rng):
@@ -145,48 +216,80 @@ def test_hall_inner_agrees_on_first_alphabet_images(rng):
             assert one_alphabet == two_alphabet
 
 
+# the substitutions the engine runs, as a matrix on the pair of alphabets
+# (K the exchange) and as channel values on p^+ and p^-
+_P = (one - q * q).inverse()
+SUBSTITUTIONS = {
+    "I-qK": ([[one, -q], [-q, one]], (1 - q, 1 + q)),
+    "twist": (
+        [[q + t, -(1 + q * t)], [-(1 + q * t), q + t]],
+        (-(1 - q) * (1 - t), (1 + q) * (1 + t)),
+    ),
+    "P": ([[_P, q * _P], [q * _P, _P]], ((1 - q).inverse(), (1 + q).inverse())),
+    "-K": ([[zero, -one], [-one, zero]], (-one, one)),
+}
+
+
+def random_s2(rng, size=3):
+    keys = [bp for n in range(size + 1) for bp in bipartition_list(n)]
+    return SymFunc2(
+        "s2", {bp: q * rng.randrange(-2, 3) + t * rng.randrange(-2, 3) + 1 for bp in keys}
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
+def test_channel_values_are_the_matrix_plethysm(name, rng):
+    M, channels = SUBSTITUTIONS[name]
+    for _ in range(3):
+        f = random_s2(rng)
+        assert f.alphabet_substitute(*channels) == reference_substitute(f, M), name
+
+
+def test_merged_alphabet_over_one_minus_q_is_the_matrix_plethysm(rng):
+    # s_lam[(x0 + x1)/(1 - q)]: the 1x2 matrix [[c, c]], c = 1/(1 - q)
+    c = (1 - q).inverse()
+    for _ in range(3):
+        keys = [(lam,) for n in range(4) for lam in partition_list(n)]
+        f = SymFunc1("s", {k: q * rng.randrange(-2, 3) + rng.randrange(-1, 2) for k in keys})
+        assert on_merged_alphabet(f.alphabet_substitute(c)) == reference_substitute(f, [[c, c]])
+
+
 def test_substitute_identity_and_negation(rng):
-    ident = [[one, zero], [zero, one]]
     f = SymFunc2("s2", {bp: RatFun.const(rng.randrange(1, 5)) for bp in bipartition_list(2)})
-    assert f.alphabet_substitute(ident) == f
-    neg = [[zero, -one], [-one, zero]]
+    assert f.alphabet_substitute(one, one) == f
     for n in range(4):
         for bp in bipartition_list(n):
-            g = SymFunc2.basis_elem("s2", bp).alphabet_substitute(neg).to_basis("s2")
+            g = SymFunc2.basis_elem("s2", bp).alphabet_substitute(-one, one).to_basis("s2")
             assert g.coeffs == {dual2(bp): RatFun.const((-1) ** n)}
+    with pytest.raises(ValueError):
+        f.alphabet_substitute(one)
 
 
 def test_substitute_complete_by_inverse_matrix():
-    # h_((1),()) (P X) = (p1(x0) + q p1(x1)) / (1 - q^2) in degree 1
+    # h_((1),()) (P X) = (p1(x0) + q p1(x1)) / (1 - q^2) in degree 1, with
+    # P = (I - qK)^(-1)
     c = (one - q * q).inverse()
-    P = [[c, c * q], [c * q, c]]
-    g = SymFunc2.basis_elem("s2", ((1,), ())).alphabet_substitute(P).to_basis("s2")
-    assert g.coeffs == {((1,), ()): c, ((), (1,)): q * c}
+    g = SymFunc2.basis_elem("s2", ((1,), ())).alphabet_substitute(*SUBSTITUTIONS["P"][1])
+    assert g.to_basis("s2").coeffs == {((1,), ()): c, ((), (1,)): q * c}
 
 
 def test_substitute_multiplicative(rng):
-    M = [[q, one - t], [t * q, RatFun.const(2)]]
+    channels = (q + 2 * t, one - t * q)
     f = SymFunc2("s2", {bp: RatFun.const(rng.randrange(-2, 3)) for bp in bipartition_list(1)})
     g = SymFunc2("s2", {bp: RatFun.const(rng.randrange(-2, 3)) for bp in bipartition_list(2)})
-    assert (f * g).alphabet_substitute(M) == f.alphabet_substitute(M) * g.alphabet_substitute(M)
+    assert (f * g).alphabet_substitute(*channels) == f.alphabet_substitute(
+        *channels
+    ) * g.alphabet_substitute(*channels)
 
 
 def test_substitute_composition_constant_matrices(rng):
-    # with constant entries the power twist is trivial; the substitution
-    # endomorphisms compose via the reversed matrix product
-    def cmat():
-        return [
-            [RatFun.const(rng.randrange(-2, 3)) for _ in range(2)] for _ in range(2)
-        ]
-
+    # substitutions compose by multiplying their channel values; with
+    # constant values the power twist is trivial
     for _ in range(5):
-        A, B = cmat(), cmat()
-        BA = [
-            [B[i][0] * A[0][j] + B[i][1] * A[1][j] for j in range(2)]
-            for i in range(2)
-        ]
+        a, b = (tuple(RatFun.const(rng.randrange(-2, 3)) for _ in range(2)) for _ in range(2))
         f = SymFunc2("s2", {bp: RatFun.const(rng.randrange(-2, 3)) for bp in bipartition_list(2)})
-        assert f.alphabet_substitute(B).alphabet_substitute(A) == f.alphabet_substitute(BA)
+        ab = tuple(x * y for x, y in zip(a, b))
+        assert f.alphabet_substitute(*a).alphabet_substitute(*b) == f.alphabet_substitute(*ab)
 
 
 def test_wreath_char_values():
@@ -211,14 +314,14 @@ def test_wreath_char_column_orthogonality():
 
 
 def test_scalar_plethysm_examples():
-    # u[cZ] is the substitution by the 1x1 matrix [[c]]
+    # u[cZ] is the substitution by the one channel value c
     s1 = SymFunc1.basis_elem("s", ((1,),))
-    f = s1.alphabet_substitute([[one - q]]).to_basis("s")
+    f = s1.alphabet_substitute(one - q).to_basis("s")
     assert f.coeffs == {((1,),): one - q}
-    assert s1.alphabet_substitute([[one]]) == s1
+    assert s1.alphabet_substitute(one) == s1
     # s_(2)[Z/(1-q)] paired against h_2 = s_(2) is 1/((1-q)(1-q^2))
     s2_ = SymFunc1.basis_elem("s", ((2,),))
-    val = s2_.alphabet_substitute([[(one - q).inverse()]]).hall_inner(s2_)
+    val = s2_.alphabet_substitute((one - q).inverse()).hall_inner(s2_)
     assert val == ((one - q) * (one - q * q)).inverse()
 
 
@@ -240,45 +343,37 @@ def test_one_alphabet_substitution_scales_each_part(rng):
                 want = a
                 for r in mu:
                     want = want * at_powers(c, r)
-                got = SymFunc1("p", {(mu,): a}).alphabet_substitute([[c]])
+                got = SymFunc1("p", {(mu,): a}).alphabet_substitute(c)
                 assert got.basis == "p" and got.coeffs == {(mu,): want}, (c.text(), mu)
 
 
-def _matmul(B, C):
-    return [
-        [sum((B[i][k] * C[k][j] for k in range(len(C))), zero) for j in range(len(C[0]))]
-        for i in range(len(B))
-    ]
-
-
 def test_rectangular_substitutions_compose(rng):
-    # p_r(x_i) -> sum_j B[i][j](q^r, t^r) p_r(y_j), then C: the composite is
-    # the substitution by B C, also when entries depend on (q, t) and the
-    # number of alphabets changes
+    # a one-alphabet substitution b, then the merge into x0 + x1, then the
+    # channel values (c+, c-): the merged function lives on p^+ alone, so
+    # the composite is the merge after the substitution by b c+; and two
+    # substitutions of the pair compose by multiplying channel values, also
+    # when they depend on (q, t)
     def entry():
         return q * rng.randrange(-2, 3) + t * rng.randrange(-1, 2) + rng.randrange(-1, 2)
 
-    def matrix(rows, cols):
-        return [[entry() for _ in range(cols)] for _ in range(rows)]
-
-    for shapes in (((1, 1), (1, 2)), ((1, 2), (2, 2))):
-        for _ in range(3):
-            (r1, c1), (r2, c2) = shapes
-            B, C = matrix(r1, c1), matrix(r2, c2)
-            f = SymFunc1(
-                rng.choice(("s", "p")),
-                {(lam,): entry() for n in range(4) for lam in partition_list(n)},
-            )
-            assert f.alphabet_substitute(B).alphabet_substitute(C) == f.alphabet_substitute(
-                _matmul(B, C)
-            )
+    for _ in range(3):
+        b, cp, cm = entry(), entry(), entry()
+        f = SymFunc1(
+            rng.choice(("s", "p")),
+            {(lam,): entry() for n in range(4) for lam in partition_list(n)},
+        )
+        merged = on_merged_alphabet(f.alphabet_substitute(b)).alphabet_substitute(cp, cm)
+        assert merged == on_merged_alphabet(f.alphabet_substitute(b * cp))
+        g, d = random_s2(rng, 2), (entry(), entry())
+        twice = g.alphabet_substitute(cp, cm).alphabet_substitute(*d)
+        assert twice == g.alphabet_substitute(cp * d[0], cm * d[1])
 
 
 @pytest.mark.parametrize("cls", [SymFunc1, SymFunc2])
 def test_subclasses_define_no_callable(cls):
     # every operation lives in the base class, once over the tuple of
-    # per-alphabet partitions; a subclass only names its bases, its number
-    # of alphabets and its exchange matrix
+    # per-alphabet partitions; a subclass only names its bases and its
+    # number of alphabets
     own = {
         name
         for name, v in vars(cls).items()
