@@ -521,7 +521,8 @@ def common_denominator(values) -> tuple[list[LaurentPoly], LaurentPoly]:
         lcm = lcm * lcm.gcd(den)[2]
     for den in cofactors:
         cofactors[den] = lcm.divexact(den)
-    return [v.num * cofactors[v.den] for v in values], lcm
+    one = LaurentPoly.const(1)
+    return [v.num if (c := cofactors[v.den]) == one else v.num * c for v in values], lcm
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .algebra import ZW
 from .classtypes import parse_simple_type
-from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, dimension, e_polynomial, mixed_hodge
+from .hodge import CONJECTURE_KEYS, ProblemSpec, compute_hodge, dimension, e_polynomial, mixed_hodge
 from .partitions import bipartition_list, bipartition_str
 from .wreath import wreath_H, wreath_N
 
@@ -87,9 +87,8 @@ def cmd_compute(args) -> int:
             print(f"warning: {w}")
     # a falsified conjecture property is exit code 2; without --check-all the
     # properties gate only inputs satisfying the conjecture's hypotheses
-    conjecture_keys = CHECK_KEYS + ("palindromic", "t_minus_one_is_e", "curious_duality")
     if spec.ccl_ok or args.check_all:
-        failed = [k for k in conjecture_keys if checks.get(k) is False]
+        failed = [k for k in CONJECTURE_KEYS if checks.get(k) is False]
         if failed:
             print(f"falsified checks: {failed}", file=sys.stderr)
             return 2
@@ -115,6 +114,7 @@ def cmd_oracle(args) -> int:
             genericity_check,
             require_odd_prime,
             require_within_reach,
+            twisted_type,
         )
     except ImportError as exc:
         return _missing_numpy(exc)
@@ -157,8 +157,11 @@ def cmd_oracle(args) -> int:
     payload: dict = {"q": args.q, "count": count}
     verdict = None
     # compare against the formula when the types satisfy its hypotheses
-    types = [_type_of_eigenvalue(a, args.q, args.n) for a in eigenvalues]
-    if all(t is not None for t in types) and all(t.m_minus == 0 for t in types):
+    if args.n == 1:
+        types = [parse_simple_type("0,0:")] * len(eigenvalues)
+    else:
+        types = [twisted_type(a, args.q) for a in eigenvalues]
+    if all(t.m_minus == 0 for t in types):
         k = len(eigenvalues) // 2
         spec = ProblemSpec(args.g, k, args.n, tuple(types))
         e_poly, _ = e_polynomial(compute_hodge(spec))
@@ -173,17 +176,6 @@ def cmd_oracle(args) -> int:
         if "formula" in payload:
             print(f"formula = {payload['formula']}  [{verdict}]")
     return 0 if verdict in (None, "PASS") else 2
-
-
-def _type_of_eigenvalue(a: int, q: int, n: int):
-    if n == 1:
-        return parse_simple_type("0,0:")
-    a %= q
-    if a in (1, q - 1):
-        return parse_simple_type("1,0:")
-    if (a * a + 1) % q == 0:
-        return parse_simple_type("0,1:")
-    return parse_simple_type("0,0:1")
 
 
 def cmd_wreath_mac(args) -> int:

@@ -300,6 +300,11 @@ def mixed_hodge(result: HodgeResult) -> tuple[RatFun, dict]:
     return mhp, {"t_minus_one_is_e": at_tm1 == e_at, "curious_duality": duality}
 
 
+# every check whose falsity falsifies the conjecture: those of
+# ``compute_hodge``, then those of ``e_polynomial`` and ``mixed_hodge``
+CONJECTURE_KEYS = CHECK_KEYS + ("palindromic", "t_minus_one_is_e", "curious_duality")
+
+
 def _set_t_minus_one(r: RatFun) -> RatFun:
     poly = r.as_poly().remap(lambda a, b: ((a, 0), -1 if b % 2 else 1))
     return RatFun.from_poly(poly)

@@ -10,10 +10,13 @@ the scalings by 1 - q^r, 1 + q^r and by 1 - t^r, 1 + t^r: every Schur
 coefficient of the q-image at an index that is not above b, and of the
 t-image at an index not above the dual of b, vanishes, in an order the
 family chooses; and its coefficient at the one-row Schur function is 1.
-``triangular_family`` builds and solves that system over Q(q, t), and
-``qt_inner`` pairs two functions of either family through the twist
-(q + t)I - (1 + qt)K = -K(I - qK)(I - tK).  ``macdonald_H`` solves the
-one-alphabet family, memoized per label; ``wreath.wreath_H`` the other.
+``triangular_family`` builds and solves that system over Q(q, t) from the
+label and the order alone.  The Schur coefficients of the q-images are
+polynomials in q, so those of the t-images are them with q and t
+exchanged.  ``qt_inner`` pairs two functions of either family through the
+twist (q + t)I - (1 + qt)K = -K(I - qK)(I - tK).  ``macdonald_H`` solves
+the one-alphabet family, ordered by dominance, memoized per label;
+``wreath.wreath_H`` the other.
 """
 
 from __future__ import annotations
@@ -22,35 +25,44 @@ from functools import lru_cache
 
 from .algebra import RatFun
 from .linsolve import solve_unique
-from .partitions import Partition, dominance_geq, dual, partition_list
-from .symfunc import SymFunc1
+from .partitions import Partition, dominance_geq, dual_index
+from .symfunc import SymFunc1, schur_indices
 
 
 @lru_cache(maxsize=None)
-def _image_tables(cls, basis) -> tuple[dict, dict]:
+def _image_tables(cls, n: int) -> tuple[dict, dict]:
     """Schur coefficients of s_b[(I - qK)X] and of s_b[(I - tK)X] for each
-    index b of ``basis``."""
-    schur = cls.BASES[0]
-    tables = []
-    for v in (RatFun.var(0), RatFun.var(1)):
-        channels = (1 - v, 1 + v)[: cls.ALPHABETS]
-        image = {b: cls.basis_elem(schur, b).alphabet_substitute(*channels) for b in basis}
-        tables.append({b: f.to_basis(schur).coeffs for b, f in image.items()})
-    return tuple(tables)
+    Schur index b of size n.  The first are polynomials in q alone, so the
+    second are the first with q and t exchanged."""
+    schur, q = cls.BASES[0], RatFun.var(0)
+    channels = (1 - q, 1 + q)[: cls.ALPHABETS]
+    q_side = {
+        b: cls.basis_elem(schur, b).alphabet_substitute(*channels).to_basis(schur).coeffs
+        for b in schur_indices(cls.ALPHABETS, n)
+    }
+    swap = (0, 1, 1, 0)
+    t_side = {b: {g: c.monomial_map(swap) for g, c in row.items()} for b, row in q_side.items()}
+    return q_side, t_side
 
 
-def triangular_family(cls, basis, above, above_dual, top):
-    """The ``cls`` function over the Schur indices ``basis`` whose q-image
-    has Schur support only on indices where ``above`` holds, whose t-image
-    only where ``above_dual`` holds, and whose coefficient at ``top`` is
-    1."""
+def triangular_family(cls, label, order):
+    """The ``cls`` function of ``label``, an index of size n: over the Schur
+    indices of size n, the one whose q-image has Schur support only on
+    indices gamma with ``order(gamma)`` dominating ``order(label)``, whose
+    t-image only where ``order(gamma)`` dominates the order of the dual
+    label, and whose coefficient at the one-row Schur function of the first
+    alphabet is 1."""
+    n = sum(map(sum, label))
+    basis = schur_indices(cls.ALPHABETS, n)
+    bounds = (order(label), order(dual_index(label)))
     zero = RatFun.zero()
     rows = [
         [table[b].get(gamma, zero) for b in basis]
-        for table, holds in zip(_image_tables(cls, basis), (above, above_dual))
+        for table, bound in zip(_image_tables(cls, n), bounds)
         for gamma in basis
-        if not holds(gamma)
+        if not dominance_geq(order(gamma), bound)
     ]
+    top = ((n,) if n else (),) + ((),) * (cls.ALPHABETS - 1)
     rows.append([RatFun.one() if b == top else zero for b in basis])
     rhs = [zero] * (len(rows) - 1) + [RatFun.one()]
     sol = solve_unique(rows, rhs)
@@ -69,13 +81,4 @@ def qt_inner(f, g) -> RatFun:
 def macdonald_H(lam: Partition) -> SymFunc1:
     """The Schur expansion of the modified Macdonald polynomial of lam, over
     Q(q, t)."""
-    lam = tuple(lam)
-    n = sum(lam)
-    lam_d = dual(lam)
-    return triangular_family(
-        SymFunc1,
-        tuple((mu,) for mu in partition_list(n)),
-        lambda gamma: dominance_geq(gamma[0], lam),
-        lambda gamma: dominance_geq(gamma[0], lam_d),
-        ((n,) if n else (),),
-    )
+    return triangular_family(SymFunc1, (lam,), lambda index: index[0])

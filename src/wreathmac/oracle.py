@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from .classtypes import SimpleType
 from .partitions import BiPartition, Partition
 
 
@@ -228,6 +229,19 @@ class _GL2:
         return out
 
 
+def twisted_type(a: int, q: int) -> SimpleType:
+    """The simple type of the rank-2 twisted class of eigenvalue a mod q:
+    "1,0:" for a = +-1, "0,1:" for a^2 = -1, "0,0:1" otherwise."""
+    a %= q
+    if a == 0:
+        raise ValueError("eigenvalue must be a unit")
+    if a in (1, q - 1):
+        return SimpleType(1, 0, ())
+    if (a * a + 1) % q == 0:
+        return SimpleType(0, 1, ())
+    return SimpleType(0, 0, (1,))
+
+
 def twisted_class(G: _GL2, a: int):
     """Indices of the matrices M with M*sigma in the rank-2 twisted class of
     eigenvalue a.
@@ -237,14 +251,12 @@ def twisted_class(G: _GL2, a: int):
     the matrices of trace 0; otherwise the single regular orbit.
     """
     q = G.q
-    a %= q
-    if a == 0:
-        raise ValueError("eigenvalue must be a unit")
+    beta = twisted_type(a, q)
     ma, mb, mc, md = G.matrices
     tr = (ma + md) % q
-    if a in (1, q - 1):
+    if beta.m_plus:
         mask = (mb == 0) & (mc == 0) & (ma == md)
-    elif (a * a + 1) % q == 0:
+    elif beta.m_minus:
         mask = tr == 0
     else:
         s = (a + pow(a, -1, q)) % q

@@ -1,12 +1,15 @@
 """Partitions, 2-partitions, hooks, dominance, and the 2-partition labels.
 
 Partitions are tuples of weakly decreasing positive ints; the empty tuple is
-the unique partition of 0.  A 2-partition is a pair of partitions.  A label
-(q0, q1) at core (e), e in {0, 1}, is carried to the partition ``brace`` of
-size 2(|q0| + |q1|) + e whose 2-core is (e) and whose 2-quotient is (q0, q1):
-with m = max(len(q0), len(q1) + e), its beta-set (the numbers lambda_i + r - i
-for r parts) is {2x : x in beta(q0, m + 1)} together with
-{2x + 1 : x in beta(q1, m - e)}, 2m + 1 - e numbers in all.
+the unique partition of 0.  A 2-partition is a pair of partitions.  The dual
+of a tuple of partitions conjugates each one and reverses their order.  A
+label (q0, q1) at core (e), e in {0, 1}, is carried to the partition
+``brace`` of size 2(|q0| + |q1|) + e whose 2-core is (e) and whose
+2-quotient is (q0, q1): with m = max(len(q0), len(q1) + e), its beta-set
+(the numbers lambda_i + r - i for r parts) is {2x : x in beta(q0, m + 1)}
+together with {2x + 1 : x in beta(q1, m - e)}, 2m + 1 - e numbers in all.
+The wreath Macdonald family at core (e) orders its labels by the dominance
+of their ``brace`` images.
 """
 
 from __future__ import annotations
@@ -26,19 +29,16 @@ def check_partition(lam) -> Partition:
     return lam
 
 
-def size2(bp: BiPartition) -> int:
-    return sum(bp[0]) + sum(bp[1])
-
-
 def dual(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for x in lam if x >= i) for i in range(1, lam[0] + 1))
 
 
-def dual2(bp: BiPartition) -> BiPartition:
-    """Dual of a 2-partition: swap the components and dualize each."""
-    return (dual(bp[1]), dual(bp[0]))
+def dual_index(index: tuple) -> tuple:
+    """Dual of a tuple of partitions: each one dualized, in reverse order
+    (``(dual(lam),)`` for ``(lam,)``; a 2-partition's components swapped)."""
+    return tuple(dual(lam) for lam in reversed(index))
 
 
 def n_stat(lam: Partition) -> int:
@@ -173,13 +173,6 @@ def brace(quotient: BiPartition, e: int) -> Partition:
     evens = [2 * x for x in _beta_set(q0, m + 1)]
     odds = [2 * x + 1 for x in _beta_set(q1, m - e)]
     return _from_beta(evens + odds)
-
-
-def induced_dominance_geq(a: BiPartition, b: BiPartition, e: int) -> bool:
-    """Dominance order on 2-partitions transported through the 2-core (e)."""
-    if size2(a) != size2(b):
-        raise ValueError("induced order needs equal sizes")
-    return dominance_geq(brace(a, e), brace(b, e))
 
 
 # ---------------------------------------------------------------------------

@@ -128,15 +128,22 @@ def _to_power(key: tuple) -> tuple[dict[tuple, int], int]:
 
 
 @lru_cache(maxsize=None)
+def schur_indices(width: int, n: int) -> tuple[tuple, ...]:
+    """The indices of size n in ``width`` (1 or 2) alphabets, in the order
+    of ``partition_list`` and ``bipartition_list``."""
+    if width == 2:
+        return bipartition_list(n)
+    return tuple((lam,) for lam in partition_list(n))
+
+
+@lru_cache(maxsize=None)
 def _to_schur(key: tuple) -> tuple[dict[tuple, int], int]:
     """p_key = sum over alpha of chi^alpha_key s_alpha, over the denominator
     1: the characters of the symmetric group (one alphabet) or of
     (Z/2)^N x S_N (two), each read off the Schur-to-power table of alpha
     times ``class_z(key)``."""
-    n = sum(map(sum, key))
-    labels = bipartition_list(n) if len(key) == 2 else [(lam,) for lam in partition_list(n)]
     out = {}
-    for alpha in labels:
+    for alpha in schur_indices(len(key), sum(map(sum, key))):
         row, den = _to_power(alpha)
         chi, rest = divmod(row.get(key, 0) * class_z(key), den)
         if rest:

@@ -3,13 +3,13 @@
 self-pairings.
 
 For a fixed core e in {0, 1}, the family indexed by 2-partitions of N is
-the two-alphabet case of ``macdonald.triangular_family``: with K the
-exchange of the two alphabets, the Schur support of the image under I - qK
-lies above the label, that under I - tK above the dual label, in the order
-transported through the 2-core, and the coefficient at the one-row Schur
-function is 1.  The solver constrains exactly the
-non-dominating indices (the order is partial) and fails loudly unless the
-solution is unique.
+the two-alphabet case of ``macdonald.triangular_family``, with the labels
+ordered by the dominance of their partitions ``brace(label, e)`` of 2-core
+(e): with K the exchange of the two alphabets, the Schur support of the
+image under I - qK lies above the label, that under I - tK above the dual
+label, and the coefficient at the one-row Schur function is 1.  The solver
+constrains exactly the non-dominating indices (the order is partial) and
+fails loudly unless the solution is unique.
 
 Total self-pairings are computed from ``macdonald.qt_inner``, never from a
 closed formula; the nabla factor is recorded as the exact quotient by the
@@ -22,16 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .macdonald import qt_inner, triangular_family
-from .partitions import (
-    PAIRING_QT,
-    BiPartition,
-    bipartition_list,
-    brace,
-    dual2,
-    hook_product,
-    induced_dominance_geq,
-    size2,
-)
+from .partitions import PAIRING_QT, BiPartition, brace, hook_product
 from .symfunc import SymFunc2
 
 
@@ -46,18 +37,7 @@ class PairingData(namedtuple("PairingData", "total cot_at_one nabla")):
 def wreath_H(alpha: BiPartition, core: int) -> SymFunc2:
     """The Schur expansion of the wreath Macdonald polynomial of alpha at the
     given 2-core, over Q(q, t)."""
-    alpha = (tuple(alpha[0]), tuple(alpha[1]))
-    if core not in (0, 1):
-        raise ValueError("core must be 0 or 1")
-    n = size2(alpha)
-    alpha_d = dual2(alpha)
-    return triangular_family(
-        SymFunc2,
-        bipartition_list(n),
-        lambda gamma: induced_dominance_geq(gamma, alpha, core),
-        lambda gamma: induced_dominance_geq(gamma, alpha_d, core),
-        ((n,) if n else (), ()),
-    )
+    return triangular_family(SymFunc2, alpha, lambda index: brace(index, core))
 
 
 @lru_cache(maxsize=None)

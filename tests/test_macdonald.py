@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wreathmac.algebra import RatFun
-from wreathmac.macdonald import macdonald_H, qt_inner
+from wreathmac.macdonald import _image_tables, macdonald_H, qt_inner
 from wreathmac.partitions import (
     DEFORMED_ZW,
     PAIRING_QT,
@@ -15,7 +15,7 @@ from wreathmac.partitions import (
     bipartition_list,
     partition_list,
 )
-from wreathmac.symfunc import SymFunc1, SymFunc2
+from wreathmac.symfunc import SymFunc1, SymFunc2, schur_indices
 
 q = RatFun.var(0)
 t = RatFun.var(1)
@@ -148,3 +148,17 @@ def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labe
             .alphabet_substitute(*channels(1 - t, 1 + t))
         )
         assert qt_inner(f, g) == f.hall_inner(twisted)
+
+
+@pytest.mark.parametrize("cls", [SymFunc1, SymFunc2], ids=["SymFunc1", "SymFunc2"])
+def test_t_image_table_is_the_substituted_one(cls):
+    # the t-side is read off the q-side by exchanging q and t; here it is
+    # substituted directly, X -> (I - tK)X
+    schur = cls.BASES[0]
+    channels = (1 - t, 1 + t)[: cls.ALPHABETS]
+    for n in range(4):
+        q_side, t_side = _image_tables(cls, n)
+        assert list(t_side) == list(q_side) == list(schur_indices(cls.ALPHABETS, n))
+        for b, row in t_side.items():
+            image = cls.basis_elem(schur, b).alphabet_substitute(*channels)
+            assert row == image.to_basis(schur).coeffs, b

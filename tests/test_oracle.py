@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from wreathmac.cli import _type_of_eigenvalue
 from wreathmac.classtypes import parse_simple_type as pt
 from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
 from wreathmac.oracle import (
@@ -13,6 +12,7 @@ from wreathmac.oracle import (
     require_within_reach,
     sym_char,
     twisted_class,
+    twisted_type,
     wreath_group_char,
     _gl2,
 )
@@ -79,7 +79,7 @@ def test_rank_two_counts_match_the_formula_on_a_grid():
     for g, eigs in itertools.product((0, 1), itertools.product(range(1, q), repeat=2)):
         if not genericity_check([(a,) for a in eigs], q, strong=True)[0]:
             continue
-        spec = ProblemSpec(g, 1, 2, tuple(_type_of_eigenvalue(a, q, 2) for a in eigs))
+        spec = ProblemSpec(g, 1, 2, tuple(twisted_type(a, q) for a in eigs))
         e, _ = e_polynomial(compute_hodge(spec))
         assert count_points(2, g, q, list(eigs)) == e.eval_at(q, 0), (g, eigs)
         checked += 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wreathmac.algebra import RatFun
-from wreathmac.partitions import bipartition_list, dual2, partition_list, z_stat
+from wreathmac.partitions import bipartition_list, dual_index, partition_list, z_stat
 from wreathmac.symfunc import (
     SymFunc1,
     SymFunc2,
@@ -260,7 +260,7 @@ def test_substitute_identity_and_negation(rng):
     for n in range(4):
         for bp in bipartition_list(n):
             g = SymFunc2.basis_elem("s2", bp).alphabet_substitute(-one, one).to_basis("s2")
-            assert g.coeffs == {dual2(bp): RatFun.const((-1) ** n)}
+            assert g.coeffs == {dual_index(bp): RatFun.const((-1) ** n)}
     with pytest.raises(ValueError):
         f.alphabet_substitute(one)
 

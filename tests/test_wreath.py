@@ -5,7 +5,7 @@ import pytest
 
 from wreathmac.algebra import RatFun, poly_from_json
 from wreathmac.macdonald import qt_inner
-from wreathmac.partitions import bipartition_list, dual2, parse_bipartition
+from wreathmac.partitions import bipartition_list, dual_index, parse_bipartition
 from wreathmac.symfunc import SymFunc2
 from wreathmac.wreath import wreath_H, wreath_N
 
@@ -101,7 +101,7 @@ def test_parameter_swap_is_label_dual(core):
                 k: c.monomial_map((0, 1, 1, 0))
                 for k, c in wreath_H(bp, core).coeffs.items()
             }
-            assert swapped == wreath_H(dual2(bp), core).coeffs
+            assert swapped == wreath_H(dual_index(bp), core).coeffs
 
 
 @pytest.mark.parametrize("core", [0, 1])
