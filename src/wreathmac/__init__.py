@@ -6,11 +6,10 @@ finite-field brute-force oracle for independent verification at small rank.
 
 __version__ = "0.1.0"
 
-from .algebra import LaurentPoly, RatFun, substitute_powers
+from .algebra import LaurentPoly, RatFun
 
 __all__ = [
     "LaurentPoly",
     "RatFun",
-    "substitute_powers",
     "__version__",
 ]

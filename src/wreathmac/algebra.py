@@ -1,5 +1,5 @@
 """Exact arithmetic: sparse bivariate Laurent polynomials and their fraction
-field, with the power substitutions used by the polynomial specializations.
+field.
 
 A ``LaurentPoly`` is a sparse map from exponent pairs ``(a, b)`` (possibly
 negative) to nonzero integer coefficients; its operators, its gcd with
@@ -284,15 +284,6 @@ def _from_rec(rec: list) -> dict:
     return out
 
 
-def _int_content(terms: dict) -> int:
-    g = 0
-    for c in terms.values():
-        g = _igcd(g, c if c > 0 else -c)
-        if g == 1:
-            return 1
-    return g or 1
-
-
 class RatFun:
     """Element of the fraction field of Z[x, y], stored in canonical form."""
 
@@ -415,7 +406,7 @@ class RatFun:
             p, q = -p, -q
         nt = kernels.pscale(self.num.terms, p)
         dt = kernels.pscale(self.den.terms, q)
-        g = _igcd(_int_content(nt), _int_content(dt))
+        g = _igcd(*nt.values(), *dt.values())
         if g != 1:
             nt = {e: c // g for e, c in nt.items()}
             dt = {e: c // g for e, c in dt.items()}
@@ -524,30 +515,3 @@ def common_denominator(values) -> tuple[list[LaurentPoly], LaurentPoly]:
     one = LaurentPoly.const(1)
     return [v.num if (c := cofactors[v.den]) == one else v.num * c for v in values], lcm
 
-
-# ---------------------------------------------------------------------------
-# power substitutions
-
-
-def substitute_powers(p: RatFun, mode: str, d: int) -> RatFun:
-    """Map a polynomial in (z, w) to (q, t) via z, w -> powers of sqrt(q).
-
-    mode "E":   z -> sqrt(q), w -> 1/sqrt(q), then multiply by sqrt(q)^d;
-    mode "MHP": z -> -t*sqrt(q), w -> 1/sqrt(q), then multiply by (t*sqrt(q))^d.
-
-    Every monomial z^a w^b must have a + b even and d must be even, so that
-    all resulting exponents are integers.
-    """
-    if mode not in ("E", "MHP"):
-        raise ValueError(f"unknown substitution mode {mode!r}")
-    if d % 2:
-        raise ValueError(f"odd dimension d={d}")
-    def term(a: int, b: int):
-        if (a + b) % 2:
-            raise ValueError(f"monomial z^{a} w^{b} has odd total degree")
-        qexp = (d + a - b) // 2
-        if mode == "E":
-            return (qexp, 0), 1
-        return (qexp, d + a), (-1 if a % 2 else 1)
-
-    return RatFun.from_poly(p.as_poly(ZW).remap(term))

@@ -16,6 +16,14 @@ those numerators; the column of these pairings is memoised per type and
 reduced once, over one common denominator.  A class tuple then sums each
 group as polynomials and normalises it once; only the groups meet in
 ``RatFun`` addition.
+
+The E-polynomial and the mixed Hodge polynomial are two readings of the
+two-variable polynomial H(z, w), as in Hausel, Letellier and
+Rodriguez-Villegas (Duke Math. J. 160, 2011): E(q) = q^(d/2) H(sqrt(q),
+1/sqrt(q)) and MHP(q, t) = (t sqrt(q))^d H(-t sqrt(q), 1/sqrt(q)).  Each
+is an exponent map of the monomials z^a w^b, so for every polynomial H
+and even d the MHP at t = -1 is the E-polynomial by construction: the
+``t_minus_one_is_e`` check tests the two readings, not the conjecture.
 Property-check failures are recorded in the result, never raised.
 """
 
@@ -24,8 +32,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import QT, ZW, LaurentPoly, RatFun, common_denominator, substitute_powers
+from .algebra import QT, ZW, LaurentPoly, RatFun, common_denominator
 from .classtypes import SimpleType, h_of_type
+from .partitions import QT_AT_ZW
 from .series import (
     SeriesTerm,
     invert_series,
@@ -173,8 +182,8 @@ def _class_column(route: tuple[str, str], g: int, k: int, n: int, beta: SimpleTy
         nums = [v.divexact(common) for v in nums]
         den = den.divexact(common)
     if route == ZW:
-        nums = [v.monomial_map((2, 0, 0, 2)) for v in nums]
-        den = den.monomial_map((2, 0, 0, 2))
+        nums = [v.monomial_map(QT_AT_ZW) for v in nums]
+        den = den.monomial_map(QT_AT_ZW)
     return tuple(nums), den
 
 
@@ -264,11 +273,35 @@ def compute_hodge(spec: ProblemSpec) -> HodgeResult:
     return HodgeResult(spec, zw, d, checks, warnings)
 
 
+def _read(zw: RatFun, d: int, term) -> RatFun:
+    """zw, a polynomial over (z, w), read over (q, t) with each z^a w^b sent
+    to ``term(a, b)`` as by ``LaurentPoly.remap``; the readings take q to
+    the power (d + a - b) / 2, so d and every total degree a + b must be even."""
+    if d % 2:
+        raise ValueError(f"odd dimension d={d}")
+    poly = zw.as_poly(ZW)
+    for a, b in poly.terms:
+        if (a + b) % 2:
+            raise ValueError(f"monomial z^{a} w^{b} has odd total degree")
+    return RatFun.from_poly(poly.remap(term))
+
+
+def e_reading(zw: RatFun, d: int) -> RatFun:
+    """E(q) = q^(d/2) zw(sqrt(q), 1/sqrt(q)): z^a w^b goes to q^((d+a-b)/2)."""
+    return _read(zw, d, lambda a, b: (((d + a - b) // 2, 0), 1))
+
+
+def mhp_reading(zw: RatFun, d: int) -> RatFun:
+    """MHP(q, t) = (t sqrt(q))^d zw(-t sqrt(q), 1/sqrt(q)): z^a w^b goes to
+    (-1)^a q^((d+a-b)/2) t^(d+a)."""
+    return _read(zw, d, lambda a, b: (((d + a - b) // 2, d + a), -1 if a % 2 else 1))
+
+
 def e_polynomial(result: HodgeResult) -> tuple[RatFun, dict]:
     """E-polynomial by both routes: substitution into the two-variable
     polynomial, and the one-parameter hook series; they must agree exactly."""
     d = result.d
-    route_a = substitute_powers(result.zw, "E", d)
+    route_a = e_reading(result.zw, d)
     route_b = RatFun.monomial((d // 2, 0)) * _pair_against_classes(result.spec, QT)
 
     if route_a != route_b:
@@ -292,9 +325,9 @@ def mixed_hodge(result: HodgeResult) -> tuple[RatFun, dict]:
     """Conjectural mixed Hodge polynomial, its E-specialization consistency,
     and the curious Poincare duality check."""
     d = result.d
-    mhp = substitute_powers(result.zw, "MHP", d)
+    mhp = mhp_reading(result.zw, d)
     # route A of the E-polynomial; ``e_polynomial`` checks it against route B
-    e_at = substitute_powers(result.zw, "E", d)
+    e_at = e_reading(result.zw, d)
     at_tm1 = _set_t_minus_one(mhp)
     duality = mhp.monomial_map((-1, -2, 0, 1)) * RatFun.monomial((d, d)) == mhp
     return mhp, {"t_minus_one_is_e": at_tm1 == e_at, "curious_duality": duality}

@@ -279,7 +279,6 @@ _GL2_CACHE: dict[int, _GL2] = {}
 
 def _gl2(q: int) -> _GL2:
     if q not in _GL2_CACHE:
-        require_odd_prime(q)
         _GL2_CACHE[q] = _GL2(q)
     return _GL2_CACHE[q]
 
@@ -294,6 +293,7 @@ def count_points(n: int, g: int, q: int, eigenvalues: list[int]) -> int:
     twok = len(eigenvalues)
     if twok % 2 or twok == 0:
         raise ValueError("need a positive even number of punctures")
+    require_odd_prime(q)
     if n == 1:
         return _count_points_rank1(g, q, twok)
     if n != 2:

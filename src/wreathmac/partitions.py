@@ -124,6 +124,8 @@ def hook_poly(lam: Partition) -> RatFun:
 # the two variables of the result, (q, t) or (z, w)
 PAIRING_QT = ((0, 0), (1, 0), (0, 1))  # u = 1
 DEFORMED_ZW = ((1, 1), (2, 0), (0, 2))  # u = z*w, q = z^2, t = w^2
+# a value over (q, t) read at q = z^2, t = w^2, as a ``monomial_map``
+QT_AT_ZW = (2, 0, 0, 2)
 
 
 def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:

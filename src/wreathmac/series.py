@@ -24,6 +24,7 @@ from .macdonald import macdonald_H
 from .partitions import (
     DEFORMED_ZW,
     PAIRING_QT,
+    QT_AT_ZW,
     bipartition_list,
     brace,
     hook_poly,
@@ -60,10 +61,10 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
             lam = brace(bp, core)
             num = hook_product(lam, DEFORMED_ZW) ** (g + k - 1)
             pairing = wreath_N(bp, core)
-            den = pairing.total.monomial_map((2, 0, 0, 2))
+            den = pairing.total.monomial_map(QT_AT_ZW)
             if k > 1:
                 cot = hook_product(lam, DEFORMED_ZW, even_only=True)
-                den = den * (pairing.nabla.monomial_map((2, 0, 0, 2)) * cot) ** (k - 1)
+                den = den * (pairing.nabla.monomial_map(QT_AT_ZW) * cot) ** (k - 1)
             out.append(SeriesTerm(bp, n, num / den, wreath_H(bp, core).to_basis("w")))
     return out
 
@@ -78,7 +79,7 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
     for n in range(maxdeg + 1):
         for lam in partition_list(n):
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
-            coeff = num / hook_product(lam, PAIRING_QT).monomial_map((2, 0, 0, 2))
+            coeff = num / hook_product(lam, PAIRING_QT).monomial_map(QT_AT_ZW)
             out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(macdonald_H(lam))))
     return out
 

@@ -13,7 +13,6 @@ from wreathmac.algebra import (
     _from_rec,
     _to_rec,
     poly_from_json,
-    substitute_powers,
 )
 
 q = RatFun.var(0)
@@ -67,6 +66,13 @@ def test_division_by_zero_scalar():
             RatFun.zero() / zero
 
 
+def test_a_scaled_zero_is_canonical():
+    # the denominator 1 of a zero takes the scalar's denominator, and the
+    # common content must cancel it
+    for r in (RatFun.zero() * Fraction(1, 3), RatFun.zero() / 3, RatFun.zero() / Fraction(-2, 5)):
+        assert (r.num.terms, r.den.terms) == ({}, {(0, 0): 1})
+
+
 def test_laurent_storage():
     x = t / q
     assert x.num.terms == {(0, 1): 1}
@@ -109,40 +115,6 @@ def test_arithmetic_results_have_nonzero_int_coefficients(rng):
             results += [x / y, y.inverse(), x / Fraction(-2, 3)]
         for r in results:
             assert is_clean_int_poly(r.num) and is_clean_int_poly(r.den), r
-
-def test_substitute_powers_e_mode():
-    # monomial-wise: sqrt(q)^d * p(sqrt(q), 1/sqrt(q))
-    assert substitute_powers(z**2 + w**2, "E", 2) == q**2 + 1
-    assert substitute_powers(RatFun.one(), "MHP", 0) == RatFun.one()
-
-
-def test_substitute_powers_parity_errors():
-    with pytest.raises(ValueError):
-        substitute_powers(z, "E", 2)  # odd total degree
-    with pytest.raises(ValueError):
-        substitute_powers(z**2, "E", 3)  # odd dimension
-    with pytest.raises(ValueError):
-        substitute_powers(z**2, "bogus", 2)
-
-
-def test_mhp_at_minus_one_matches_e(rng):
-    for _ in range(20):
-        terms = {}
-        for _ in range(6):
-            a, b = rng.randrange(0, 5), rng.randrange(0, 5)
-            if (a + b) % 2:
-                b += 1
-            terms[(a, b)] = rng.randrange(-5, 6)
-        p = RatFun.from_poly(LaurentPoly(terms))
-        d = 2 * rng.randrange(3, 6)
-        e = substitute_powers(p, "E", d)
-        m = substitute_powers(p, "MHP", d)
-        collapsed = {}
-        for (a, b), c in m.as_poly().terms.items():
-            key = (a, 0)
-            collapsed[key] = collapsed.get(key, 0) + (c if b % 2 == 0 else -c)
-        assert RatFun.from_poly(LaurentPoly(collapsed)) == e
-
 
 def test_text_and_json_round_trip():
     x = 3 * q**2 * t - q + 7

@@ -13,6 +13,8 @@ from wreathmac.hodge import (
     compute_hodge,
     dimension,
     e_polynomial,
+    e_reading,
+    mhp_reading,
     mixed_hodge,
 )
 from wreathmac.partitions import partition_list
@@ -33,6 +35,45 @@ def spec_of(entry):
     return ProblemSpec(
         entry["g"], entry["k"], entry["n"], tuple(pt(c) for c in entry["classes"])
     )
+
+
+def test_e_reading_examples():
+    # monomial-wise: sqrt(q)^d * p(sqrt(q), 1/sqrt(q))
+    assert e_reading(z**2 + w**2, 2) == q**2 + 1
+    assert mhp_reading(RatFun.one(), 0) == RatFun.one()
+
+
+def test_reading_parity_errors():
+    with pytest.raises(ValueError):
+        e_reading(z, 2)  # odd total degree
+    with pytest.raises(ValueError):
+        e_reading(z**2, 3)  # odd dimension
+    with pytest.raises(ValueError, match="^odd dimension d=3$"):
+        mhp_reading(z**2, 3)
+    with pytest.raises(ValueError, match=r"^monomial z\^1 w\^0 has odd total degree$"):
+        mhp_reading(z, 2)
+    # the recorded `sweep` failures digest this text
+    with pytest.raises(ValueError, match=r"^not a polynomial: denominator z\^2 -1$"):
+        mhp_reading(z / (z**2 - 1), 2)
+
+
+def test_mhp_at_minus_one_matches_e(rng):
+    for _ in range(20):
+        terms = {}
+        for _ in range(6):
+            a, b = rng.randrange(0, 5), rng.randrange(0, 5)
+            if (a + b) % 2:
+                b += 1
+            terms[(a, b)] = rng.randrange(-5, 6)
+        p = RatFun.from_poly(LaurentPoly(terms))
+        d = 2 * rng.randrange(3, 6)
+        e = e_reading(p, d)
+        m = mhp_reading(p, d)
+        collapsed = {}
+        for (a, b), c in m.as_poly().terms.items():
+            key = (a, 0)
+            collapsed[key] = collapsed.get(key, 0) + (c if b % 2 == 0 else -c)
+        assert RatFun.from_poly(LaurentPoly(collapsed)) == e
 
 
 def test_spec_validation():

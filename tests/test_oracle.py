@@ -159,6 +159,14 @@ def test_negative_genus_is_refused(n, eigenvalues):
         count_points(n, -1, 5, eigenvalues)
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 9])
+def test_rank_one_refuses_a_field_size_that_is_no_odd_prime(q):
+    # as at rank 2, and before any counting: 4 and 9 would fail in pow, 1
+    # would divide by zero and 2 would return a count
+    with pytest.raises(ValueError, match=f"^{q} is not an odd prime$"):
+        count_points(1, 0, q, [1, 1])
+
+
 def test_four_punctures_count_matches_formula():
     # 2k = 4 pair-distribution convolution path, nonzero variety
     ok, _ = genericity_check([(2,), (2,), (2,), (3,)], 17, strong=True)

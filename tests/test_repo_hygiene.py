@@ -2,8 +2,8 @@
 outputs, generated sources, test logs), the package defines no public name
 that only its tests use, no private function or class that its module does
 not use, no method that nothing reads and no defaulted parameter that no
-call of it passes, no module of it reads another's private names, and none
-imports ``dataclasses``."""
+call of it passes, no module of it reads another's private names, none
+imports ``dataclasses``, and ``algebra`` reads only the kernels."""
 
 import ast
 import importlib
@@ -409,3 +409,17 @@ def test_no_module_imports_dataclasses():
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     )
     assert not importers, f"modules importing dataclasses: {importers}"
+
+
+def _modules_algebra_reads(sources: dict[str, str]) -> set[str]:
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    return {m for m, _ in _cross_module_reads("algebra", trees["algebra"], trees)}
+
+
+def test_algebra_reads_nothing_of_the_package_but_the_kernels():
+    # the exact arithmetic sits under every other module: a reading or a
+    # change of variables of the engine belongs to the module that uses it
+    sources = _package_sources()
+    assert _modules_algebra_reads(sources) == {"kernels"}
+    sources["algebra"] += "\nfrom .partitions import QT_AT_ZW\n"
+    assert _modules_algebra_reads(sources) == {"kernels", "partitions"}
