@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
-from .algebra import RatFun, poly_from_json
+from .algebra import RatFun
 from .classtypes import parse_simple_type
 from .hodge import CHECK_KEYS, ProblemSpec, compute_hodge, e_polynomial
 from .macdonald import macdonald_H, qt_inner
@@ -50,12 +50,6 @@ def _fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def _ratfun_from_fixture(value) -> RatFun:
-    if isinstance(value, dict):
-        return RatFun(poly_from_json(value["num"]), poly_from_json(value["den"]))
-    return RatFun.from_poly(poly_from_json(value))
-
-
 def _spec_from_fixture(entry) -> ProblemSpec:
     return ProblemSpec(
         entry["g"], entry["k"], entry["n"], tuple(parse_simple_type(c) for c in entry["classes"])
@@ -71,13 +65,13 @@ def c01_wreath_golden_tables():
     for core in (0, 1):
         for label, row in fx["wreath_size1"].items():
             got = wreath_H(parse_bipartition(label), core).coeffs
-            want = {parse_bipartition(b): _ratfun_from_fixture(v) for b, v in row.items()}
+            want = {parse_bipartition(b): RatFun.from_json(v) for b, v in row.items()}
             if got != want:
                 return False, f"size-1 family mismatch at {label} core {core}"
     for core, key in ((0, "wreath_core0_size2"), (1, "wreath_core1_size2")):
         for label, row in fx[key].items():
             got = wreath_H(parse_bipartition(label), core).coeffs
-            want = {parse_bipartition(b): _ratfun_from_fixture(v) for b, v in row.items()}
+            want = {parse_bipartition(b): RatFun.from_json(v) for b, v in row.items()}
             if got != want:
                 return False, f"size-2 family mismatch at {label} core {core}"
     return True, "degree-1 and degree-2 families, both cores"
@@ -87,21 +81,21 @@ def c02_pairing_golden_tables():
     fx = _fixture("wreath_reference.json")
     for core in (0, 1):
         for label, value in fx["pair_size1"].items():
-            if wreath_N(parse_bipartition(label), core).total != _ratfun_from_fixture(value):
+            if wreath_N(parse_bipartition(label), core).total != RatFun.from_json(value):
                 return False, f"size-1 pairing mismatch at {label} core {core}"
     for core, key in ((0, "pair_core0_size2"), (1, "pair_core1_size2")):
         for label, value in fx[key].items():
-            if wreath_N(parse_bipartition(label), core).total != _ratfun_from_fixture(value):
+            if wreath_N(parse_bipartition(label), core).total != RatFun.from_json(value):
                 return False, f"size-2 pairing mismatch at {label} core {core}"
     mac = fx["macdonald_deg2"]
     for label, row in mac["H"].items():
         got = macdonald_H(parse_partition(label)).coeffs
-        want = {(parse_partition(b),): _ratfun_from_fixture(v) for b, v in row.items()}
+        want = {(parse_partition(b),): RatFun.from_json(v) for b, v in row.items()}
         if got != want:
             return False, f"Macdonald expansion mismatch at {label}"
     for label, value in mac["N"].items():
         lam = parse_partition(label)
-        want = _ratfun_from_fixture(value)
+        want = RatFun.from_json(value)
         if hook_product(lam, PAIRING_QT) != want:
             return False, f"Macdonald hook pairing mismatch at {label}"
         H = macdonald_H(lam)
@@ -116,7 +110,7 @@ def c03_two_variable_goldens():
         entry = fx[key]
         spec = _spec_from_fixture(entry)
         result = compute_hodge(spec)
-        want = RatFun.from_poly(poly_from_json(entry["zw"]))
+        want = RatFun.from_json(entry["zw"])
         if result.zw != want:
             return False, f"{key} polynomial mismatch"
         if result.d != entry["d"]:
@@ -177,7 +171,7 @@ def c06_rank3_e_polynomials():
         entry = fx[key]
         spec = _spec_from_fixture(entry)
         e, _ = e_polynomial(compute_hodge(spec))
-        if e != _ratfun_from_fixture(entry["e"]):
+        if e != RatFun.from_json(entry["e"]):
             return False, f"{key} mismatch: got {e.text()}"
     return True, "published rank-3 and rank-2 E-polynomials"
 

@@ -253,10 +253,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
 
-def poly_from_json(triples) -> LaurentPoly:
-    return LaurentPoly({(int(a), int(b)): int(c) for a, b, c in triples})
-
-
 # ---------------------------------------------------------------------------
 # dict <-> recursive dense conversion for the gcd kernels
 
@@ -467,6 +463,18 @@ class RatFun:
         if self.is_polynomial():
             return self.num.json_terms()
         return {"num": self.num.json_terms(), "den": self.den.json_terms()}
+
+    @classmethod
+    def from_json(cls, value):
+        """The inverse of ``to_json``: a list of ``[a, b, "c"]`` triples is a
+        polynomial, a ``{"num", "den"}`` mapping a fraction."""
+        if not isinstance(value, dict):
+            value = {"num": value, "den": [[0, 0, 1]]}
+        num, den = (
+            LaurentPoly({(int(a), int(b)): int(c) for a, b, c in value[part]})
+            for part in ("num", "den")
+        )
+        return cls(num, den)
 
     def __repr__(self):
         return f"RatFun({self.text()!r})"

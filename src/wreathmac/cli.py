@@ -59,7 +59,7 @@ def cmd_compute(args) -> int:
     try:
         result = compute_hodge(spec)
         e_poly, e_checks = e_polynomial(result)
-        mhp, m_checks = mixed_hodge(result)
+        mhp, m_checks = mixed_hodge(result, e_poly)
     except ArithmeticError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
@@ -112,7 +112,7 @@ def cmd_oracle(args) -> int:
         from .oracle import (
             count_points,
             genericity_check,
-            require_odd_prime,
+            require_countable,
             require_within_reach,
             twisted_type,
         )
@@ -121,31 +121,18 @@ def cmd_oracle(args) -> int:
 
     try:
         require_within_reach(args.n, args.g, args.q, len(args.eigs))
-        require_odd_prime(args.q)
-        if args.n not in (1, 2):
-            raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={args.n}")
-        if args.g < 0:
-            raise ValueError(f"the genus must be nonnegative, not g={args.g}")
-        if not args.eigs or len(args.eigs) % 2:
-            raise ValueError(
-                f"--eigs must be given a positive even number of times (2k), "
-                f"not {len(args.eigs)}"
-            )
-        eig_lists = [[int(x) for x in s.split()] if s.strip() else [] for s in args.eigs]
-        if args.n == 1:
-            eigenvalues = [1] * len(eig_lists)
-        else:
-            if any(len(e) != 1 for e in eig_lists):
-                raise ValueError("each --eigs needs 1 entry for n=2")
-            eigenvalues = [e[0] for e in eig_lists]
-            if any(a % args.q == 0 for a in eigenvalues):
-                raise ValueError(f"eigenvalues must be units mod q={args.q}, not 0")
+        eig_lists = [[int(x) for x in s.split()] for s in args.eigs]
+        if args.n == 2 and any(len(e) != 1 for e in eig_lists):
+            raise ValueError("each --eigs needs 1 entry for n=2")
+        # rank 1 counts with placeholder eigenvalues, one per --eigs
+        eigenvalues = [e[0] for e in eig_lists] if args.n == 2 else [1] * len(eig_lists)
+        require_countable(args.n, args.g, args.q, eigenvalues)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
         if args.n == 2:
-            tuples = [tuple(e) for e in eig_lists]
+            tuples = [(a,) for a in eigenvalues]
             generic, witness = genericity_check(tuples, args.q, strong=args.strong_check)
             if not generic:
                 print(f"non-generic input: {witness}", file=sys.stderr)

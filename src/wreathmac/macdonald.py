@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .algebra import RatFun
 from .linsolve import solve_unique
-from .partitions import Partition, dominance_geq, dual_index
+from .partitions import SWAP_VARS, Partition, dominance_geq, dual_index
 from .symfunc import SymFunc1, schur_indices
 
 
@@ -40,8 +40,7 @@ def _image_tables(cls, n: int) -> tuple[dict, dict]:
         b: cls.basis_elem(schur, b).alphabet_substitute(*channels).to_basis(schur).coeffs
         for b in schur_indices(cls.ALPHABETS, n)
     }
-    swap = (0, 1, 1, 0)
-    t_side = {b: {g: c.monomial_map(swap) for g, c in row.items()} for b, row in q_side.items()}
+    t_side = {b: {g: c.monomial_map(SWAP_VARS) for g, c in r.items()} for b, r in q_side.items()}
     return q_side, t_side
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,23 @@ def _is_prime(p: int) -> bool:
 def require_odd_prime(q: int) -> None:
     if not _is_prime(q) or q == 2:
         raise ValueError(f"{q} is not an odd prime")
+
+
+def require_countable(n: int, g: int, q: int, eigenvalues: list[int]) -> None:
+    """ValueError, one message per rule, unless ``count_points`` can count:
+    q an odd prime, rank 1 or 2, g >= 0, a positive even number 2k of
+    punctures, and at rank 2 eigenvalues that are units mod q."""
+    require_odd_prime(q)
+    if n not in (1, 2):
+        raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={n}")
+    if g < 0:
+        raise ValueError(f"the genus must be nonnegative, not g={g}")
+    if not eigenvalues or len(eigenvalues) % 2:
+        raise ValueError(
+            f"--eigs must be given a positive even number of times (2k), not {len(eigenvalues)}"
+        )
+    if n == 2 and any(a % q == 0 for a in eigenvalues):
+        raise ValueError(f"eigenvalues must be units mod q={q}, not 0")
 
 
 # The most steps a count may take, per rank, set so that the largest accepted
@@ -274,30 +292,21 @@ def twisted_pair_totals(G: _GL2, i1, i2) -> list[int]:
     return [int(x) for x in totals]
 
 
-_GL2_CACHE: dict[int, _GL2] = {}
-
-
+@lru_cache(maxsize=None)
 def _gl2(q: int) -> _GL2:
-    if q not in _GL2_CACHE:
-        _GL2_CACHE[q] = _GL2(q)
-    return _GL2_CACHE[q]
+    return _GL2(q)
 
 
 def count_points(n: int, g: int, q: int, eigenvalues: list[int]) -> int:
     """Number of points of the twisted character variety over F_q by brute
     force; rank n in {1, 2}.  eigenvalues gives one eigenvalue per puncture
     (rank 2) or an empty placeholder list handled by 2k = len(eigenvalues).
+    Inputs that ``require_countable`` refuses raise its ValueError.
     """
-    if g < 0:
-        raise ValueError(f"the genus must be nonnegative, not g={g}")
+    require_countable(n, g, q, eigenvalues)
     twok = len(eigenvalues)
-    if twok % 2 or twok == 0:
-        raise ValueError("need a positive even number of punctures")
-    require_odd_prime(q)
     if n == 1:
         return _count_points_rank1(g, q, twok)
-    if n != 2:
-        raise ValueError("brute-force counting supports rank 1 and 2 only")
     G = _gl2(q)
     sets = [twisted_class(G, a) for a in eigenvalues]
     # distribution of the product of consecutive twisted pairs

@@ -126,6 +126,8 @@ PAIRING_QT = ((0, 0), (1, 0), (0, 1))  # u = 1
 DEFORMED_ZW = ((1, 1), (2, 0), (0, 2))  # u = z*w, q = z^2, t = w^2
 # a value over (q, t) read at q = z^2, t = w^2, as a ``monomial_map``
 QT_AT_ZW = (2, 0, 0, 2)
+# the two variables exchanged, q <-> t or z <-> w, as a ``monomial_map``
+SWAP_VARS = (0, 1, 1, 0)
 
 
 def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:

@@ -42,7 +42,6 @@ def wreath_H(alpha: BiPartition, core: int) -> SymFunc2:
 
 @lru_cache(maxsize=None)
 def wreath_N(alpha: BiPartition, core: int) -> PairingData:
-    alpha = (tuple(alpha[0]), tuple(alpha[1]))
     H = wreath_H(alpha, core)
     total = qt_inner(H, H)
     cot1 = hook_product(brace(alpha, core), PAIRING_QT, even_only=True)

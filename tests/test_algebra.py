@@ -12,7 +12,6 @@ from wreathmac.algebra import (
     RatFun,
     _from_rec,
     _to_rec,
-    poly_from_json,
 )
 
 q = RatFun.var(0)
@@ -119,9 +118,16 @@ def test_arithmetic_results_have_nonzero_int_coefficients(rng):
 def test_text_and_json_round_trip():
     x = 3 * q**2 * t - q + 7
     triples = x.as_poly().json_terms()
-    assert poly_from_json(triples) == x.as_poly()
+    assert RatFun.from_json(triples) == x
     # canonical serialization is stable
-    assert json.dumps(triples) == json.dumps(poly_from_json(triples).json_terms())
+    assert json.dumps(triples) == json.dumps(RatFun.from_json(triples).to_json())
+
+
+@pytest.mark.parametrize("x", [3 * q**2 * t - q + 7, (q - 2 * t) / (3 * q**2 + t)])
+def test_from_json_inverts_to_json(x):
+    # both forms: a polynomial as its triples, a fraction as {"num", "den"}
+    assert isinstance(x.to_json(), list) == x.is_polynomial()
+    assert RatFun.from_json(json.loads(json.dumps(x.to_json()))) == x
 
 
 def test_grlex_ordering():

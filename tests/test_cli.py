@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wreathmac import cli
 from wreathmac.classtypes import parse_simple_type
 from wreathmac.cli import build_parser, main
 
@@ -75,6 +76,27 @@ def test_compute_bad_input(capsys):
         "--class", "0,0:1",
     )
     assert code == 3
+
+
+def computation_error(*args):
+    raise ArithmeticError("planted")
+
+
+def test_compute_computation_error_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "e_polynomial", computation_error)
+    code = main(
+        ["compute", "--g", "1", "--k", "1", "--n", "2", "--class", "0,0:1", "--class", "1,0:"]
+    )
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "computation error: planted\n")
+
+
+def test_oracle_computation_error_exits_1(capsys, monkeypatch):
+    # ``cmd_oracle`` imports ``count_points`` when it runs
+    monkeypatch.setattr("wreathmac.oracle.count_points", computation_error)
+    code = main(["oracle", "--q", "7", "--n", "2", "--g", "1", "--eigs", "2", "--eigs", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "computation error: planted\n")
 
 
 def test_compute_check_all_passes(capsys):

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from wreathmac.cli import main
 from wreathmac.classtypes import parse_simple_type as pt
 from wreathmac.hodge import ProblemSpec, compute_hodge, e_polynomial
 from wreathmac.oracle import (
@@ -165,6 +166,31 @@ def test_rank_one_refuses_a_field_size_that_is_no_odd_prime(q):
     # would divide by zero and 2 would return a count
     with pytest.raises(ValueError, match=f"^{q} is not an odd prime$"):
         count_points(1, 0, q, [1, 1])
+
+
+@pytest.mark.parametrize(
+    "n, g, q, eigenvalues, eigs, rule",
+    [
+        (2, 1, 9, [2, 1], ["2", "1"], "9 is not an odd prime"),
+        (3, 1, 7, [1, 1], ["", ""], "rank 1 and 2 only, not n=3"),
+        (1, -1, 5, [1, 1], ["", ""], "genus must be nonnegative"),
+        (2, 1, 7, [2, 1, 3], ["2", "1", "3"], "positive even number"),
+        (2, 1, 7, [7, 1], ["7", "1"], "units mod q=7"),
+    ],
+)
+def test_count_points_and_the_cli_refuse_with_one_message(
+    capsys, n, g, q, eigenvalues, eigs, rule
+):
+    # one input rule broken each; ``wreathmac oracle`` prints the message
+    # that ``count_points`` raises
+    with pytest.raises(ValueError, match=rule) as refused:
+        count_points(n, g, q, eigenvalues)
+    argv = ["oracle", "--q", str(q), "--n", str(n), "--g", str(g)]
+    for e in eigs:
+        argv += ["--eigs", e]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (3, "", f"error: {refused.value}\n")
 
 
 def test_four_punctures_count_matches_formula():

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from wreathmac.algebra import RatFun, poly_from_json
+from wreathmac.algebra import RatFun
 from wreathmac.macdonald import qt_inner
 from wreathmac.partitions import bipartition_list, dual_index, parse_bipartition
 from wreathmac.symfunc import SymFunc2
@@ -17,12 +17,6 @@ one = RatFun.one()
 def load_reference():
     with resources.files("wreathmac.fixtures").joinpath("wreath_reference.json").open() as fh:
         return json.load(fh)
-
-
-def from_fixture(value):
-    if isinstance(value, dict):
-        return RatFun(poly_from_json(value["num"]), poly_from_json(value["den"]))
-    return RatFun.from_poly(poly_from_json(value))
 
 
 def test_degree_one_family_both_cores():
@@ -42,7 +36,7 @@ def test_degree_two_family(core, key):
     fixture = load_reference()[key]
     for label, row in fixture.items():
         got = wreath_H(parse_bipartition(label), core).coeffs
-        want = {parse_bipartition(b): from_fixture(v) for b, v in row.items()}
+        want = {parse_bipartition(b): RatFun.from_json(v) for b, v in row.items()}
         assert got == want
 
 
@@ -50,7 +44,7 @@ def test_degree_two_family(core, key):
 def test_pairings_size2(core, key):
     fixture = load_reference()[key]
     for label, value in fixture.items():
-        assert wreath_N(parse_bipartition(label), core).total == from_fixture(value)
+        assert wreath_N(parse_bipartition(label), core).total == RatFun.from_json(value)
 
 
 def test_pairings_size1():
