@@ -14,6 +14,12 @@ whether it is over (z, w) or (q, t), and only ``text`` names the pair.  A
 * the leading coefficient of the denominator under graded lex (total degree,
   then exponent of the second variable) is positive.
 
+A ``RatFun`` has two makers: ``RatFun(num, den)`` reduces any pair, and
+``_signed`` takes a coprime pair (Henrici's sum and product, an inverse, a
+power, a negation) and fixes only the sign.  Every operator reads an
+``int`` or ``Fraction`` operand as its ``RatFun.const``, so a product with a
+scalar is Henrici's product of two fractions.
+
 Values are immutable after construction; all operations are pure functions,
 so they are safe to share across threads.
 """
@@ -338,8 +344,7 @@ class RatFun:
     # -- field arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other)
+        other = _operand(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -362,23 +367,16 @@ class RatFun:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other)
-        return self + (-other)
+        return self + (-_operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        r = object.__new__(RatFun)
-        r.num, r.den = -self.num, self.den
-        return r
+        return _signed(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scale(other, 1)
-        if isinstance(other, Fraction):
-            return self._scale(other.numerator, other.denominator)
+        other = _operand(other)
         if self.is_zero() or other.is_zero():
             return RatFun.zero()
         # Henrici: once the cross gcds (integer content included) are
@@ -389,37 +387,13 @@ class RatFun:
 
     __rmul__ = __mul__
 
-    def _scale(self, p: int, q: int):
-        """Multiply by the rational p/q; polynomial coprimality is preserved,
-        so only integer content and sign need renormalizing."""
-        if p == 0:
-            return RatFun.zero()
-        if p == q:
-            return self
-        if p == -q:
-            return -self
-        if q < 0:
-            p, q = -p, -q
-        nt = kernels.pscale(self.num.terms, p)
-        dt = kernels.pscale(self.den.terms, q)
-        g = _igcd(*nt.values(), *dt.values())
-        if g != 1:
-            nt = {e: c // g for e, c in nt.items()}
-            dt = {e: c // g for e, c in dt.items()}
-        return _signed(LaurentPoly(nt), LaurentPoly(dt))
-
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero RatFun")
         return _signed(self.den, self.num)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("RatFun division by zero")
-            other = Fraction(other)
-            return self._scale(other.denominator, other.numerator)
-        return self * other.inverse()
+        return self * _operand(other).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -431,8 +405,7 @@ class RatFun:
         return _signed(self.num**n, self.den**n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other)
+        other = _operand(other)
         return (
             isinstance(other, RatFun)
             and self.num == other.num
@@ -495,6 +468,12 @@ def _normalize(num: LaurentPoly, den: LaurentPoly):
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den
+
+
+def _operand(x):
+    """An ``int`` or ``Fraction`` operand as its ``RatFun.const``; any other
+    operand as it is."""
+    return RatFun.const(x) if isinstance(x, (int, Fraction)) else x
 
 
 def _signed(num: LaurentPoly, den: LaurentPoly) -> RatFun:

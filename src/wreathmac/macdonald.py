@@ -16,7 +16,10 @@ polynomials in q, so those of the t-images are them with q and t
 exchanged.  ``qt_inner`` pairs two functions of either family through the
 twist (q + t)I - (1 + qt)K = -K(I - qK)(I - tK).  ``macdonald_H`` solves
 the one-alphabet family, ordered by dominance, memoized per label;
-``wreath.wreath_H`` the other.
+``wreath.wreath_H`` the other.  Exchanging q and t turns the system of a
+label into that of its dual, so both solve one member of each dual pair
+and read the other off it (``pair_member``); for Macdonald polynomials this
+is H~_{lambda'}(q, t) = H~_lambda(t, q) (Macdonald, ch. VI).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 from .algebra import RatFun
 from .linsolve import solve_unique
-from .partitions import SWAP_VARS, Partition, dominance_geq, dual_index
+from .partitions import SWAP_VARS, Partition, dominance_geq, dual_index, n_stat
 from .symfunc import SymFunc1, schur_indices
 
 
@@ -68,6 +71,19 @@ def triangular_family(cls, label, order):
     return cls(cls.BASES[0], {b: c for b, c in zip(basis, sol) if not c.is_zero()})
 
 
+def pair_member(cls, label, order, cached):
+    """The ``cls`` function of ``label`` by the pair rule: of a label and its
+    dual, only the one whose ``order`` image has the smaller n-statistic
+    (ties to the smaller label) is solved by ``triangular_family``; the other
+    is read off it, ``cached`` (the family's memoized entry point) applied to
+    the dual, with q and t exchanged."""
+    dual = dual_index(label)
+    if (n_stat(order(dual)), dual) < (n_stat(order(label)), label):
+        solved = cached(dual).coeffs
+        return cls(cls.BASES[0], {b: c.monomial_map(SWAP_VARS) for b, c in solved.items()})
+    return triangular_family(cls, label, order)
+
+
 def qt_inner(f, g) -> RatFun:
     """Hall pairing of f against g substituted by (q + t)I - (1 + qt)K;
     symmetric in f and g."""
@@ -80,4 +96,4 @@ def qt_inner(f, g) -> RatFun:
 def macdonald_H(lam: Partition) -> SymFunc1:
     """The Schur expansion of the modified Macdonald polynomial of lam, over
     Q(q, t)."""
-    return triangular_family(SymFunc1, (lam,), lambda index: index[0])
+    return pair_member(SymFunc1, (lam,), lambda index: index[0], lambda dual: macdonald_H(dual[0]))

@@ -9,7 +9,9 @@ ordered by the dominance of their partitions ``brace(label, e)`` of 2-core
 image under I - qK lies above the label, that under I - tK above the dual
 label, and the coefficient at the one-row Schur function is 1.  The solver
 constrains exactly the non-dominating indices (the order is partial) and
-fails loudly unless the solution is unique.
+fails loudly unless the solution is unique.  ``wreath_H`` solves one member
+of each q<->t dual pair and reads the other off it
+(``macdonald.pair_member``).
 
 Total self-pairings are computed from ``macdonald.qt_inner``, never from a
 closed formula; the nabla factor is recorded as the exact quotient by the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .macdonald import qt_inner, triangular_family
+from .macdonald import pair_member, qt_inner
 from .partitions import PAIRING_QT, BiPartition, brace, hook_product
 from .symfunc import SymFunc2
 
@@ -37,7 +39,9 @@ class PairingData(namedtuple("PairingData", "total cot_at_one nabla")):
 def wreath_H(alpha: BiPartition, core: int) -> SymFunc2:
     """The Schur expansion of the wreath Macdonald polynomial of alpha at the
     given 2-core, over Q(q, t)."""
-    return triangular_family(SymFunc2, alpha, lambda index: brace(index, core))
+    return pair_member(
+        SymFunc2, alpha, lambda index: brace(index, core), lambda dual: wreath_H(dual, core)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -72,6 +72,35 @@ def test_a_scaled_zero_is_canonical():
         assert (r.num.terms, r.den.terms) == ({}, {(0, 0): 1})
 
 
+def test_a_scalar_operand_is_its_const():
+    # every operator, reflected forms and equality included, reads an int or
+    # a Fraction as its RatFun.const; a zero divisor raises either way
+    ops = (
+        lambda a, b: a + b,
+        lambda a, b: b + a,
+        lambda a, b: a - b,
+        lambda a, b: b - a,
+        lambda a, b: a * b,
+        lambda a, b: b * a,
+        lambda a, b: a / b,
+        lambda a, b: b / a,
+    )
+    # zero, a polynomial, and a fraction whose denominator has content 2
+    for x in (RatFun.zero(), 1 - 2 * q + q * t, (3 + q) / (2 * t**2 + 4 * q)):
+        for s in (0, 1, -3, Fraction(2, 3), Fraction(-5, 4)):
+            c = RatFun.const(s)
+            for op in ops:
+                try:
+                    want = op(x, c)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, s)
+                    continue
+                got = op(x, s)
+                assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+            assert (x == s) is (x == c)
+
+
 def test_laurent_storage():
     x = t / q
     assert x.num.terms == {(0, 1): 1}

@@ -3,7 +3,8 @@ outputs, generated sources, test logs), the package defines no public name
 that only its tests use, no private function or class that its module does
 not use, no method that nothing reads and no defaulted parameter that no
 call of it passes, no module of it reads another's private names, none
-imports ``dataclasses``, and ``algebra`` reads only the kernels."""
+imports ``dataclasses``, ``algebra`` reads only the kernels, and only
+``algebra._signed`` builds a ``RatFun`` by ``object.__new__``."""
 
 import ast
 import importlib
@@ -409,6 +410,22 @@ def test_no_module_imports_dataclasses():
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     )
     assert not importers, f"modules importing dataclasses: {importers}"
+
+
+def test_only_signed_builds_an_object_by_hand():
+    # a canonical RatFun has two makers, RatFun(num, den) for any pair and
+    # algebra._signed for a coprime one: another object.__new__ would be a
+    # third, which the reduction rules would have to be checked against
+    sites = sorted(
+        f"{module}.{enclosing}"
+        for module, text in _package_sources().items()
+        for call, enclosing in _calls_in(ast.parse(text))
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__new__"
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "object"
+    )
+    assert sites == ["algebra._signed"], f"object.__new__ called in: {sites}"
 
 
 def _modules_algebra_reads(sources: dict[str, str]) -> set[str]:

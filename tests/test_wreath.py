@@ -4,8 +4,8 @@ from importlib import resources
 import pytest
 
 from wreathmac.algebra import RatFun
-from wreathmac.macdonald import qt_inner
-from wreathmac.partitions import bipartition_list, dual_index, parse_bipartition
+from wreathmac.macdonald import qt_inner, triangular_family
+from wreathmac.partitions import bipartition_list, brace, dual_index, parse_bipartition
 from wreathmac.symfunc import SymFunc2
 from wreathmac.wreath import wreath_H, wreath_N
 
@@ -89,13 +89,17 @@ def test_orthogonality_size_3_stretch(core):
 
 @pytest.mark.parametrize("core", [0, 1])
 def test_parameter_swap_is_label_dual(core):
+    # two independent solves: wreath_H reads one member of each dual pair
+    # off the other, so through it the map would be checked against itself
+    def solve(bp):
+        return triangular_family(SymFunc2, bp, lambda index: brace(index, core)).coeffs
+
     for n in range(4):
         for bp in bipartition_list(n):
-            swapped = {
-                k: c.monomial_map((0, 1, 1, 0))
-                for k, c in wreath_H(bp, core).coeffs.items()
-            }
-            assert swapped == wreath_H(dual_index(bp), core).coeffs
+            solved = solve(bp)
+            swapped = {k: c.monomial_map((0, 1, 1, 0)) for k, c in solved.items()}
+            assert swapped == solve(dual_index(bp))
+            assert wreath_H(bp, core).coeffs == solved
 
 
 @pytest.mark.parametrize("core", [0, 1])
