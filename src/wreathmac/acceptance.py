@@ -27,7 +27,6 @@ from .partitions import (
     n_stat,
     parse_bipartition,
     parse_partition,
-    partition_list,
     partitions_of,
 )
 from .series import (
@@ -36,7 +35,7 @@ from .series import (
     star_series_terms,
     wreath_series_terms,
 )
-from .symfunc import SymFunc1, SymFunc2, wreath_char
+from .symfunc import SymFunc1, SymFunc2, schur_indices, wreath_char
 from .wreath import wreath_H, wreath_N
 
 
@@ -60,33 +59,28 @@ def _spec_from_fixture(entry) -> ProblemSpec:
 # criteria
 
 
+# the fixture tables of each family and its pairings, as (core, key suffix):
+# the size-1 tables hold at both cores
+GOLDEN_TABLES = ((0, "size1"), (1, "size1"), (0, "core0_size2"), (1, "core1_size2"))
+
+
 def c01_wreath_golden_tables():
     fx = _fixture("wreath_reference.json")
-    for core in (0, 1):
-        for label, row in fx["wreath_size1"].items():
+    for core, key in GOLDEN_TABLES:
+        for label, row in fx["wreath_" + key].items():
             got = wreath_H(parse_bipartition(label), core).coeffs
             want = {parse_bipartition(b): RatFun.from_json(v) for b, v in row.items()}
             if got != want:
-                return False, f"size-1 family mismatch at {label} core {core}"
-    for core, key in ((0, "wreath_core0_size2"), (1, "wreath_core1_size2")):
-        for label, row in fx[key].items():
-            got = wreath_H(parse_bipartition(label), core).coeffs
-            want = {parse_bipartition(b): RatFun.from_json(v) for b, v in row.items()}
-            if got != want:
-                return False, f"size-2 family mismatch at {label} core {core}"
+                return False, f"{key} family mismatch at {label} core {core}"
     return True, "degree-1 and degree-2 families, both cores"
 
 
 def c02_pairing_golden_tables():
     fx = _fixture("wreath_reference.json")
-    for core in (0, 1):
-        for label, value in fx["pair_size1"].items():
+    for core, key in GOLDEN_TABLES:
+        for label, value in fx["pair_" + key].items():
             if wreath_N(parse_bipartition(label), core).total != RatFun.from_json(value):
-                return False, f"size-1 pairing mismatch at {label} core {core}"
-    for core, key in ((0, "pair_core0_size2"), (1, "pair_core1_size2")):
-        for label, value in fx[key].items():
-            if wreath_N(parse_bipartition(label), core).total != RatFun.from_json(value):
-                return False, f"size-2 pairing mismatch at {label} core {core}"
+                return False, f"{key} pairing mismatch at {label} core {core}"
     mac = fx["macdonald_deg2"]
     for label, row in mac["H"].items():
         got = macdonald_H(parse_partition(label)).coeffs
@@ -192,86 +186,63 @@ def c07_finite_field_oracle():
     return True, "rank-2 counts at q=7, q=13 and the rank-1 torus grid"
 
 
-def _scalar_eval(lam, c: RatFun) -> RatFun:
-    """s_lam evaluated on the scalar alphabet c: s_lam[cZ] paired with
-    h_n = s_(n), since <p_mu, h_n> = 1 for every mu of size n."""
-    h_n = SymFunc1.basis_elem("s", ((sum(lam),) if lam else (),))
-    return SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(c).hall_inner(h_n)
+def _principal(cls, b) -> tuple:
+    """s_b[PX] in the Schur basis of ``cls``, and <s_b[PX], s_top>, its
+    coefficient at the one-row Schur function that ``triangular_family``
+    normalises on.  P = (I - qK)^(-1) scales p^+_r by 1/(1 - q^r) and p^-_r
+    by 1/(1 + q^r), the inverses of ``macdonald._image_tables``' channels."""
+    schur, q, n = cls.BASES[0], RatFun.var(0), sum(map(sum, b))
+    P = ((1 - q).inverse(), (1 + q).inverse())[: cls.ALPHABETS]
+    sPX = cls.basis_elem(schur, b).alphabet_substitute(*P).to_basis(schur)
+    return sPX, sPX.coeffs[((n,) if n else (),) + ((),) * (cls.ALPHABETS - 1)]
 
 
-def _map_coeffs(f: SymFunc2, op) -> SymFunc2:
-    """The function with ``op`` applied to each coefficient, compared as a
-    function: a coefficient that ``op`` sends to zero is dropped."""
-    return SymFunc2(f.basis, {key: op(c) for key, c in f.coeffs.items()})
+T_INV_Q = (1, 0, -1, 0)  # t -> 1/q
+Q_TO_Z2 = (2, 0, 0, 0)  # q -> z^2
+
+# the families of the t = 1/q lemma: name, class, largest size checked, and
+# the function H and the self-pairing N of a label
+LEMMA_FAMILIES = (
+    ("Macdonald", SymFunc1, 6, lambda b: macdonald_H(*b), lambda b: hook_product(*b, PAIRING_QT)),
+    ("wreath core 0", SymFunc2, 4, lambda b: wreath_H(b, 0), lambda b: wreath_N(b, 0).total),
+    ("wreath core 1", SymFunc2, 4, lambda b: wreath_H(b, 1), lambda b: wreath_N(b, 1).total),
+)
 
 
 def c08_specialization_lemmas():
-    q = RatFun.var(0)
-    one = RatFun.one()
-    inv1mq = (one - q).inverse()
-    t_to_qinv = (1, 0, -1, 0)
-    # Macdonald specializations, sizes <= 2
-    for n in range(3):
-        for lam in partition_list(n):
-            f = _scalar_eval(lam, inv1mq).inverse()
-            H = macdonald_H(lam)
-            lhs = {k: c.monomial_map(t_to_qinv) for k, c in H.coeffs.items()}
-            srat = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(inv1mq).to_basis("s")
-            rhs = {k: c * f for k, c in srat.coeffs.items() if not (c * f).is_zero()}
-            if lhs != rhs:
-                return False, f"Macdonald t=1/q specialization fails at {lam}"
-            pairing = hook_product(lam, PAIRING_QT)
-            if pairing.monomial_map(t_to_qinv) != RatFun.monomial((-n, 0)) * f * f:
-                return False, f"Macdonald pairing specialization fails at {lam}"
-    # wreath specializations, sizes <= 2, both cores
-    inv1mq2 = (one - q * q).inverse()
-    P = (inv1mq, (one + q).inverse())  # (I - qK)^(-1) on p^+_r and on p^-_r
-    for n in range(3):
-        for bp in bipartition_list(n):
-            f = (
-                _scalar_eval(bp[0], inv1mq2) * _scalar_eval(bp[1], q * inv1mq2)
-            ).inverse()
-            sPX = SymFunc2.basis_elem("s2", bp).alphabet_substitute(*P).to_basis("s2")
-            for core in (0, 1):
-                H = wreath_H(bp, core)
-                lhs = {k: c.monomial_map(t_to_qinv) for k, c in H.coeffs.items()}
-                rhs = {
-                    k: c * f for k, c in sPX.coeffs.items() if not (c * f).is_zero()
-                }
-                if lhs != rhs:
-                    return False, f"wreath t=1/q specialization fails at {bp} core {core}"
-                total = wreath_N(bp, core).total
-                if total.monomial_map(t_to_qinv) != RatFun.monomial((-n, 0)) * f * f:
-                    return False, f"wreath pairing specialization fails at {bp} core {core}"
-    # termwise series specialization at z = sqrt(q), w = 1/sqrt(q), read in
-    # z: t_to_qinv sends z^a w^b to z^(a - b), and q_to_z2 the one-parameter
-    # side from q to z (q -> z^2 is injective)
-    q_to_z2 = (2, 0, 0, 0)
+    # with f = <s_b[PX], s_top>, f H at t = 1/q is s_b[PX] and f^2 N at
+    # t = 1/q is q^(-n)
+    for name, cls, size, H, N in LEMMA_FAMILIES:
+        for n in range(size + 1):
+            for b in schur_indices(cls.ALPHABETS, n):
+                sPX, f = _principal(cls, b)
+                lhs = {key: c.monomial_map(T_INV_Q) * f for key, c in H(b).coeffs.items()}
+                if lhs != sPX.coeffs:
+                    return False, f"{name} t=1/q specialization fails at {b}"
+                if N(b).monomial_map(T_INV_Q) * f * f != RatFun.monomial((-n, 0)):
+                    return False, f"{name} pairing specialization fails at {b}"
+    # termwise series specialisation, sizes <= 2, at z = sqrt(q), w = 1/sqrt(q)
+    # read in z: T_INV_Q sends z^a w^b to z^(a - b), and Q_TO_Z2 the
+    # one-parameter side from q to z (q -> z^2 is injective)
     for g, k in ((0, 1), (0, 2), (1, 1)):
+        series = []
         for core in (0, 1):
-            two = {t.index: t for t in wreath_series_terms(core, g, k, 2)}
-            onep = {t.index: t for t in one_param_wreath_terms(core, g, k, 2)}
-            for bp, term in two.items():
-                f = (
-                    _scalar_eval(bp[0], inv1mq2) * _scalar_eval(bp[1], q * inv1mq2)
-                ).inverse()
-                lhs = term.coeff.monomial_map(t_to_qinv) * f.monomial_map(q_to_z2) ** (2 * k)
-                if lhs != onep[bp].coeff.monomial_map(q_to_z2):
-                    return False, f"series coefficient fails at {bp} core {core} g={g} k={k}"
-                spec_factor = _map_coeffs(term.factor, lambda c: c.monomial_map(t_to_qinv))
-                if spec_factor != _map_coeffs(onep[bp].factor, lambda c: c * f):
-                    return False, f"series factor fails at {bp} core {core} g={g} k={k}"
-        two = {t.index: t for t in star_series_terms(g, k, 2)}
-        onep = {t.index: t for t in one_param_star_terms(g, k, 2)}
-        for lam, term in two.items():
-            f = _scalar_eval(lam, inv1mq).inverse()
-            lhs = term.coeff.monomial_map(t_to_qinv) * f.monomial_map(q_to_z2) ** (2 * k)
-            if lhs != onep[lam].coeff.monomial_map(q_to_z2):
-                return False, f"diagonal series coefficient fails at {lam} g={g} k={k}"
-            spec_factor = _map_coeffs(term.factor, lambda c: c.monomial_map(t_to_qinv))
-            if spec_factor != _map_coeffs(onep[lam].factor, lambda c: c * f):
-                return False, f"diagonal series factor fails at {lam} g={g} k={k}"
-    return True, "t=1/q lemmas and termwise series specialization, sizes <= 2"
+            two, onep = wreath_series_terms(core, g, k, 2), one_param_wreath_terms(core, g, k, 2)
+            series.append((f"wreath core {core}", SymFunc2, two, onep))
+        series.append(("star", SymFunc1, star_series_terms(g, k, 2), one_param_star_terms(g, k, 2)))
+        for name, cls, two, onep in series:
+            onep = {term.index: term for term in onep}
+            for term in two:
+                ref = onep[term.index]
+                _, f = _principal(cls, term.index if cls is SymFunc2 else (term.index,))
+                want = (ref.coeff * f ** (2 * k)).monomial_map(Q_TO_Z2)
+                if term.coeff.monomial_map(T_INV_Q) != want:
+                    return False, f"{name} series coefficient fails at {term.index} g={g} k={k}"
+                # the constructor drops a coefficient that vanishes at t = 1/q
+                lhs = {key: c.monomial_map(T_INV_Q) * f for key, c in term.factor.coeffs.items()}
+                if SymFunc2(term.factor.basis, lhs).coeffs != ref.factor.coeffs:
+                    return False, f"{name} series factor fails at {term.index} g={g} k={k}"
+    return True, "t=1/q lemmas to size 6 (Macdonald), 4 (wreath, both cores); series to size 2"
 
 
 def c09_partition_identities():
@@ -280,8 +251,7 @@ def c09_partition_identities():
             total = sum(h for _, _, h in hooks(lam))
             if total != n + n_stat(lam) + n_stat(dual(lam)):
                 return False, f"hook-sum identity fails at {lam}"
-            q = RatFun.var(0)
-            f = _scalar_eval(lam, (RatFun.one() - q).inverse())
+            _, f = _principal(SymFunc1, (lam,))
             if f != RatFun.monomial((n_stat(lam), 0)) / hook_poly(lam):
                 return False, f"principal specialization fails at {lam}"
     for n in range(11):

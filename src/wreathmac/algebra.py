@@ -304,8 +304,9 @@ class RatFun:
 
     @classmethod
     def const(cls, c):
+        # a Fraction's numerator and denominator are coprime, the latter positive
         c = Fraction(c)
-        return cls(LaurentPoly.const(c.numerator), LaurentPoly.const(c.denominator))
+        return _signed(LaurentPoly.const(c.numerator), LaurentPoly.const(c.denominator))
 
     @classmethod
     def zero(cls):

@@ -26,7 +26,7 @@ from .wreath import wreath_H, wreath_N
 
 
 # The largest wreath Macdonald label size that a run may solve: rank 10 (size
-# 5) takes about 80 s in one process, and each size up multiplies the labels
+# 5) takes about 40 s in one process, and each size up multiplies the labels
 # and their solve times, so a larger one would run for hours.
 MAX_LABEL_SIZE = 5
 
@@ -138,7 +138,7 @@ def cmd_oracle(args) -> int:
                 print(f"non-generic input: {witness}", file=sys.stderr)
                 return 3
         count = count_points(args.n, args.g, args.q, eigenvalues)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
     payload: dict = {"q": args.q, "count": count}

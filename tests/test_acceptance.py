@@ -7,6 +7,7 @@ once, through ``run_criteria``, and every test reads that one run.
 
 import pytest
 
+from wreathmac import acceptance
 from wreathmac.acceptance import CRITERIA, run_criteria
 
 NAMES = [name for name, _ in CRITERIA]
@@ -27,3 +28,33 @@ def test_criterion(name, results):
 def test_runner_covers_all_criteria(results):
     assert [r.name for r in results] == NAMES
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize(
+    "name, at, detail",
+    [
+        ("macdonald_H", ((3, 2, 1),), "Macdonald t=1/q specialization fails at ((3, 2, 1),)"),
+        (
+            "wreath_H",
+            (((2,), (1, 1)), 1),
+            "wreath core 1 t=1/q specialization fails at ((2,), (1, 1))",
+        ),
+    ],
+    ids=["macdonald", "wreath-core-1"],
+)
+def test_c08_sees_a_wrong_coefficient_in_each_family(monkeypatch, name, at, detail):
+    # one Schur coefficient planted wrong at the largest size checked: the
+    # lemma loop reaches every family up to its size bound
+    real = getattr(acceptance, name)
+
+    def planted(*args):
+        H = real(*args)
+        if args != at:
+            return H
+        coeffs = dict(H.coeffs)
+        key = min(coeffs)
+        coeffs[key] = coeffs[key] + 1
+        return type(H)(H.basis, coeffs)
+
+    monkeypatch.setattr(acceptance, name, planted)
+    assert acceptance.c08_specialization_lemmas() == (False, detail)

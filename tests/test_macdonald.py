@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -21,6 +22,13 @@ q = RatFun.var(0)
 t = RatFun.var(1)
 one = RatFun.one()
 zero = RatFun.zero()
+
+
+def standard_tableaux(lam):
+    """f^lam by the hook-length formula."""
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+    hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+    return factorial(sum(lam)) // hooks
 
 
 def test_degree_2_expansions():
@@ -88,6 +96,14 @@ def test_t_inverse_specialization():
                 (-n, 0)
             ) * f * f
             assert f == hook_poly(lam) / RatFun.monomial((n_stat(lam), 0))
+
+
+def test_value_at_q_t_one():
+    # H~_lam(X; 1, 1) = p_1^n: the coefficient of s_mu is f^mu
+    for n in range(7):
+        want = {(mu,): standard_tableaux(mu) for mu in partition_list(n)}
+        for lam in partition_list(n):
+            assert {key: c.eval_at(1, 1) for key, c in macdonald_H(lam).coeffs.items()} == want, lam
 
 
 def test_deformed_at_one():

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from math import comb, factorial, prod
 
 import pytest
 
@@ -12,6 +13,13 @@ from wreathmac.wreath import wreath_H, wreath_N
 q = RatFun.var(0)
 t = RatFun.var(1)
 one = RatFun.one()
+
+
+def standard_tableaux(lam):
+    """f^lam by the hook-length formula."""
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+    hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+    return factorial(sum(lam)) // hooks
 
 
 def load_reference():
@@ -109,6 +117,20 @@ def test_schur_positivity(core):
             for coeff in wreath_H(bp, core).coeffs.values():
                 assert len(coeff.den.terms) == 1  # Laurent monomial denominator
                 assert all(v > 0 for v in coeff.num.terms.values())
+
+
+@pytest.mark.parametrize("core", [0, 1])
+def test_value_at_q_t_one(core):
+    # H(X; 1, 1) = (p^+_1)^n: the coefficient of s_(lam0, lam1) is
+    # binom(n, |lam0|) f^lam0 f^lam1
+    for n in range(5):
+        want = {
+            (a, b): comb(n, sum(a)) * standard_tableaux(a) * standard_tableaux(b)
+            for a, b in bipartition_list(n)
+        }
+        for bp in bipartition_list(n):
+            got = {key: c.eval_at(1, 1) for key, c in wreath_H(bp, core).coeffs.items()}
+            assert got == want, bp
 
 
 @pytest.mark.parametrize("core", [0, 1])
