@@ -21,12 +21,12 @@ from functools import lru_cache
 from .algebra import ZW
 from .classtypes import parse_simple_type
 from .hodge import CONJECTURE_KEYS, ProblemSpec, compute_hodge, dimension, e_polynomial, mixed_hodge
-from .partitions import bipartition_list, bipartition_str
+from .partitions import PAIRING_QT, bipartition_list, bipartition_str, brace, hook_product
 from .wreath import wreath_H, wreath_N
 
 
 # The largest wreath Macdonald label size that a run may solve: rank 10 (size
-# 5) takes about 40 s in one process, and each size up multiplies the labels
+# 5) takes about 23 s in one process, and each size up multiplies the labels
 # and their solve times, so a larger one would run for hours.
 MAX_LABEL_SIZE = 5
 
@@ -177,9 +177,9 @@ def cmd_wreath_mac(args) -> int:
         return 3
     family = {}
     for bp in bipartition_list(args.size):
-        H = wreath_H(bp, args.core)
-        P = wreath_N(bp, args.core)
-        family[bipartition_str(bp)] = (H, P)
+        total = wreath_N(bp, args.core)
+        cot = hook_product(brace(bp, args.core), PAIRING_QT, even_only=True)
+        family[bipartition_str(bp)] = (wreath_H(bp, args.core), total, cot, total / cot)
     if args.json:
         payload = {
             "size": args.size,
@@ -190,21 +190,21 @@ def cmd_wreath_mac(args) -> int:
                         bipartition_str(b): c.to_json()
                         for b, c in sorted(H.coeffs.items())
                     },
-                    "pairing": P.total.to_json(),
-                    "pairing_cot": P.cot_at_one.to_json(),
-                    "pairing_nabla": P.nabla.to_json(),
+                    "pairing": total.to_json(),
+                    "pairing_cot": cot.to_json(),
+                    "pairing_nabla": nabla.to_json(),
                 }
-                for label, (H, P) in family.items()
+                for label, (H, total, cot, nabla) in family.items()
             },
         }
         print(_dump(payload))
     else:
-        for label, (H, P) in family.items():
+        for label, (H, total, _, nabla) in family.items():
             print(f"H[{label}]:")
             for b, c in sorted(H.coeffs.items()):
                 print(f"  s{bipartition_str(b)} * ({c.text()})")
-            print(f"  pairing = {P.total.text()}")
-            print(f"  nabla   = {P.nabla.text()}")
+            print(f"  pairing = {total.text()}")
+            print(f"  nabla   = {nabla.text()}")
     return 0
 
 

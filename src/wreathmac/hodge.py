@@ -15,7 +15,7 @@ coefficients, so its pairing with every row is an integer dot product of
 those numerators; the column of these pairings is memoised per type and
 reduced once, over one common denominator.  A class tuple then sums each
 group as polynomials and normalises it once; only the groups meet in
-``RatFun`` addition.
+``RatFun`` addition, pairwise in a balanced tree.
 
 The E-polynomial and the mixed Hodge polynomial are two readings of the
 two-variable polynomial H(z, w), as in Hausel, Letellier and
@@ -194,13 +194,14 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
 
     The rows that share a coefficient denominator ``d`` are summed as
     polynomials over ``d`` times the product of the class lcms, so each
-    group is normalised once and only the groups meet in ``RatFun`` ``+``."""
+    group is normalised once and only the groups meet in ``RatFun`` ``+``,
+    pairwise in a balanced tree: each sum adds operands of like size."""
     g, k, n = spec.g, spec.k, spec.n
     (first, den), *rest = [_class_column(route, g, k, n, beta) for beta in spec.classes]
     for _, column_den in rest:
         den = den * column_den
     _, groups = _pairing_rows(route, g, k, n)
-    total = RatFun.zero()
+    parts = []
     i = 0
     for d, rows in groups:
         group = LaurentPoly.zero()
@@ -216,8 +217,10 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
             if not value.is_zero():
                 group = group + value * num
         if not group.is_zero():
-            total = total + RatFun(group, d * den)
-    return total
+            parts.append(RatFun(group, d * den))
+    while len(parts) > 1:  # neighbours in pairs; an odd last one rises alone
+        parts = [sum(parts[j + 1 : j + 2], parts[j]) for j in range(0, len(parts), 2)]
+    return parts[0] if parts else RatFun.zero()
 
 
 def _triples(first, second, inverted, target: int):

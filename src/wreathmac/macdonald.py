@@ -71,15 +71,19 @@ def triangular_family(cls, label, order):
     return cls(cls.BASES[0], {b: c for b, c in zip(basis, sol) if not c.is_zero()})
 
 
-def pair_member(cls, label, order, cached):
-    """The ``cls`` function of ``label`` by the pair rule: of a label and its
-    dual, only the one whose ``order`` image has the smaller n-statistic
-    (ties to the smaller label) is solved by ``triangular_family``; the other
-    is read off it, ``cached`` (the family's memoized entry point) applied to
-    the dual, with q and t exchanged."""
+def reads_dual(label, order) -> bool:
+    """The pair rule: of a label and its dual, the one whose ``order`` image
+    has the smaller n-statistic (ties to the smaller label) is solved."""
     dual = dual_index(label)
-    if (n_stat(order(dual)), dual) < (n_stat(order(label)), label):
-        solved = cached(dual).coeffs
+    return (n_stat(order(dual)), dual) < (n_stat(order(label)), label)
+
+
+def pair_member(cls, label, order, cached):
+    """The ``cls`` function of ``label``: ``triangular_family`` solves the
+    member of the pair that ``reads_dual`` picks, and the other is read off
+    it, ``cached`` (the family's memoized entry) at the dual, q <-> t."""
+    if reads_dual(label, order):
+        solved = cached(dual_index(label)).coeffs
         return cls(cls.BASES[0], {b: c.monomial_map(SWAP_VARS) for b, c in solved.items()})
     return triangular_family(cls, label, order)
 

@@ -112,17 +112,10 @@ def hooks(lam: Partition) -> list[tuple[int, int, int]]:
     return out
 
 
-def hook_poly(lam: Partition) -> RatFun:
-    """prod over boxes of (1 - q^hook), in the (q, t) coefficient field."""
-    out = LaurentPoly.const(1)
-    for _, _, h in hooks(lam):
-        out = out * (LaurentPoly.const(1) - LaurentPoly.monomial((h, 0)))
-    return RatFun.from_poly(out)
-
-
 # variable maps for ``hook_product``: the exponent vectors of u, q and t in
 # the two variables of the result, (q, t) or (z, w)
 PAIRING_QT = ((0, 0), (1, 0), (0, 1))  # u = 1
+PAIRING_T_INV_Q = ((0, 0), (1, 0), (-1, 0))  # u = 1, t = 1/q
 DEFORMED_ZW = ((1, 1), (2, 0), (0, 2))  # u = z*w, q = z^2, t = w^2
 # a value over (q, t) read at q = z^2, t = w^2, as a ``monomial_map``
 QT_AT_ZW = (2, 0, 0, 2)
@@ -137,6 +130,9 @@ def hook_product(lam: Partition, vmap, even_only: bool = False) -> RatFun:
 
     At u = 1 this is the Macdonald self-pairing N_lam(q, t); at u = z*w,
     q = z^2, t = w^2 it is the deformed pairing of the two-variable series.
+    At u = 1, t = 1/q each box gives q^(-2l-1) (1 - q^h)^2, so
+    N_lam(q, 1/q) = q^(-2n(lam)-|lam|) prod (1 - q^h)^2, the hook
+    polynomial of the one-parameter series.
     """
     u, q, t = vmap
 

@@ -7,8 +7,9 @@ is held in power sums, with its coefficients over (q, t).  A two-parameter
 term's coefficient lives over (z, w): it substitutes u = z*w, q = z^2,
 t = w^2 into the (deformed) self-pairings; its factor is the (wreath)
 Macdonald polynomial, and the pairing against the classes reads q = z^2,
-t = w^2 afterwards.  The one-parameter terms over q use hook-polynomial
-coefficients and plethystic Schur factors.
+t = w^2 afterwards.  The one-parameter terms over q read the self-pairings
+at u = 1, t = 1/q, where they are hook polynomials, and their factor is the
+principal specialisation s_a[PX] (``principal_schur``).
 
 Term generation is independent per index; lists are ordered by index.
 """
@@ -24,12 +25,11 @@ from .macdonald import macdonald_H
 from .partitions import (
     DEFORMED_ZW,
     PAIRING_QT,
+    PAIRING_T_INV_Q,
     QT_AT_ZW,
     bipartition_list,
     brace,
-    hook_poly,
     hook_product,
-    n_stat,
     partition_list,
 )
 from .symfunc import SymFunc1, SymFunc2, on_merged_alphabet
@@ -60,11 +60,13 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
         for bp in bipartition_list(n):
             lam = brace(bp, core)
             num = hook_product(lam, DEFORMED_ZW) ** (g + k - 1)
-            pairing = wreath_N(bp, core)
-            den = pairing.total.monomial_map(QT_AT_ZW)
+            total = wreath_N(bp, core)
+            den = total.monomial_map(QT_AT_ZW)
             if k > 1:
+                # Ntilde(zw, z^2, w^2): the pairing with its cotangent factor deformed
+                nabla = total / hook_product(lam, PAIRING_QT, even_only=True)
                 cot = hook_product(lam, DEFORMED_ZW, even_only=True)
-                den = den * (pairing.nabla.monomial_map(QT_AT_ZW) * cot) ** (k - 1)
+                den = den * (nabla.monomial_map(QT_AT_ZW) * cot) ** (k - 1)
             out.append(SeriesTerm(bp, n, num / den, wreath_H(bp, core).to_basis("w")))
     return out
 
@@ -114,39 +116,35 @@ def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
 # one-parameter series
 
 
-def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
-    """q-series terms: coefficient q^(k|a|) q^((1-g-k)|brace|) times
-    (hook(brace) q^(-n(brace)))^(2g+2k-2); factor s_a(P X), where
-    P = (I - qK)^(-1) scales p^+_r by 1/(1 - q^r) and p^-_r by 1/(1 + q^r)."""
+def principal_schur(cls, b):
+    """s_b[PX] in the power basis of ``cls``: P = (I - qK)^(-1) scales p^+_r
+    by 1/(1 - q^r) and p^-_r by 1/(1 + q^r) (one alphabet has p^+ alone),
+    the inverses of the channels of ``macdonald._image_tables``."""
     q = RatFun.var(0)
-    P = ((1 - q).inverse(), (1 + q).inverse())
+    P = ((1 - q).inverse(), (1 + q).inverse())[: cls.ALPHABETS]
+    return cls.basis_elem(cls.BASES[0], b).alphabet_substitute(*P)
+
+
+def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
+    """q-series terms: coefficient q^(k|a|) N_brace(q, 1/q)^(g+k-1), where
+    N_brace(q, 1/q) = q^(-2n(brace)-|brace|) prod (1 - q^hook)^2; factor
+    s_a[PX]."""
+    q = RatFun.var(0)
     out = []
     for n in range(maxdeg + 1):
         for bp in bipartition_list(n):
-            lam = brace(bp, core)
-            m = sum(lam)
-            coeff = (
-                q ** (k * n)
-                * q ** ((1 - g - k) * m)
-                * (hook_poly(lam) * q ** (-n_stat(lam))) ** (2 * g + 2 * k - 2)
-            )
-            factor = SymFunc2.basis_elem("s2", bp).alphabet_substitute(*P)
-            out.append(SeriesTerm(bp, n, coeff, factor))
+            coeff = q ** (k * n) * hook_product(brace(bp, core), PAIRING_T_INV_Q) ** (g + k - 1)
+            out.append(SeriesTerm(bp, n, coeff, principal_schur(SymFunc2, bp)))
     return out
 
 
 def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
-    """q-series terms: coefficient q^((2-2g-k)|a|) times
-    (hook(a)^2 q^(-2n(a)))^(2g+2k-2); factor s_a[(x0+x1)/(1-q)]."""
+    """q-series terms: coefficient q^(k|a|) N_a(q, 1/q)^(2g+2k-2); factor
+    s_a[(x0+x1)/(1-q)], s_a[PX] on the merged alphabet."""
     q = RatFun.var(0)
-    inv1mq = (RatFun.one() - q).inverse()
     out = []
     for n in range(maxdeg + 1):
         for lam in partition_list(n):
-            coeff = (
-                q ** ((2 - 2 * g - k) * n)
-                * (hook_poly(lam) ** 2 * q ** (-2 * n_stat(lam))) ** (2 * g + 2 * k - 2)
-            )
-            factor = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(inv1mq)
-            out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(factor)))
+            coeff = q ** (k * n) * hook_product(lam, PAIRING_T_INV_Q) ** (2 * g + 2 * k - 2)
+            out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(principal_schur(SymFunc1, (lam,)))))
     return out

@@ -1,6 +1,5 @@
 """Wreath Macdonald polynomials for the rank-2 wreath product at a fixed
-2-core, and the total / cotangent / nabla decomposition of their
-self-pairings.
+2-core, and their self-pairings.
 
 For a fixed core e in {0, 1}, the family indexed by 2-partitions of N is
 the two-alphabet case of ``macdonald.triangular_family``, with the labels
@@ -13,40 +12,37 @@ fails loudly unless the solution is unique.  ``wreath_H`` solves one member
 of each q<->t dual pair and reads the other off it
 (``macdonald.pair_member``).
 
-Total self-pairings are computed from ``macdonald.qt_inner``, never from a
-closed formula; the nabla factor is recorded as the exact quotient by the
-even-hook cotangent product and kept as a rational function.
+Self-pairings are computed from ``macdonald.qt_inner``, never from a closed
+formula, for the member of each dual pair that ``wreath_H`` solves: the
+twist of ``qt_inner`` is symmetric in q and t, so the dual's pairing is that
+one with q and t exchanged.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
-from .macdonald import pair_member, qt_inner
-from .partitions import PAIRING_QT, BiPartition, brace, hook_product
+from .algebra import RatFun
+from .macdonald import pair_member, qt_inner, reads_dual
+from .partitions import SWAP_VARS, BiPartition, brace, dual_index
 from .symfunc import SymFunc2
 
 
-class PairingData(namedtuple("PairingData", "total cot_at_one nabla")):
-    # total: <H, H> under the (q, t) inner product
-    # cot_at_one: even-hook product at u = 1
-    # nabla: total / cot_at_one, exact quotient
-    __slots__ = ()
+def _order(core: int):
+    return lambda index: brace(index, core)
 
 
 @lru_cache(maxsize=None)
 def wreath_H(alpha: BiPartition, core: int) -> SymFunc2:
     """The Schur expansion of the wreath Macdonald polynomial of alpha at the
     given 2-core, over Q(q, t)."""
-    return pair_member(
-        SymFunc2, alpha, lambda index: brace(index, core), lambda dual: wreath_H(dual, core)
-    )
+    return pair_member(SymFunc2, alpha, _order(core), lambda dual: wreath_H(dual, core))
 
 
 @lru_cache(maxsize=None)
-def wreath_N(alpha: BiPartition, core: int) -> PairingData:
+def wreath_N(alpha: BiPartition, core: int) -> RatFun:
+    """<H, H> under the (q, t) inner product, H = ``wreath_H(alpha, core)``."""
+    if reads_dual(alpha, _order(core)):
+        return wreath_N(dual_index(alpha), core).monomial_map(SWAP_VARS)
     H = wreath_H(alpha, core)
-    total = qt_inner(H, H)
-    cot1 = hook_product(brace(alpha, core), PAIRING_QT, even_only=True)
-    return PairingData(total, cot1, total / cot1)
+    return qt_inner(H, H)

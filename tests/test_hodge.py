@@ -421,3 +421,50 @@ def test_grouped_sum_equals_plain_fold(g, k, n, tuples):
             assert value == reference_pairing(spec, route), (classes, route)
             if classes == NON_POLYNOMIAL and route == ZW:
                 assert not value.is_polynomial()
+
+
+# a prime near 2^61: a wrong join differs from the row sum at a random point
+# modulo it with probability about (degree) / 2^61
+PRIME = 2**61 - 1
+
+
+def value_mod_prime(poly, point):
+    """A Laurent polynomial at ``point`` modulo ``PRIME``."""
+    x, y = point
+    return sum(c * pow(x, a, PRIME) * pow(y, b, PRIME) for (a, b), c in poly.terms.items()) % PRIME
+
+
+@pytest.mark.parametrize(
+    "g, k, n, classes",
+    [
+        (0, 2, 4, NON_POLYNOMIAL),
+        (0, 2, 4, ("0,0:1 1", "0,0:1 1", "2,0:", "2,0:")),
+        (1, 1, 4, ("1,0:1", "0,0:2")),
+        (0, 2, 5, ("0,0:1 1", "1,0:1", "2,0:", "2,0:")),
+        (0, 2, 6, ("1,0:2", "0,0:1 1 1", "2,1:", "3,0:")),
+        (0, 2, 6, ("0,0:1 1 1", "0,0:1 1 1", "3,0:", "3,0:")),
+    ],
+)
+def test_pairing_sum_at_a_point_modulo_a_prime(rng, g, k, n, classes):
+    # the join of the groups checked without it and without RatFun +: every
+    # row of ``_pairing_rows``, its coefficient numerator times its class
+    # numerators over its denominators, summed at a random point mod PRIME
+    spec = ProblemSpec(g, k, n, tuple(pt(c) for c in classes))
+    for route in (ZW, QT):
+        point = (rng.randrange(2, PRIME), rng.randrange(2, PRIME))
+
+        def at(poly):
+            return value_mod_prime(poly, point)
+
+        columns = [hodge._class_column(route, g, k, n, beta) for beta in spec.classes]
+        _, groups = hodge._pairing_rows(route, g, k, n)
+        total, i = 0, 0
+        for d, rows in groups:
+            for num, _ in rows:
+                top, bottom = at(num), at(d)
+                for nums, lcm in columns:
+                    top, bottom = top * at(nums[i]) % PRIME, bottom * at(lcm) % PRIME
+                total += top * pow(bottom, -1, PRIME)
+                i += 1
+        value = hodge._pair_against_classes(spec, route)
+        assert total % PRIME == at(value.num) * pow(at(value.den), -1, PRIME) % PRIME, route

@@ -1,11 +1,12 @@
 import pytest
 
 from wreathmac.partitions import (
+    PAIRING_T_INV_Q,
     bipartition_list,
     brace,
     dominance_geq,
     dual,
-    hook_poly,
+    hook_product,
     hooks,
     n_stat,
     parse_bipartition,
@@ -77,8 +78,17 @@ def test_hooks():
 def test_hook_poly_and_stats():
     from wreathmac.algebra import RatFun
 
+    # the hook polynomial prod (1 - q^hook), squared, is the self-pairing at
+    # u = 1, t = 1/q up to the power q^(-2n(lam)-|lam|)
     q = RatFun.var(0)
-    assert hook_poly((1,)) == 1 - q
+    assert hook_product((1,), PAIRING_T_INV_Q) == (1 - q) ** 2 / q
+    for n in range(9):
+        for lam in partitions_of(n):
+            hook_poly = RatFun.one()
+            for *_, h in hooks(lam):
+                hook_poly = hook_poly * (1 - q**h)
+            want = q ** (-2 * n_stat(lam) - n) * hook_poly**2
+            assert hook_product(lam, PAIRING_T_INV_Q) == want, lam
     assert n_stat((1, 1)) == 1
     assert n_stat((2,)) == 0
     assert dual((2, 1)) == (2, 1)

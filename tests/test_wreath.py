@@ -6,7 +6,14 @@ import pytest
 
 from wreathmac.algebra import RatFun
 from wreathmac.macdonald import qt_inner, triangular_family
-from wreathmac.partitions import bipartition_list, brace, dual_index, parse_bipartition
+from wreathmac.partitions import (
+    PAIRING_QT,
+    bipartition_list,
+    brace,
+    dual_index,
+    hook_product,
+    parse_bipartition,
+)
 from wreathmac.symfunc import SymFunc2
 from wreathmac.wreath import wreath_H, wreath_N
 
@@ -20,6 +27,13 @@ def standard_tableaux(lam):
     cols = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
     hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
     return factorial(sum(lam)) // hooks
+
+
+def nabla_and_cot(bp, core):
+    """The self-pairing over its even-hook (cotangent) factor at u = 1, and
+    that factor."""
+    cot = hook_product(brace(bp, core), PAIRING_QT, even_only=True)
+    return wreath_N(bp, core) / cot, cot
 
 
 def load_reference():
@@ -52,16 +66,26 @@ def test_degree_two_family(core, key):
 def test_pairings_size2(core, key):
     fixture = load_reference()[key]
     for label, value in fixture.items():
-        assert wreath_N(parse_bipartition(label), core).total == RatFun.from_json(value)
+        assert wreath_N(parse_bipartition(label), core) == RatFun.from_json(value)
 
 
 def test_pairings_size1():
-    assert wreath_N(((1,), ()), 0).total == (q**2 - 1) * (q - t)
-    assert wreath_N(((), (1,)), 0).total == (t**2 - 1) * (t - q)
+    assert wreath_N(((1,), ()), 0) == (q**2 - 1) * (q - t)
+    assert wreath_N(((), (1,)), 0) == (t**2 - 1) * (t - q)
     # nabla is trivial in degree 1 and the cotangent factor carries the u
-    nb = wreath_N(((1,), ()), 0)
-    assert nb.nabla == one
-    assert nb.cot_at_one == nb.total
+    nabla, cot = nabla_and_cot(((1,), ()), 0)
+    assert nabla == one
+    assert cot == wreath_N(((1,), ()), 0)
+
+
+@pytest.mark.parametrize("core", [0, 1])
+def test_pairing_is_qt_inner_at_both_members(core):
+    # wreath_N reads one member of each dual pair off the other; here each
+    # member's pairing is its own qt_inner call
+    for n in range(4):
+        for bp in bipartition_list(n):
+            H = wreath_H(bp, core)
+            assert wreath_N(bp, core) == qt_inner(H, H), bp
 
 
 def test_qt_inner_examples():
@@ -76,23 +100,27 @@ def test_qt_inner_examples():
     assert qt_inner(f, g) == qt_inner(g, f)
 
 
+def assert_orthogonal(n, core):
+    labels = bipartition_list(n)
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            assert qt_inner(wreath_H(a, core), wreath_H(b, core)).is_zero(), (a, b)
+
+
 @pytest.mark.parametrize("core", [0, 1])
 def test_orthogonality_sizes_up_to_2(core):
     for n in range(3):
-        labels = bipartition_list(n)
-        for i, a in enumerate(labels):
-            for b in labels[i + 1 :]:
-                v = qt_inner(wreath_H(a, core), wreath_H(b, core))
-                assert v.is_zero(), (a, b)
+        assert_orthogonal(n, core)
 
 
 @pytest.mark.parametrize("core", [0, 1])
 def test_orthogonality_size_3_stretch(core):
-    labels = bipartition_list(3)
-    fams = {bp: wreath_H(bp, core) for bp in labels}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            assert qt_inner(fams[a], fams[b]).is_zero(), (a, b)
+    assert_orthogonal(3, core)
+
+
+@pytest.mark.parametrize("core", [0, 1])
+def test_orthogonality_size_4(core):
+    assert_orthogonal(4, core)
 
 
 @pytest.mark.parametrize("core", [0, 1])
@@ -112,7 +140,7 @@ def test_parameter_swap_is_label_dual(core):
 
 @pytest.mark.parametrize("core", [0, 1])
 def test_schur_positivity(core):
-    for n in range(4):
+    for n in range(5):
         for bp in bipartition_list(n):
             for coeff in wreath_H(bp, core).coeffs.values():
                 assert len(coeff.den.terms) == 1  # Laurent monomial denominator
@@ -135,15 +163,17 @@ def test_value_at_q_t_one(core):
 
 @pytest.mark.parametrize("core", [0, 1])
 def test_total_equals_nabla_times_cot(core):
-    for n in range(3):
+    # the pairing is its cotangent factor times a Laurent monomial, so the
+    # series divides by nabla at the cost of one monomial
+    for n in range(5):
         for bp in bipartition_list(n):
-            p = wreath_N(bp, core)
-            assert p.nabla * p.cot_at_one == p.total
+            nabla, _ = nabla_and_cot(bp, core)
+            assert len(nabla.num.terms) == len(nabla.den.terms) == 1, bp
 
 
 def test_nabla_values_size2():
     # the non-trivial nabla factors are monomials
-    assert wreath_N(((1, 1), ()), 0).nabla == (t**2).inverse()
-    assert wreath_N(((), (2,)), 0).nabla == (q**2).inverse()
-    assert wreath_N(((1, 1), ()), 1).nabla == (q**2).inverse()
-    assert wreath_N(((), (2,)), 1).nabla == (t**2).inverse()
+    assert nabla_and_cot(((1, 1), ()), 0)[0] == (t**2).inverse()
+    assert nabla_and_cot(((), (2,)), 0)[0] == (q**2).inverse()
+    assert nabla_and_cot(((1, 1), ()), 1)[0] == (q**2).inverse()
+    assert nabla_and_cot(((), (2,)), 1)[0] == (t**2).inverse()
