@@ -84,7 +84,7 @@ def c02_pairing_golden_tables():
                 return False, f"{key} pairing mismatch at {label} core {core}"
     mac = fx["macdonald_deg2"]
     for label, row in mac["H"].items():
-        got = macdonald_H(parse_partition(label)).coeffs
+        got = macdonald_H((parse_partition(label),)).coeffs
         want = {(parse_partition(b),): RatFun.from_json(v) for b, v in row.items()}
         if got != want:
             return False, f"Macdonald expansion mismatch at {label}"
@@ -93,7 +93,7 @@ def c02_pairing_golden_tables():
         want = RatFun.from_json(value)
         if hook_product(lam, PAIRING_QT) != want:
             return False, f"Macdonald hook pairing mismatch at {label}"
-        H = macdonald_H(lam)
+        H = macdonald_H((lam,))
         if qt_inner(H, H) != want:
             return False, f"Macdonald self-pairing mismatch at {label}"
     return True, "pairings incl. the core-1 label exchange; Macdonald degree 2"
@@ -192,8 +192,8 @@ def _principal(cls, b) -> tuple:
     coefficient at the one-row Schur function that ``triangular_family``
     normalises on."""
     n = sum(map(sum, b))
-    sPX = principal_schur(cls, b).to_basis(cls.BASES[0])
-    return sPX, sPX.coeffs[((n,) if n else (),) + ((),) * (cls.ALPHABETS - 1)]
+    sPX = principal_schur(cls, b).to_basis(cls.SCHUR)
+    return sPX, sPX.coeffs[cls.one_row(n)]
 
 
 T_INV_Q = (1, 0, -1, 0)  # t -> 1/q
@@ -202,7 +202,7 @@ Q_TO_Z2 = (2, 0, 0, 0)  # q -> z^2
 # the families of the t = 1/q lemma: name, class, largest size checked, and
 # the function H and the self-pairing N of a label
 LEMMA_FAMILIES = (
-    ("Macdonald", SymFunc1, 6, lambda b: macdonald_H(*b), lambda b: hook_product(*b, PAIRING_QT)),
+    ("Macdonald", SymFunc1, 6, lambda b: macdonald_H(b), lambda b: hook_product(b[0], PAIRING_QT)),
     ("wreath core 0", SymFunc2, 4, lambda b: wreath_H(b, 0), lambda b: wreath_N(b, 0)),
     ("wreath core 1", SymFunc2, 4, lambda b: wreath_H(b, 1), lambda b: wreath_N(b, 1)),
 )
@@ -233,7 +233,7 @@ def c08_specialization_lemmas():
             onep = {term.index: term for term in onep}
             for term in two:
                 ref = onep[term.index]
-                _, f = _principal(cls, term.index if cls is SymFunc2 else (term.index,))
+                _, f = _principal(cls, term.index)
                 want = (ref.coeff * f ** (2 * k)).monomial_map(Q_TO_Z2)
                 if term.coeff.monomial_map(T_INV_Q) != want:
                     return False, f"{name} series coefficient fails at {term.index} g={g} k={k}"

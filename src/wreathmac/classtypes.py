@@ -46,10 +46,9 @@ def h_of_type(beta: SimpleType) -> SymFunc2:
     """Product of the complete symmetric functions dual to a simple type:
     h_(m_plus) and h_(m_minus) of the first alphabet, and the
     diagonal-alphabet h_(m) of each generic multiplicity m."""
-    def first_alphabet(m):
-        return SymFunc2.basis_elem("s2", ((m,) if m else (), ()))
-
-    out = first_alphabet(beta.m_plus) * first_alphabet(beta.m_minus)
+    schur = SymFunc2.SCHUR
+    out = SymFunc2.basis_elem(schur, SymFunc2.one_row(beta.m_plus))
+    out = out * SymFunc2.basis_elem(schur, SymFunc2.one_row(beta.m_minus))
     for m in beta.star:
-        out = out * on_merged_alphabet(SymFunc1.basis_elem("s", ((m,),)))
+        out = out * on_merged_alphabet(SymFunc1.basis_elem(schur, SymFunc1.one_row(m)))
     return out

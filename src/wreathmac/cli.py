@@ -148,9 +148,8 @@ def cmd_oracle(args) -> int:
         types = [parse_simple_type("0,0:")] * len(eigenvalues)
     else:
         types = [twisted_type(a, args.q) for a in eigenvalues]
-    if all(t.m_minus == 0 for t in types):
-        k = len(eigenvalues) // 2
-        spec = ProblemSpec(args.g, k, args.n, tuple(types))
+    spec = ProblemSpec(args.g, len(eigenvalues) // 2, args.n, tuple(types))
+    if spec.ccl_ok:
         e_poly, _ = e_polynomial(compute_hodge(spec))
         value = e_poly.eval_at(args.q, 0)
         payload["formula"] = int(value)

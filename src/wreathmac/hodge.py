@@ -129,8 +129,8 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     groups: dict[LaurentPoly, list] = {}
     for coeff, phi in rows:
         groups.setdefault(coeff.den, []).append((coeff.num, {mu: next(nums) for mu in phi}))
-    # the groups in order of growing denominator degree: the partial sums of
-    # ``_pair_against_classes`` then take the large denominators last
+    # the groups in order of growing denominator degree: the balanced tree of
+    # ``_pair_against_classes`` then joins neighbours of like size
     order = sorted(groups, key=lambda d: max(a + b for a, b in d.terms))
     return E, tuple((d, tuple(groups[d])) for d in order)
 

@@ -15,7 +15,7 @@ label and the order alone.  The Schur coefficients of the q-images are
 polynomials in q, so those of the t-images are them with q and t
 exchanged.  ``qt_inner`` pairs two functions of either family through the
 twist (q + t)I - (1 + qt)K = -K(I - qK)(I - tK).  ``macdonald_H`` solves
-the one-alphabet family, ordered by dominance, memoized per label;
+the one-alphabet family, ordered by dominance, memoized per index ``(lam,)``;
 ``wreath.wreath_H`` the other.  Exchanging q and t turns the system of a
 label into that of its dual, so both solve one member of each dual pair
 and read the other off it (``pair_member``); for Macdonald polynomials this
@@ -37,7 +37,7 @@ def _image_tables(cls, n: int) -> tuple[dict, dict]:
     """Schur coefficients of s_b[(I - qK)X] and of s_b[(I - tK)X] for each
     Schur index b of size n.  The first are polynomials in q alone, so the
     second are the first with q and t exchanged."""
-    schur, q = cls.BASES[0], RatFun.var(0)
+    schur, q = cls.SCHUR, RatFun.var(0)
     channels = (1 - q, 1 + q)[: cls.ALPHABETS]
     q_side = {
         b: cls.basis_elem(schur, b).alphabet_substitute(*channels).to_basis(schur).coeffs
@@ -64,11 +64,11 @@ def triangular_family(cls, label, order):
         for gamma in basis
         if not dominance_geq(order(gamma), bound)
     ]
-    top = ((n,) if n else (),) + ((),) * (cls.ALPHABETS - 1)
+    top = cls.one_row(n)
     rows.append([RatFun.one() if b == top else zero for b in basis])
     rhs = [zero] * (len(rows) - 1) + [RatFun.one()]
     sol = solve_unique(rows, rhs)
-    return cls(cls.BASES[0], {b: c for b, c in zip(basis, sol) if not c.is_zero()})
+    return cls(cls.SCHUR, {b: c for b, c in zip(basis, sol) if not c.is_zero()})
 
 
 def reads_dual(label, order) -> bool:
@@ -84,7 +84,7 @@ def pair_member(cls, label, order, cached):
     it, ``cached`` (the family's memoized entry) at the dual, q <-> t."""
     if reads_dual(label, order):
         solved = cached(dual_index(label)).coeffs
-        return cls(cls.BASES[0], {b: c.monomial_map(SWAP_VARS) for b, c in solved.items()})
+        return cls(cls.SCHUR, {b: c.monomial_map(SWAP_VARS) for b, c in solved.items()})
     return triangular_family(cls, label, order)
 
 
@@ -97,7 +97,7 @@ def qt_inner(f, g) -> RatFun:
 
 
 @lru_cache(maxsize=None)
-def macdonald_H(lam: Partition) -> SymFunc1:
-    """The Schur expansion of the modified Macdonald polynomial of lam, over
-    Q(q, t)."""
-    return pair_member(SymFunc1, (lam,), lambda index: index[0], lambda dual: macdonald_H(dual[0]))
+def macdonald_H(index: tuple[Partition]) -> SymFunc1:
+    """The Schur expansion of the modified Macdonald polynomial of the index
+    ``(lam,)``, over Q(q, t)."""
+    return pair_member(SymFunc1, index, lambda index: index[0], macdonald_H)

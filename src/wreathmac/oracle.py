@@ -43,9 +43,9 @@ def require_odd_prime(q: int) -> None:
 
 def require_countable(n: int, g: int, q: int, eigenvalues: list[int]) -> None:
     """ValueError, one message per rule, unless ``count_points`` can count:
-    q an odd prime, rank 1 or 2, g >= 0, a positive even number 2k of
-    punctures, and at rank 2 eigenvalues that are units mod q."""
-    require_odd_prime(q)
+    rank 1 or 2, g >= 0, a positive even number 2k of punctures, q an odd
+    prime (by trial division, so after those), and at rank 2 eigenvalues
+    that are units mod q."""
     if n not in (1, 2):
         raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={n}")
     if g < 0:
@@ -54,6 +54,7 @@ def require_countable(n: int, g: int, q: int, eigenvalues: list[int]) -> None:
         raise ValueError(
             f"--eigs must be given a positive even number of times (2k), not {len(eigenvalues)}"
         )
+    require_odd_prime(q)
     if n == 2 and any(a % q == 0 for a in eigenvalues):
         raise ValueError(f"eigenvalues must be units mod q={q}, not 0")
 

@@ -30,14 +30,13 @@ from .partitions import (
     bipartition_list,
     brace,
     hook_product,
-    partition_list,
 )
-from .symfunc import SymFunc1, SymFunc2, on_merged_alphabet
+from .symfunc import SymFunc1, SymFunc2, on_merged_alphabet, schur_indices
 from .wreath import wreath_H, wreath_N
 
 
 class SeriesTerm(namedtuple("SeriesTerm", "index size coeff factor")):
-    # index: BiPartition | Partition | tuple of Partitions (multiset)
+    # index: an index or a multiset of indices
     # size: the degree of the term
     # coeff: RatFun
     # factor: SymFunc2 in the power basis over (q, t), the same for every puncture
@@ -67,27 +66,28 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
                 nabla = total / hook_product(lam, PAIRING_QT, even_only=True)
                 cot = hook_product(lam, DEFORMED_ZW, even_only=True)
                 den = den * (nabla.monomial_map(QT_AT_ZW) * cot) ** (k - 1)
-            out.append(SeriesTerm(bp, n, num / den, wreath_H(bp, core).to_basis("w")))
+            out.append(SeriesTerm(bp, n, num / den, wreath_H(bp, core).to_basis(SymFunc2.POWER)))
     return out
 
 
 def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
-    """Terms indexed by partitions: coefficient
+    """Terms indexed by the one-alphabet indices (lam,): coefficient
     N(zw, z^2, w^2)^(2g+k-1) / N(z^2, w^2), factor the Macdonald polynomial
     on the merged alphabet x0 + x1."""
     if k < 1:
         raise ValueError("at least one puncture pair is required")
     out = []
     for n in range(maxdeg + 1):
-        for lam in partition_list(n):
+        for index in schur_indices(1, n):
+            (lam,) = index
             num = hook_product(lam, DEFORMED_ZW) ** (2 * g + k - 1)
             coeff = num / hook_product(lam, PAIRING_QT).monomial_map(QT_AT_ZW)
-            out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(macdonald_H(lam))))
+            out.append(SeriesTerm(index, n, coeff, on_merged_alphabet(macdonald_H(index))))
     return out
 
 
 def invert_series(terms: list[SeriesTerm], maxdeg: int) -> list[SeriesTerm]:
-    """Formal inverse 1 / (1 + higher terms) of a partition-indexed series
+    """Formal inverse 1 / (1 + higher terms) of a series
     whose empty-index coefficient is 1, as multiset-indexed terms.
 
     A multiset S contributes (-1)^len(S) * len(S)!/prod(mult!) * prod coeff
@@ -122,7 +122,7 @@ def principal_schur(cls, b):
     the inverses of the channels of ``macdonald._image_tables``."""
     q = RatFun.var(0)
     P = ((1 - q).inverse(), (1 + q).inverse())[: cls.ALPHABETS]
-    return cls.basis_elem(cls.BASES[0], b).alphabet_substitute(*P)
+    return cls.basis_elem(cls.SCHUR, b).alphabet_substitute(*P)
 
 
 def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
@@ -139,12 +139,15 @@ def one_param_wreath_terms(core: int, g: int, k: int, maxdeg: int) -> list[Serie
 
 
 def one_param_star_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
-    """q-series terms: coefficient q^(k|a|) N_a(q, 1/q)^(2g+2k-2); factor
-    s_a[(x0+x1)/(1-q)], s_a[PX] on the merged alphabet."""
+    """q-series terms indexed by the one-alphabet indices (a,): coefficient
+    q^(k|a|) N_a(q, 1/q)^(2g+2k-2); factor s_a[(x0+x1)/(1-q)], s_a[PX] on
+    the merged alphabet."""
     q = RatFun.var(0)
     out = []
     for n in range(maxdeg + 1):
-        for lam in partition_list(n):
+        for index in schur_indices(1, n):
+            (lam,) = index
             coeff = q ** (k * n) * hook_product(lam, PAIRING_T_INV_Q) ** (2 * g + 2 * k - 2)
-            out.append(SeriesTerm(lam, n, coeff, on_merged_alphabet(principal_schur(SymFunc1, (lam,)))))
+            factor = on_merged_alphabet(principal_schur(SymFunc1, index))
+            out.append(SeriesTerm(index, n, coeff, factor))
     return out

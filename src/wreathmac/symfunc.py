@@ -1,13 +1,13 @@
 """Symmetric functions in one alphabet and in a pair of alphabets.
 
 An index is the tuple of its per-alphabet partitions: ``SymFunc1``
-indexes by 1-tuples ``(lam,)``, ``SymFunc2`` by 2-partitions.  Each has a
-Schur basis ("s", "s2": products of per-alphabet Schur functions) and a
-power basis in its channel power sums: "p" in one alphabet, and in two
-"w", the wreath power sums p^+_r = p_r(x0) + p_r(x1) and p^-_r = p_r(x0) -
+indexes by 1-tuples ``(lam,)``, ``SymFunc2`` by 2-partitions.  Both have
+the Schur basis "s" (products of per-alphabet Schur functions) and the
+power basis "p" in the channel power sums: p_r in one alphabet, and in two
+the wreath power sums p^+_r = p_r(x0) + p_r(x1) and p^-_r = p_r(x0) -
 p_r(x1) (Macdonald, ch. I, App. B), index (rho+, rho-).  Every operation
-is written once, in the base class; a subclass only names its bases and
-its number of alphabets.
+is written once, in the base class; a subclass names only its number of
+alphabets.
 
 Products, substitutions, equality and the Hall inner product, diagonal
 with <p_mu, p_mu> = ``class_z(mu)``, are computed in the power basis.  The
@@ -159,18 +159,17 @@ def _to_schur(key: tuple) -> tuple[dict[tuple, int], int]:
 
 class _SymFunc:
     """Sparse symmetric function with RatFun coefficients over (q, t) in
-    ``ALPHABETS`` alphabets, stored in one of the subclass's ``BASES`` (its
-    Schur basis, then its power basis ``POWER``), indexed by tuples of
-    per-alphabet partitions."""
+    ``ALPHABETS`` alphabets, stored in the Schur basis ``SCHUR`` or the
+    power basis ``POWER``, indexed by tuples of per-alphabet partitions."""
 
     __slots__ = ("basis", "coeffs", "_power")
 
-    BASES: tuple[str, str]
-    POWER: str
+    SCHUR = "s"
+    POWER = "p"
     ALPHABETS: int
 
     def __init__(self, basis: str, coeffs: dict):
-        if basis not in self.BASES:
+        if basis not in (self.SCHUR, self.POWER):
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
@@ -179,6 +178,11 @@ class _SymFunc:
     @classmethod
     def basis_elem(cls, basis: str, key):
         return cls(basis, {tuple(map(tuple, key)): RatFun.one()})
+
+    @classmethod
+    def one_row(cls, n: int) -> tuple:
+        """The index of h_n = s_(n) in the first alphabet."""
+        return ((n,) if n else (),) + ((),) * (cls.ALPHABETS - 1)
 
     @classmethod
     def one(cls):
@@ -206,16 +210,14 @@ class _SymFunc:
         return total
 
     def to_basis(self, basis: str):
-        """This function in ``basis``, one of ``BASES``: each index expanded
-        by its transition table over one common denominator, so that each
-        new coefficient is reduced once.  The power form, once computed, is
-        kept on the function."""
+        """This function in ``basis``, ``SCHUR`` or ``POWER``: each index
+        expanded by its transition table over one common denominator, so
+        that each new coefficient is reduced once.  The power form, once
+        computed, is kept on the function."""
         if basis == self.basis:
             return self
         if basis == self.POWER and self._power is not None:
             return self._power
-        if basis not in self.BASES:
-            raise ValueError(f"cannot convert to basis {basis!r}")
         table = _to_power if basis == self.POWER else _to_schur
         rows = [table(k) for k in self.coeffs]
         nums, den = common_denominator(self.coeffs.values())
@@ -253,8 +255,6 @@ class SymFunc1(_SymFunc):
     """Symmetric function in one alphabet, indexed by 1-tuples ``(lam,)``."""
 
     __slots__ = ()
-    BASES = ("s", "p")
-    POWER = "p"
     ALPHABETS = 1
 
 
@@ -263,8 +263,6 @@ class SymFunc2(_SymFunc):
     2-partitions."""
 
     __slots__ = ()
-    BASES = ("s2", "w")
-    POWER = "w"
     ALPHABETS = 2
 
 
@@ -273,9 +271,9 @@ class SymFunc2(_SymFunc):
 
 
 def on_merged_alphabet(f: SymFunc1) -> SymFunc2:
-    """u(z) -> u[x0 + x1]: p_r(x0 + x1) = p^+_r, so p_lam becomes the "w"
+    """u(z) -> u[x0 + x1]: p_r(x0 + x1) = p^+_r, so p_lam becomes the power
     index (lam, ())."""
-    return SymFunc2("w", {(lam, ()): c for (lam,), c in f.to_basis("p").coeffs.items()})
+    return SymFunc2(f.POWER, {(lam, ()): c for (lam,), c in f.to_basis(f.POWER).coeffs.items()})
 
 
 def wreath_char(alpha: BiPartition, beta: BiPartition) -> int:

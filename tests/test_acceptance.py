@@ -33,7 +33,7 @@ def test_runner_covers_all_criteria(results):
 @pytest.mark.parametrize(
     "name, at, detail",
     [
-        ("macdonald_H", ((3, 2, 1),), "Macdonald t=1/q specialization fails at ((3, 2, 1),)"),
+        ("macdonald_H", (((3, 2, 1),),), "Macdonald t=1/q specialization fails at ((3, 2, 1),)"),
         (
             "wreath_H",
             (((2,), (1, 1)), 1),

@@ -62,9 +62,9 @@ def test_h_of_type():
 
 
 def _merged_h(m):
-    """h_m[x0 + x1] = sum over mu of p^+_mu / z_mu, in the "w" basis."""
+    """h_m[x0 + x1] = sum over mu of p^+_mu / z_mu, in the power basis."""
     return SymFunc2(
-        "w", {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
+        "p", {(mu, ()): RatFun.const(Fraction(1, z_stat(mu))) for mu in partition_list(m)}
     )
 
 
@@ -79,7 +79,7 @@ def test_h_of_type_matches_power_sum_expansion():
                     beta = SimpleType(m_plus, m_minus, star)
                     want = SymFunc2.one()
                     for m in (m_plus, m_minus):
-                        want = want * SymFunc2.basis_elem("s2", ((m,) if m else (), ()))
+                        want = want * SymFunc2.basis_elem("s", SymFunc2.one_row(m))
                     for m in star:
                         want = want * _merged_h(m)
                     got = h_of_type(beta)

@@ -218,6 +218,26 @@ def test_oracle_refuses_out_of_reach_input_at_once(capsys):
         refused_at_once(capsys, ["oracle", *argv])
 
 
+def test_oracle_checks_rank_and_eigs_before_the_primality_of_q(capsys):
+    # trial division of this prime q takes seconds; a broken rank or --eigs
+    # rule is reported before it, by the CLI and by ``count_points``
+    q = 10000000000000061
+    cases = (
+        (["--n", "3", "--g", "0", "--eigs", "1", "--eigs", "1"],
+         "error: the oracle counts points at rank 1 and 2 only, not n=3"),
+        (["--n", "1", "--g", "0"],
+         "error: --eigs must be given a positive even number of times (2k), not 0"),
+    )
+    for argv, message in cases:
+        refused_at_once(capsys, ["oracle", "--q", str(q), *argv], message)
+    from wreathmac.oracle import count_points
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rank 1 and 2 only"):
+        count_points(3, 0, q, [1, 1])
+    assert time.perf_counter() - start < 1
+
+
 def refused_at_once(capsys, argv, message="error: out of reach"):
     start = time.perf_counter()
     code = main(argv)

@@ -341,7 +341,7 @@ def reference_pairing(spec, route):
     hs = [h_of_type(beta) for beta in spec.classes]
     total = RatFun.zero()
     for a, b, s in hodge._triples(first, second, inverted, spec.n // 2):
-        phi = (a.factor * b.factor * s.factor).to_basis("s2")
+        phi = (a.factor * b.factor * s.factor).to_basis("s")
         value = a.coeff * b.coeff * s.coeff
         for h in hs:
             value = value * at_route(phi.hall_inner(h))

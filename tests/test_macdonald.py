@@ -9,10 +9,10 @@ from wreathmac.partitions import (
     DEFORMED_ZW,
     PAIRING_QT,
     dual,
+    dual_index,
     hook_product,
     hooks,
     n_stat,
-    bipartition_list,
     partition_list,
 )
 from wreathmac.symfunc import SymFunc1, SymFunc2, schur_indices
@@ -31,16 +31,16 @@ def standard_tableaux(lam):
 
 
 def test_degree_2_expansions():
-    assert macdonald_H((2,)).coeffs == {((2,),): one, ((1, 1),): q}
-    assert macdonald_H((1, 1)).coeffs == {((2,),): one, ((1, 1),): t}
-    assert macdonald_H((1,)).coeffs == {((1,),): one}
+    assert macdonald_H(((2,),)).coeffs == {((2,),): one, ((1, 1),): q}
+    assert macdonald_H(((1, 1),)).coeffs == {((2,),): one, ((1, 1),): t}
+    assert macdonald_H(((1,),)).coeffs == {((1,),): one}
 
 
 def test_pairings():
     assert hook_product((2,), PAIRING_QT) == (q**2 - 1) * (q - t) * (q - 1) * (1 - t)
     assert hook_product((1,), PAIRING_QT) == (q - 1) * (1 - t)
-    H2 = macdonald_H((2,))
-    H11 = macdonald_H((1, 1))
+    H2 = macdonald_H(((2,),))
+    H11 = macdonald_H(((1, 1),))
     assert qt_inner(H2, H2) == hook_product((2,), PAIRING_QT)
     assert qt_inner(H2, H11).is_zero()
     assert qt_inner(SymFunc1.one(), SymFunc1.one()) == one
@@ -48,10 +48,10 @@ def test_pairings():
 
 def test_orthogonality_to_degree_4():
     for n in range(5):
-        for lam in partition_list(n):
-            for mu in partition_list(n):
-                v = qt_inner(macdonald_H(lam), macdonald_H(mu))
-                assert v == (hook_product(lam, PAIRING_QT) if lam == mu else RatFun.zero())
+        for a in schur_indices(1, n):
+            for b in schur_indices(1, n):
+                v = qt_inner(macdonald_H(a), macdonald_H(b))
+                assert v == (hook_product(a[0], PAIRING_QT) if a == b else RatFun.zero())
 
 
 def test_parameter_swap_symmetry():
@@ -59,15 +59,16 @@ def test_parameter_swap_symmetry():
     # off the other, so through it the map would be checked against itself
     swap = (0, 1, 1, 0)
 
-    def solve(lam):
-        return triangular_family(SymFunc1, (lam,), lambda index: index[0]).coeffs
+    def solve(index):
+        return triangular_family(SymFunc1, index, lambda index: index[0]).coeffs
 
     for n in range(5):
-        for lam in partition_list(n):
-            solved = solve(lam)
+        for index in schur_indices(1, n):
+            (lam,) = index
+            solved = solve(index)
             swapped = {k: c.monomial_map(swap) for k, c in solved.items()}
-            assert swapped == solve(dual(lam))
-            assert macdonald_H(lam).coeffs == solved
+            assert swapped == solve(dual_index(index))
+            assert macdonald_H(index).coeffs == solved
             # the pairing swaps under (q, t) exchange, the deformed pairing
             # under (z, w) exchange
             for vmap in (PAIRING_QT, DEFORMED_ZW):
@@ -77,14 +78,15 @@ def test_parameter_swap_symmetry():
 def test_t_inverse_specialization():
     inv1mq = (one - q).inverse()
     for n in range(5):
-        for lam in partition_list(n):
-            s = SymFunc1.basis_elem("s", (lam,)).alphabet_substitute(inv1mq)
+        for index in schur_indices(1, n):
+            (lam,) = index
+            s = SymFunc1.basis_elem("s", index).alphabet_substitute(inv1mq)
             # s_lam[1/(1-q)]: every p_r at 1, read by pairing with h_n = s_(n)
-            h_n = SymFunc1.basis_elem("s", ((n,) if n else (),))
+            h_n = SymFunc1.basis_elem("s", SymFunc1.one_row(n))
             f = s.hall_inner(h_n).inverse()
             lhs = {
                 k: c.monomial_map((1, 0, -1, 0))
-                for k, c in macdonald_H(lam).coeffs.items()
+                for k, c in macdonald_H(index).coeffs.items()
             }
             rhs = {
                 k: c * f
@@ -99,11 +101,14 @@ def test_t_inverse_specialization():
 
 
 def test_value_at_q_t_one():
-    # H~_lam(X; 1, 1) = p_1^n: the coefficient of s_mu is f^mu
+    # H~_lam(X; 1, 1) = p_1^n: the coefficient of s_mu is f^mu; and the
+    # coefficient of the one-row s_(n) is 1 at every (q, t)
     for n in range(7):
-        want = {(mu,): standard_tableaux(mu) for mu in partition_list(n)}
-        for lam in partition_list(n):
-            assert {key: c.eval_at(1, 1) for key, c in macdonald_H(lam).coeffs.items()} == want, lam
+        want = {index: standard_tableaux(*index) for index in schur_indices(1, n)}
+        for index in schur_indices(1, n):
+            H = macdonald_H(index)
+            assert {key: c.eval_at(1, 1) for key, c in H.coeffs.items()} == want, index
+            assert H.coeffs[SymFunc1.one_row(n)] == one, index
 
 
 def test_deformed_at_one():
@@ -141,15 +146,8 @@ def test_hook_product_matches_box_formula(rng):
                     assert got == want, (form, even_only, lam, x, y)
 
 
-@pytest.mark.parametrize(
-    "cls, bases, labels",
-    [
-        (SymFunc1, ("s", "p"), lambda n: [(lam,) for lam in partition_list(n)]),
-        (SymFunc2, ("s2", "w"), bipartition_list),
-    ],
-    ids=["SymFunc1", "SymFunc2"],
-)
-def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labels, rng):
+@pytest.mark.parametrize("cls", [SymFunc1, SymFunc2], ids=["SymFunc1", "SymFunc2"])
+def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, rng):
     # (q + t)I - (1 + qt)K is the product of -K, I - qK and I - tK, with K
     # the exchange of the alphabets; K fixes p^+_r and negates p^-_r, so
     # each factor is a pair of channel values (the first alone for one
@@ -158,9 +156,9 @@ def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labe
         return (plus, minus)[: cls.ALPHABETS]
 
     def operand():
-        keys = [k for n in range(4) for k in labels(n)]
+        keys = [k for n in range(4) for k in schur_indices(cls.ALPHABETS, n)]
         coeffs = {k: q * rng.randrange(-2, 3) + t * rng.randrange(-2, 3) + 1 for k in keys}
-        return cls(rng.choice(bases), coeffs)
+        return cls(rng.choice((cls.SCHUR, cls.POWER)), coeffs)
 
     for _ in range(5):
         f, g = operand(), operand()
@@ -176,7 +174,7 @@ def test_qt_inner_is_the_hall_pairing_after_three_substitutions(cls, bases, labe
 def test_t_image_table_is_the_substituted_one(cls):
     # the t-side is read off the q-side by exchanging q and t; here it is
     # substituted directly, X -> (I - tK)X
-    schur = cls.BASES[0]
+    schur = cls.SCHUR
     channels = (1 - t, 1 + t)[: cls.ALPHABETS]
     for n in range(4):
         q_side, t_side = _image_tables(cls, n)

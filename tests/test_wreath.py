@@ -95,8 +95,8 @@ def test_qt_inner_examples():
     assert qt_inner(H, H2).is_zero()
     assert qt_inner(SymFunc2.one(), SymFunc2.one()) == one
     # symmetry of the pairing
-    f = SymFunc2("s2", {((1,), ()): one, ((), (1,)): q})
-    g = SymFunc2("s2", {((1,), ()): -one, ((), (1,)): t})
+    f = SymFunc2("s", {((1,), ()): one, ((), (1,)): q})
+    g = SymFunc2("s", {((1,), ()): -one, ((), (1,)): t})
     assert qt_inner(f, g) == qt_inner(g, f)
 
 
@@ -150,15 +150,17 @@ def test_schur_positivity(core):
 @pytest.mark.parametrize("core", [0, 1])
 def test_value_at_q_t_one(core):
     # H(X; 1, 1) = (p^+_1)^n: the coefficient of s_(lam0, lam1) is
-    # binom(n, |lam0|) f^lam0 f^lam1
+    # binom(n, |lam0|) f^lam0 f^lam1; and the coefficient of the one-row
+    # s_((n), ()) is 1 at every (q, t)
     for n in range(5):
         want = {
             (a, b): comb(n, sum(a)) * standard_tableaux(a) * standard_tableaux(b)
             for a, b in bipartition_list(n)
         }
         for bp in bipartition_list(n):
-            got = {key: c.eval_at(1, 1) for key, c in wreath_H(bp, core).coeffs.items()}
-            assert got == want, bp
+            H = wreath_H(bp, core)
+            assert {key: c.eval_at(1, 1) for key, c in H.coeffs.items()} == want, bp
+            assert H.coeffs[SymFunc2.one_row(n)] == one, bp
 
 
 @pytest.mark.parametrize("core", [0, 1])
