@@ -8,14 +8,18 @@ the inverted diagonal series against the product of the complete symmetric
 functions dual to the class types; the pairing factorizes over punctures,
 so the assembly enumerates index triples whose sizes sum to half the rank.
 That series side depends on (g, k, n) only, so it is memoised per
-(g, k, n), grouped by the denominator of the triple's coefficient, with
-every factor held as power-sum numerators over one denominator that all
-rows share.  The class function of a class type has constant power-sum
-coefficients, so its pairing with every row is an integer dot product of
-those numerators; the column of these pairings is memoised per type and
-reduced once, over one common denominator.  A class tuple then sums each
-group as polynomials and normalises it once; only the groups meet in
-``RatFun`` addition, pairwise in a balanced tree.
+(g, k, n), with every factor held as power-sum numerators over one
+denominator that all rows share.  At even rank the two wreath series are
+one, so (a, b, s) and (b, a, s) are one row of multiplicity 2.  The rows
+are grouped by the denominator of the triple's coefficient; the groups are
+ordered by the slope of that denominator (how far it leans to w rather than
+z), and neighbours are merged in pairs over their lcm.  The class function
+of a class type has constant power-sum coefficients, so its pairing with
+every row is an integer dot product of those numerators; the column of
+these pairings is memoised per type and reduced once, over one common
+denominator.  A class tuple then sums each group as polynomials and
+normalises it once; only the groups meet in ``RatFun`` addition, pairwise
+in a balanced tree.
 
 The E-polynomial and the mixed Hodge polynomial are two readings of the
 two-variable polynomial H(z, w), as in Hausel, Letellier and
@@ -105,7 +109,8 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     coefficients and the product of the three factors, in power sums.  The
     factors share one denominator ``E`` over (q, t), so a row holds its
     factor as the power-sum numerators ``{mu: numerator}`` over ``E``.  The
-    rows are grouped by the coefficient's denominator ``d``, as
+    rows are grouped by the lcm ``d`` of their coefficients' denominators,
+    each coefficient held as its numerator over ``d``, as
     ``(E, ((d, ((numerator, factor numerators), ...)), ...))``.  Route ZW
     pairs the two-variable series, route QT the one-parameter series."""
     if route == ZW:
@@ -120,8 +125,16 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
         first = second = wreath_terms(0, g, k, N)
     inverted = invert_series(star_terms(g, k, N), N)
     rows = []
+    # at even rank both wreath series are one list, and (a, b, s) and
+    # (b, a, s) give one row: it is built once, with multiplicity 2
+    position = {} if n % 2 else {id(a): i for i, a in enumerate(first)}
     for a, b, s in _triples(first, second, inverted, N):
+        i, j = position.get(id(a), 0), position.get(id(b), 0)
+        if i > j:
+            continue
         coeff = a.coeff * b.coeff * s.coeff
+        if i < j:
+            coeff = coeff * 2
         if not coeff.is_zero():
             rows.append((coeff, (a.factor * b.factor * s.factor).coeffs))
     nums, E = common_denominator([c for _, phi in rows for c in phi.values()])
@@ -129,10 +142,33 @@ def _pairing_rows(route: tuple[str, str], g: int, k: int, n: int) -> tuple:
     groups: dict[LaurentPoly, list] = {}
     for coeff, phi in rows:
         groups.setdefault(coeff.den, []).append((coeff.num, {mu: next(nums) for mu in phi}))
-    # the groups in order of growing denominator degree: the balanced tree of
-    # ``_pair_against_classes`` then joins neighbours of like size
-    order = sorted(groups, key=lambda d: max(a + b for a, b in d.terms))
-    return E, tuple((d, tuple(groups[d])) for d in order)
+    # the groups in slope order, by how far the denominator leans to its
+    # second variable, then by total degree: denominators that lean alike
+    # share most of their one-variable cyclotomic factors, so neighbours
+    # merge in pairs over a small lcm, each row's numerator times its
+    # cofactor, and their sums cancel early in the balanced tree of
+    # ``_pair_against_classes``
+    def slope(d):
+        a, b = d.max_exponents()
+        return b - a, max(x + y for x, y in d.terms)
+
+    order = sorted(groups, key=slope)
+    one = LaurentPoly.const(1)
+    merged = []
+    for j in range(0, len(order), 2):
+        pair = order[j : j + 2]
+        if len(pair) == 1:  # an odd last group stays as it is
+            merged.append((pair[0], tuple(groups[pair[0]])))
+            continue
+        d1, d2 = pair
+        _, c1, c2 = d1.gcd(d2)
+        joined = tuple(
+            (num if c == one else num * c, phi)
+            for d, c in ((d1, c2), (d2, c1))
+            for num, phi in groups[d]
+        )
+        merged.append((d1 * c2, joined))
+    return E, tuple(merged)
 
 
 @lru_cache(maxsize=None)
@@ -192,10 +228,13 @@ def _pair_against_classes(spec: ProblemSpec, route: tuple[str, str]) -> RatFun:
     """Sum over index triples of coeff times the product over punctures of
     the Hall pairing of the triple's factor against each class function.
 
-    The rows that share a coefficient denominator ``d`` are summed as
-    polynomials over ``d`` times the product of the class lcms, so each
-    group is normalised once and only the groups meet in ``RatFun`` ``+``,
-    pairwise in a balanced tree: each sum adds operands of like size."""
+    The rows of a group, whose coefficients ``_pairing_rows`` holds over
+    one denominator ``d`` (the lcm of two coefficient denominators of like
+    slope), are summed as polynomials over ``d`` times the product of the
+    class lcms, so each group is normalised once and only the groups meet
+    in ``RatFun`` ``+``, pairwise in a balanced tree in slope order:
+    neighbours share most factors of their denominators, so each sum has a
+    small lcm and cancels early."""
     g, k, n = spec.g, spec.k, spec.n
     (first, den), *rest = [_class_column(route, g, k, n, beta) for beta in spec.classes]
     for _, column_den in rest:

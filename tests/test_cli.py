@@ -135,6 +135,32 @@ def test_wreath_mac_size_3_dump_is_pinned(capsys, core):
     assert hashlib.sha256(out.encode()).hexdigest() == WREATH_MAC_SIZE_3[core]
 
 
+# sha256 of `compute --json` at ranks 6 and 7 (g = 0, k = 2), trailing
+# newline included: the pairing sum, both E routes and the mixed Hodge
+# polynomial, whatever order the pairing joins its groups in
+COMPUTE_RANK_6_7 = {
+    6: (
+        ("0,0:1 1 1", "0,0:1 1 1", "3,0:", "3,0:"),
+        "fae1f8f3df44669a37951bd1773977889f7b3f435c9dfeb2ad3354f22dd32b1e",
+    ),
+    7: (
+        ("0,0:1 1 1", "1,0:1 1", "3,0:", "3,0:"),
+        "5977da6336715bcc022c8f805f45bb4960c655cb613fdda00297452bea37397e",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMPUTE_RANK_6_7))
+def test_compute_json_at_ranks_6_and_7_is_pinned(capsys, n):
+    classes, digest = COMPUTE_RANK_6_7[n]
+    argv = ["compute", "--g", "0", "--k", "2", "--n", str(n), "--json"]
+    for c in classes:
+        argv += ["--class", c]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oracle_pass_verdict(capsys):
     code, out = run_cli(
         capsys,

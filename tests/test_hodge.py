@@ -369,19 +369,39 @@ def simple_types(size):
     ],
 )
 def test_class_columns_are_the_hall_pairings_in_lowest_terms(g, k, n, types):
-    # the rows of ``_pairing_rows`` hold their factor as power-sum
-    # numerators; here each row's factor is the product of its triple's
-    # factors again, matched to the row through the coefficient denominator
+    # the rows of ``_pairing_rows`` hold their coefficient over their group's
+    # denominator and their factor as power-sum numerators over ``E``; here
+    # each row is matched to index triples again, by its coefficient and by
+    # its factor: to one triple, or at even rank to the two triples (a, b, s)
+    # and (b, a, s) of one coefficient and factor, and each triple serves
+    # one row
     for route in (ZW, QT):
         first, second, inverted, at_route = route_series(route, g, k, n)
-        by_den = {}
+        by_value = {}
         for a, b, s in hodge._triples(first, second, inverted, n // 2):
             coeff = a.coeff * b.coeff * s.coeff
             if not coeff.is_zero():
-                by_den.setdefault(coeff.den, []).append(a.factor * b.factor * s.factor)
-        _, groups = hodge._pairing_rows(route, g, k, n)
-        assert [len(rows) for _, rows in groups] == [len(by_den[d]) for d, _ in groups]
-        phis = [phi for d, _ in groups for phi in by_den[d]]
+                phi = a.factor * b.factor * s.factor
+                by_value.setdefault((coeff, frozenset(phi.coeffs.items())), []).append(phi)
+        E, groups = hodge._pairing_rows(route, g, k, n)
+        phis = []
+        for d, rows in groups:
+            lcm = LaurentPoly.const(1)
+            for num, factor in rows:
+                value = RatFun(num, d)
+                factor = frozenset((mu, RatFun(v, E)) for mu, v in factor.items())
+                for m in (1,) if n % 2 else (1, 2):
+                    matches = by_value.get((value / m, factor), ())
+                    if len(matches) >= m:
+                        break
+                assert len(matches) >= m, route
+                phis.append(matches[-1])
+                del matches[-m:]
+                lcm = lcm * lcm.gcd(value.den)[2]
+            # each group's denominator is the lcm of its rows' coefficient
+            # denominators, up to the sign that is a unit of Z[q, t]
+            assert d in (lcm, -lcm), route
+        assert not any(by_value.values()), route
         for beta in types:
             h = h_of_type(beta)
             nums, lcm = hodge._class_column(route, g, k, n, beta)
@@ -443,6 +463,7 @@ def value_mod_prime(poly, point):
         (0, 2, 5, ("0,0:1 1", "1,0:1", "2,0:", "2,0:")),
         (0, 2, 6, ("1,0:2", "0,0:1 1 1", "2,1:", "3,0:")),
         (0, 2, 6, ("0,0:1 1 1", "0,0:1 1 1", "3,0:", "3,0:")),
+        (0, 2, 7, ("0,0:1 1 1", "1,0:1 1", "3,0:", "3,0:")),
     ],
 )
 def test_pairing_sum_at_a_point_modulo_a_prime(rng, g, k, n, classes):
