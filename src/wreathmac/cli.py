@@ -26,7 +26,7 @@ from .wreath import wreath_H, wreath_N
 
 
 # The largest wreath Macdonald label size that a run may solve: rank 10 (size
-# 5) takes about 23 s in one process, and each size up multiplies the labels
+# 5) takes about 21.7 s in one process, and each size up multiplies the labels
 # and their solve times, so a larger one would run for hours.
 MAX_LABEL_SIZE = 5
 
@@ -109,18 +109,11 @@ def cmd_oracle(args) -> int:
     # dependency that ``compute`` does not need, so they are imported by the
     # subcommands that use them
     try:
-        from .oracle import (
-            count_points,
-            genericity_check,
-            require_countable,
-            require_within_reach,
-            twisted_type,
-        )
+        from .oracle import count_points, genericity_check, require_countable, twisted_type
     except ImportError as exc:
         return _missing_numpy(exc)
 
     try:
-        require_within_reach(args.n, args.g, args.q, len(args.eigs))
         eig_lists = [[int(x) for x in s.split()] for s in args.eigs]
         if args.n == 2 and any(len(e) != 1 for e in eig_lists):
             raise ValueError("each --eigs needs 1 entry for n=2")
@@ -132,8 +125,7 @@ def cmd_oracle(args) -> int:
         return 3
     try:
         if args.n == 2:
-            tuples = [(a,) for a in eigenvalues]
-            generic, witness = genericity_check(tuples, args.q, strong=args.strong_check)
+            generic, witness = genericity_check(eigenvalues, args.q, strong=args.strong_check)
             if not generic:
                 print(f"non-generic input: {witness}", file=sys.stderr)
                 return 3

@@ -29,34 +29,7 @@ from .partitions import BiPartition, Partition
 
 
 # ---------------------------------------------------------------------------
-# prime fields and the reach of the brute force
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
-def require_odd_prime(q: int) -> None:
-    if not _is_prime(q) or q == 2:
-        raise ValueError(f"{q} is not an odd prime")
-
-
-def require_countable(n: int, g: int, q: int, eigenvalues: list[int]) -> None:
-    """ValueError, one message per rule, unless ``count_points`` can count:
-    rank 1 or 2, g >= 0, a positive even number 2k of punctures, q an odd
-    prime (by trial division, so after those), and at rank 2 eigenvalues
-    that are units mod q."""
-    if n not in (1, 2):
-        raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={n}")
-    if g < 0:
-        raise ValueError(f"the genus must be nonnegative, not g={g}")
-    if not eigenvalues or len(eigenvalues) % 2:
-        raise ValueError(
-            f"--eigs must be given a positive even number of times (2k), not {len(eigenvalues)}"
-        )
-    require_odd_prime(q)
-    if n == 2 and any(a % q == 0 for a in eigenvalues):
-        raise ValueError(f"eigenvalues must be units mod q={q}, not 0")
+# the input rules of the count
 
 
 # The most steps a count may take, per rank, set so that the largest accepted
@@ -65,9 +38,9 @@ def require_countable(n: int, g: int, q: int, eigenvalues: list[int]) -> None:
 # makes 2k - 1 + g passes over GL_2(F_q): k pair products, k - 1 pair
 # convolutions, then for g >= 1 a commutator pass and g - 1 convolutions;
 # each visits about q^2 classes times q^4 elements, q^6 steps (about 0.1 us
-# each).  Its genericity check multiplies 2k factors for each of up to
-# 2^(2k) sign choices.  At q = 101 one rank-2 pass would also need
-# gigabytes of arrays.
+# each).  Its genericity check multiplies 2k factors for each of the 2^(2k)
+# sign choices.  At q = 101 one rank-2 pass would also need gigabytes of
+# arrays.
 WORK_LIMIT = {1: 10**7, 2: 4 * 10**8}
 
 # The largest genus at rank 1: the formula that the count is compared with
@@ -76,66 +49,67 @@ WORK_LIMIT = {1: 10**7, 2: 4 * 10**8}
 RANK1_GENUS_LIMIT = 1000
 
 
-def require_within_reach(n: int, g: int, q: int, twok: int) -> None:
-    """ValueError when the count at rank n takes more than ``WORK_LIMIT``
-    steps, or at rank 1 when g is over ``RANK1_GENUS_LIMIT`` or the count
-    (q-1)^(2(g+k-1)) has more decimal digits than Python prints.  It reads
-    the sizes only, so it runs before any other check."""
-    if q <= 2 or n not in (1, 2):
-        return
-    if n == 1:
+def require_countable(n: int, g: int, q: int, eigenvalues: list[int]) -> None:
+    """ValueError, one message per rule, unless ``count_points`` can count:
+    rank 1 or 2, g >= 0, a positive even number 2k of punctures, a count
+    within reach, q an odd prime, and at rank 2 eigenvalues that are units
+    mod q.
+
+    Within reach means at most ``WORK_LIMIT`` steps, and at rank 1 also
+    g <= ``RANK1_GENUS_LIMIT`` and a count (q-1)^(2(g+k-1)) of fewer decimal
+    digits than Python prints, so that the CLI can compare the count with
+    the formula and print it.  That bound reads the sizes only, so it runs
+    before the trial division of q."""
+    if n not in (1, 2):
+        raise ValueError(f"the oracle counts points at rank 1 and 2 only, not n={n}")
+    if g < 0:
+        raise ValueError(f"the genus must be nonnegative, not g={g}")
+    twok = len(eigenvalues)
+    if not twok or twok % 2:
+        raise ValueError(
+            f"--eigs must be given a positive even number of times (2k), not {twok}"
+        )
+    # q <= 2 is refused below, and log10(q - 1) needs q > 1
+    if q > 2:
         # 0 (no limit) before Python 3.10.7
         digits = getattr(sys, "get_int_max_str_digits", int)()
-        if (2 * g + twok - 2) * math.log10(q - 1) >= digits > 0:
+        if n == 1 and (2 * g + twok - 2) * math.log10(q - 1) >= digits > 0:
             raise ValueError(
                 f"out of reach: the rank-1 count at q={q}, g={g} with {twok} "
                 f"--eigs has more than {digits} digits"
             )
-        if g > RANK1_GENUS_LIMIT:
+        if n == 1 and g > RANK1_GENUS_LIMIT:
             raise ValueError(
                 f"out of reach: the rank-1 formula at g={g} takes too long "
                 f"(g <= {RANK1_GENUS_LIMIT})"
             )
-        work = (q - 1) ** twok
-    else:
-        work = q**6 * (twok - 1 + g) + twok * 2**twok
-    if work > WORK_LIMIT[n]:
-        raise ValueError(
-            f"out of reach: the rank-{n} count at q={q}, g={g} with {twok} "
-            f"--eigs takes more than {WORK_LIMIT[n]:.0e} steps"
-        )
+        work = (q - 1) ** twok if n == 1 else q**6 * (twok - 1 + g) + twok * 2**twok
+        if work > WORK_LIMIT[n]:
+            raise ValueError(
+                f"out of reach: the rank-{n} count at q={q}, g={g} with {twok} "
+                f"--eigs takes more than {WORK_LIMIT[n]:.0e} steps"
+            )
+    if q < 3 or not all(q % d for d in range(2, math.isqrt(q) + 1)):
+        raise ValueError(f"{q} is not an odd prime")
+    if n == 2 and any(a % q == 0 for a in eigenvalues):
+        raise ValueError(f"eigenvalues must be units mod q={q}, not 0")
 
 
-def genericity_check(eigs: list[tuple[int, ...]], q: int, strong: bool):
-    """Exhaustively test the products of squared eigenvalue choices.
+def genericity_check(eigs: list[int], q: int, strong: bool):
+    """Exhaustively test the products of the squared eigenvalues to the
+    powers +-1.
 
-    eigs is one N-tuple of units mod q per puncture.  Returns (ok, witness):
-    witness names the subsets and signs whose product is 1 (or -1 when
-    strong) if the test fails.
+    eigs is one unit mod q per puncture, as ``require_countable`` admits
+    them.  Returns (ok, witness): if the test fails, witness names the
+    product, 1 (or -1 when strong), and per puncture the choice
+    ([0], [sign]) of the exponent's sign.
     """
-    require_odd_prime(q)
-    tuples = [tuple(a % q for a in e) for e in eigs]
-    if any(a == 0 for e in tuples for a in e):
-        raise ValueError("eigenvalues must be units")
-    sizes = {len(e) for e in tuples}
-    if len(sizes) != 1:
-        raise ValueError("all eigenvalue tuples must have the same length")
-    N = sizes.pop()
     bad = {1, q - 1} if strong else {1}
-    for M in range(1, N + 1):
-        per_puncture = []
-        for e in tuples:
-            opts = []
-            for subset in itertools.combinations(range(N), M):
-                for signs in itertools.product((1, -1), repeat=M):
-                    v = math.prod(pow(e[i], 2 * s, q) for i, s in zip(subset, signs)) % q
-                    opts.append((subset, signs, v))
-            per_puncture.append(opts)
-        for combo in itertools.product(*per_puncture):
-            v = math.prod(x for _, _, x in combo) % q
-            if v in bad:
-                witness = [(list(sub), list(sg)) for sub, sg, _ in combo]
-                return False, {"product": v, "choices": witness}
+    options = [[(sign, pow(a, 2 * sign, q)) for sign in (1, -1)] for a in eigs]
+    for combo in itertools.product(*options):
+        v = math.prod(x for _, x in combo) % q
+        if v in bad:
+            return False, {"product": v, "choices": [([0], [sign]) for sign, _ in combo]}
     return True, None
 
 
@@ -186,19 +160,17 @@ class _GL2:
             (c1 * b2 + d1 * d2) % q,
         )
 
-    def _over_det(self, m):
+    def sigma(self, m):
+        """The involution: for the symplectic form in rank 2 it is division
+        by the determinant."""
         a, b, c, d = m
         f = self.inv_table[(a * d - b * c) % self.q]
         return tuple(x * f % self.q for x in m)
 
     def inv(self, m):
+        """The inverse: the adjugate over its determinant, which is m's."""
         a, b, c, d = m
-        return self._over_det((d, -b, -c, a))
-
-    def sigma(self, m):
-        """The involution: for the symplectic form in rank 2 it is division
-        by the determinant."""
-        return self._over_det(m)
+        return self.sigma((d, -b, -c, a))
 
     def class_index(self, m):
         a, b, c, d = m

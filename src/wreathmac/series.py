@@ -52,21 +52,22 @@ def wreath_series_terms(core: int, g: int, k: int, maxdeg: int) -> list[SeriesTe
     N_{brace}(zw, z^2, w^2)^(g+k-1) / (Ntilde(z^2, w^2) *
     Ntilde(zw, z^2, w^2)^(k-1)), factor the wreath Macdonald polynomial of
     the given core."""
-    if k < 1:
-        raise ValueError("at least one puncture pair is required")
     out = []
     for n in range(maxdeg + 1):
         for bp in bipartition_list(n):
             lam = brace(bp, core)
-            num = hook_product(lam, DEFORMED_ZW) ** (g + k - 1)
+            hp = hook_product(lam, DEFORMED_ZW)
             total = wreath_N(bp, core)
-            den = total.monomial_map(QT_AT_ZW)
+            coeff = hp**g / total.monomial_map(QT_AT_ZW)
             if k > 1:
-                # Ntilde(zw, z^2, w^2): the pairing with its cotangent factor deformed
+                # Ntilde(zw, z^2, w^2) = nabla * cot is the pairing with its
+                # cotangent factor cot deformed; cot is the even-hook part
+                # of hp, so the cot^(k-1) above and below cancel, and each
+                # of the k - 1 factors is odd / nabla, odd = hp / cot
                 nabla = total / hook_product(lam, PAIRING_QT, even_only=True)
-                cot = hook_product(lam, DEFORMED_ZW, even_only=True)
-                den = den * (nabla.monomial_map(QT_AT_ZW) * cot) ** (k - 1)
-            out.append(SeriesTerm(bp, n, num / den, wreath_H(bp, core).to_basis(SymFunc2.POWER)))
+                odd = hp / hook_product(lam, DEFORMED_ZW, even_only=True)
+                coeff = coeff * (odd / nabla.monomial_map(QT_AT_ZW)) ** (k - 1)
+            out.append(SeriesTerm(bp, n, coeff, wreath_H(bp, core).to_basis(SymFunc2.POWER)))
     return out
 
 
@@ -74,8 +75,6 @@ def star_series_terms(g: int, k: int, maxdeg: int) -> list[SeriesTerm]:
     """Terms indexed by the one-alphabet indices (lam,): coefficient
     N(zw, z^2, w^2)^(2g+k-1) / N(z^2, w^2), factor the Macdonald polynomial
     on the merged alphabet x0 + x1."""
-    if k < 1:
-        raise ValueError("at least one puncture pair is required")
     out = []
     for n in range(maxdeg + 1):
         for index in schur_indices(1, n):

@@ -161,6 +161,26 @@ def test_compute_json_at_ranks_6_and_7_is_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `compute --json` at rank 6, classes "0,0:1 1 1" twice and
+# "3,0:" 2k - 2 times, trailing newline included: the wreath coefficients
+# at g = 1 and at k = 3, whose cotangent factors cancel
+COMPUTE_RANK_6_G_K = {
+    (1, 2): "b8df8291a49e613822dc4f613cc7a3be443b01f65500f1434a49f10fbcb4fc45",
+    (0, 3): "816d68762a67a385a1c4bde303e45579fab40396cbddc4a24d648a54c5e8f03c",
+}
+
+
+@pytest.mark.parametrize("g, k", sorted(COMPUTE_RANK_6_G_K))
+def test_compute_json_at_rank_6_with_g_1_or_k_3_is_pinned(capsys, g, k):
+    classes = ["0,0:1 1 1"] * 2 + ["3,0:"] * (2 * k - 2)
+    argv = ["compute", "--g", str(g), "--k", str(k), "--n", "6", "--json"]
+    for c in classes:
+        argv += ["--class", c]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_RANK_6_G_K[g, k]
+
+
 def test_oracle_pass_verdict(capsys):
     code, out = run_cli(
         capsys,

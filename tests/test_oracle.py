@@ -10,7 +10,7 @@ from wreathmac.oracle import (
     RANK1_GENUS_LIMIT,
     count_points,
     genericity_check,
-    require_within_reach,
+    require_countable,
     sym_char,
     twisted_class,
     twisted_type,
@@ -22,13 +22,10 @@ from wreathmac.symfunc import schur_to_power, wreath_char
 
 
 def test_genericity_examples():
-    ok, wit = genericity_check([(2,), (1,)], 7, strong=True)
+    ok, wit = genericity_check([2, 1], 7, strong=True)
     assert ok and wit is None
-    ok, wit = genericity_check([(2,), (3,)], 7, strong=False)
+    ok, wit = genericity_check([2, 3], 7, strong=False)
     assert not ok and wit["product"] == 1
-    # empty tuples are vacuously generic
-    ok, _ = genericity_check([(), ()], 7, strong=True)
-    assert ok
 
 
 def test_rank_one_counts():
@@ -64,7 +61,7 @@ def test_rank_one_reach_bounds_the_digits_and_the_genus():
     for q, genera in ((3163, range(600, 630)), (3, range(990, 1010))):
         for g in genera:
             try:
-                require_within_reach(1, g, q, 2)
+                require_countable(1, g, q, [1, 1])
                 refused = False
             except ValueError as exc:
                 assert str(exc).startswith("out of reach"), exc
@@ -78,7 +75,7 @@ def test_rank_two_counts_match_the_formula_on_a_grid():
     # that `wreathmac oracle` reads off the eigenvalues
     q, checked = 7, 0
     for g, eigs in itertools.product((0, 1), itertools.product(range(1, q), repeat=2)):
-        if not genericity_check([(a,) for a in eigs], q, strong=True)[0]:
+        if not genericity_check(list(eigs), q, strong=True)[0]:
             continue
         spec = ProblemSpec(g, 1, 2, tuple(twisted_type(a, q) for a in eigs))
         e, _ = e_polynomial(compute_hodge(spec))
@@ -176,6 +173,7 @@ def test_rank_one_refuses_a_field_size_that_is_no_odd_prime(q):
         (1, -1, 5, [1, 1], ["", ""], "genus must be nonnegative"),
         (2, 1, 7, [2, 1, 3], ["2", "1", "3"], "positive even number"),
         (2, 1, 7, [7, 1], ["7", "1"], "units mod q=7"),
+        (1, 1001, 3, [1, 1], ["", ""], "out of reach"),
     ],
 )
 def test_count_points_and_the_cli_refuse_with_one_message(
@@ -195,7 +193,7 @@ def test_count_points_and_the_cli_refuse_with_one_message(
 
 def test_four_punctures_count_matches_formula():
     # 2k = 4 pair-distribution convolution path, nonzero variety
-    ok, _ = genericity_check([(2,), (2,), (2,), (3,)], 17, strong=True)
+    ok, _ = genericity_check([2, 2, 2, 3], 17, strong=True)
     assert ok
     count = count_points(2, 0, 17, [2, 2, 2, 3])
     spec = ProblemSpec(0, 2, 2, tuple(pt("0,0:1") for _ in range(4)))
@@ -207,9 +205,9 @@ def test_weakly_generic_breaks_the_formula():
     # at q = 5 the class data is generic but not strongly generic (a squared
     # eigenvalue product hits -1); the count is then half the formula value,
     # demonstrating why strong genericity is required
-    ok, wit = genericity_check([(2,), (1,)], 5, strong=False)
+    ok, wit = genericity_check([2, 1], 5, strong=False)
     assert ok
-    ok, wit = genericity_check([(2,), (1,)], 5, strong=True)
+    ok, wit = genericity_check([2, 1], 5, strong=True)
     assert not ok and wit["product"] == 4
     count = count_points(2, 2, 5, [2, 1])
     spec = ProblemSpec(2, 1, 2, (pt("0,0:1"), pt("1,0:")))
